@@ -14,13 +14,12 @@ import time
 
 import numpy as np
 
-from .core import VARIANCE_FLOOR, Signal
+from .core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
 from .errors import DataError, NumericalError, SchemaError
 from .piecewise import fisher_dp, multi_start_iterative
 from .reports import (
     load_fit_report,
     load_signal_csv,
-    report_document,
     save_fit_report,
     save_signal_csv,
 )
@@ -34,7 +33,6 @@ from .simulate import (
     simulate_piecewise,
     simulate_rhlp,
 )
-from .core import GaussianComponent, design_matrix
 
 
 def _int_list(text: str) -> list[int]:

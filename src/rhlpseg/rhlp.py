@@ -22,7 +22,7 @@ from .core import (
     gaussian_log_density,
     weighted_least_squares,
 )
-from .errors import EmptyComponentError
+from .errors import EmptyComponentError, RankDeficientError, RhlpSegError
 from .piecewise import uniform_partition
 
 _STARVATION_TOL = 1e-10
@@ -111,9 +111,9 @@ def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
     return shift + np.log(np.exp(scores - shift).sum(axis=1, keepdims=True))
 
 
-def _log_proportions(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log pi_ik, computed with max-shifted exponentials."""
-    V = design_matrix(t, w.shape[1] - 1)
+def _log_proportions(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """log pi_ik against the logistic design matrix V = design_matrix(t, q),
+    computed with max-shifted exponentials."""
     scores = V @ w.T  # (n, K)
     return scores - _logsumexp_rows(scores)
 
@@ -122,15 +122,22 @@ def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
     """n x K matrix of mixing proportions pi_ik; rows sum to 1."""
     if isinstance(t, Signal):
         t = t.t
-    return np.exp(_log_proportions(logistic.w, np.asarray(t, dtype=float)))
+    return np.exp(_log_proportions(logistic.w, design_matrix(t, logistic.q)))
 
 
 def _log_joint(params: RhlpParams, signal: Signal) -> np.ndarray:
     """log [pi_ik * N(x_i; beta_k^T r_i, sigma2_k)], an (n, K) matrix."""
-    T = design_matrix(signal.t, params.p)
-    means = T @ params.betas.T  # (n, K)
+    means = design_matrix(signal.t, params.p) @ params.betas.T  # (n, K)
     logdens = gaussian_log_density(signal.x[:, None], means, params.sigma2s[None, :])
-    return _log_proportions(params.logistic.w, signal.t) + logdens
+    return _log_proportions(params.logistic.w, design_matrix(signal.t, params.q)) + logdens
+
+
+def _posterior(params: RhlpParams, signal: Signal) -> tuple[np.ndarray, float]:
+    """Responsibilities tau_ik and the observed-data log-likelihood, from one
+    log-joint evaluation."""
+    lj = _log_joint(params, signal)
+    per_sample = _logsumexp_rows(lj)
+    return np.exp(lj - per_sample), float(per_sample.sum())
 
 
 def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
@@ -140,8 +147,7 @@ def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
 
 def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
     """Posterior responsibilities tau_ik, row-normalized in log space."""
-    lj = _log_joint(params, signal)
-    return np.exp(lj - _logsumexp_rows(lj))
+    return _posterior(params, signal)[0]
 
 
 def m_step_regression(
@@ -182,39 +188,38 @@ def _unstack(flat: np.ndarray, K: int, q: int) -> np.ndarray:
     return w
 
 
-def _log_proportions_v(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """log pi_ik against a precomputed logistic design matrix."""
-    scores = V @ w.T
-    return scores - _logsumexp_rows(scores)
-
-
 def _gradient_v(pi: np.ndarray, tau: np.ndarray, V: np.ndarray) -> np.ndarray:
     return ((tau - pi)[:, :-1].T @ V).ravel()
 
 
-def _hessian_v(pi: np.ndarray, V: np.ndarray) -> np.ndarray:
-    K = pi.shape[1]
-    q1 = V.shape[1]
-    H = np.empty(((K - 1) * q1, (K - 1) * q1))
-    for k in range(K - 1):
-        for l in range(k, K - 1):
-            coef = pi[:, k] * ((k == l) - pi[:, l])
-            block = -(V * coef[:, None]).T @ V
-            H[k * q1:(k + 1) * q1, l * q1:(l + 1) * q1] = block
-            H[l * q1:(l + 1) * q1, k * q1:(k + 1) * q1] = block.T
-    return H
+def _outer_rows(V: np.ndarray) -> np.ndarray:
+    """Row-wise outer products v_i v_i^T, an (n, q+1, q+1) array."""
+    return V[:, :, None] * V[:, None, :]
+
+
+def _hessian_v(pi: np.ndarray, VV: np.ndarray) -> np.ndarray:
+    """Exact Hessian from the proportions and _outer_rows(V): all (K-1)^2
+    blocks come out of one product of the per-sample block weights
+    pi_ik (delta_kl - pi_il) with the outer products."""
+    n, m, q1 = pi.shape[0], pi.shape[1] - 1, VV.shape[1]
+    head = pi[:, :-1]
+    coef = -head[:, :, None] * head[:, None, :]
+    coef[:, np.arange(m), np.arange(m)] += head
+    blocks = (coef.reshape(n, m * m).T @ VV.reshape(n, q1 * q1)).reshape(m, m, q1, q1)
+    return -blocks.transpose(0, 2, 1, 3).reshape(m * q1, m * q1)
 
 
 def irls_objective_q1(w: np.ndarray, tau: np.ndarray, t: np.ndarray) -> float:
     """Q1(w) = sum_ik tau_ik log pi_ik(w); always <= 0."""
-    return float(np.sum(tau * _log_proportions(w, np.asarray(t, dtype=float))))
+    V = design_matrix(np.asarray(t, dtype=float), w.shape[1] - 1)
+    return float(np.sum(tau * _log_proportions(w, V)))
 
 
 def irls_gradient(w: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Stacked gradient of Q1; block k is sum_i (tau_ik - pi_ik) v_i."""
     t = np.asarray(t, dtype=float)
     V = design_matrix(t, w.shape[1] - 1)
-    pi = np.exp(_log_proportions_v(w, V))
+    pi = np.exp(_log_proportions(w, V))
     return _gradient_v(pi, tau, V)
 
 
@@ -223,8 +228,8 @@ def irls_hessian(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     v_i v_i^T. Symmetric negative semi-definite."""
     t = np.asarray(t, dtype=float)
     V = design_matrix(t, w.shape[1] - 1)
-    pi = np.exp(_log_proportions_v(w, V))
-    return _hessian_v(pi, V)
+    pi = np.exp(_log_proportions(w, V))
+    return _hessian_v(pi, _outer_rows(V))
 
 
 def irls_solve(
@@ -244,13 +249,14 @@ def irls_solve(
     if K == 1:
         return w_init.copy()
     V = design_matrix(t, q1 - 1)
+    VV = _outer_rows(V)
     w = w_init.copy()
-    logpi = _log_proportions_v(w, V)
+    logpi = _log_proportions(w, V)
     q_old = float(np.sum(tau * logpi))
     for _ in range(max_iter):
         pi = np.exp(logpi)
         g = _gradient_v(pi, tau, V)
-        H = _hessian_v(pi, V)
+        H = _hessian_v(pi, VV)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
@@ -260,14 +266,17 @@ def irls_solve(
         alpha = 1.0
         w_new = w
         q_new = q_old
-        for _ in range(max_halvings + 1):
-            cand = _unstack(flat - alpha * step, K, q1 - 1)
-            logpi_cand = _log_proportions_v(cand, V)
-            q_cand = float(np.sum(tau * logpi_cand))
-            if np.isfinite(q_cand) and q_cand >= q_old:
-                w_new, q_new, logpi = cand, q_cand, logpi_cand
-                break
-            alpha *= 0.5
+        # a step from a near-singular Hessian can overflow; the non-finite Q1
+        # it gives sends it to halving, so numpy's warning would be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_halvings + 1):
+                cand = _unstack(flat - alpha * step, K, q1 - 1)
+                logpi_cand = _log_proportions(cand, V)
+                q_cand = float(np.sum(tau * logpi_cand))
+                if np.isfinite(q_cand) and q_cand >= q_old:
+                    w_new, q_new, logpi = cand, q_cand, logpi_cand
+                    break
+                alpha *= 0.5
         if q_new - q_old <= delta:
             return w_new
         w, q_old = w_new, q_new
@@ -305,6 +314,47 @@ def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
     return base
 
 
+# SQUAREM step-length cap: it starts at _STEP_MAX0 and is multiplied by
+# _STEP_GROWTH each time an accepted step hits it, as step.max and mstep do
+# in the SQUAREM package.
+_STEP_MAX0 = 4.0
+_STEP_GROWTH = 4.0
+# Numerical failures that reject a speculative (extrapolated) point instead of
+# aborting the fit.
+_SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError, np.linalg.LinAlgError)
+
+
+def _pack(params: RhlpParams) -> np.ndarray:
+    """Free parameters as one vector: logistic coefficients, betas, log sigma2."""
+    return np.concatenate(
+        [_stack(params.logistic.w), params.betas.ravel(), np.log(params.sigma2s)]
+    )
+
+
+def _unpack(
+    theta: np.ndarray, K: int, p: int, q: int, variance_floor: float
+) -> RhlpParams:
+    """Inverse of _pack, with the variance floor applied."""
+    nw, nb = (K - 1) * (q + 1), K * (p + 1)
+    betas = theta[nw:nw + nb].reshape(K, p + 1)
+    sigma2s = np.maximum(np.exp(theta[nw + nb:]), variance_floor)
+    comps = tuple(GaussianComponent(b, s) for b, s in zip(betas, sigma2s))
+    return RhlpParams(LogisticProcess(_unstack(theta[:nw], K, q)), comps)
+
+
+def _squarem_point(
+    prev: RhlpParams, point: RhlpParams, nxt: RhlpParams, step_max: float
+) -> tuple[np.ndarray, float]:
+    """The SQUAREM point of em_fit from theta0 = prev, theta1 = point and
+    theta2 = nxt, packed, with its step length s (s = 1 gives theta2)."""
+    theta0 = _pack(prev)
+    r = _pack(point) - theta0
+    v = _pack(nxt) - theta0 - 2.0 * r
+    norm_v = np.linalg.norm(v)
+    s = step_max if norm_v == 0 else min(max(np.linalg.norm(r) / norm_v, 1.0), step_max)
+    return theta0 + 2.0 * s * r + s * s * v, s
+
+
 def _em_once(
     signal: Signal,
     init: RhlpParams,
@@ -314,28 +364,58 @@ def _em_once(
     max_irls_iter: int,
     variance_floor: float,
 ) -> tuple[RhlpParams, list[float], bool, int]:
-    params = init
-    trace: list[float] = []
+    """One EM run from init with the SQUAREM step described in em_fit.
+    Numerical errors at an extrapolated point reject it; on plain EM steps
+    they propagate."""
+    K, p, q = init.K, init.p, init.q
+
+    def m_step(params, tau, iteration):
+        comps = m_step_regression(tau, signal, p, variance_floor, iteration=iteration)
+        w = irls_solve(params.logistic.w, tau, signal.t, delta, max_irls_iter)
+        return RhlpParams(LogisticProcess(w), comps)
+
+    def speculate(theta, ll_floor, iteration):
+        """(params, log-likelihood, EM step) at theta, or None if rejected."""
+        if not np.all(np.isfinite(theta)):
+            return None
+        cand = _unpack(theta, K, p, q, variance_floor)
+        tau, ll = _posterior(cand, signal)
+        if not (np.isfinite(ll) and ll >= ll_floor):
+            return None
+        try:
+            return cand, ll, m_step(cand, tau, iteration)
+        except _SPECULATIVE_ERRORS:
+            return None
+
+    tau, ll = _posterior(init, signal)
+    trace = [ll]
+    # point is the last trace entry; nxt = F(point) is not evaluated yet
+    point, nxt = init, m_step(init, tau, 0)
+    step_max = _STEP_MAX0
+    evals = 0
     converged = False
-    T = design_matrix(signal.t, init.p)
-    V = design_matrix(signal.t, init.q)
-    for m in range(max_iter):
-        lj = _log_proportions_v(params.logistic.w, V) + gaussian_log_density(
-            signal.x[:, None], T @ params.betas.T, params.sigma2s[None, :]
-        )
-        per_sample = _logsumexp_rows(lj)
-        ll = float(per_sample.sum())
+    while evals < max_iter:
+        tau, ll = _posterior(nxt, signal)
+        evals += 1
         trace.append(ll)
-        if m > 0 and ll - trace[-2] < epsilon:
+        prev, point = point, nxt
+        if ll - trace[-2] < epsilon:
             converged = True
             break
-        tau = np.exp(lj - per_sample)
-        comps = m_step_regression(tau, signal, params.p, variance_floor, iteration=m)
-        w = irls_solve(params.logistic.w, tau, signal.t, delta, max_irls_iter)
-        params = RhlpParams(LogisticProcess(w), comps)
-    else:
-        trace.append(mixture_log_likelihood(params, signal))
-    return params, trace, converged, len(trace) - 1
+        if evals == max_iter:
+            break
+        nxt = m_step(point, tau, len(trace) - 1)
+        evals += 1
+        # a wild extrapolation is rejected, so its overflow warnings are noise
+        with np.errstate(all="ignore"):
+            theta, s = _squarem_point(prev, point, nxt, step_max)
+            accepted = speculate(theta, ll, len(trace))
+        if accepted is not None:
+            if s == step_max:
+                step_max *= _STEP_GROWTH
+            point, ll, nxt = accepted
+            trace.append(ll)
+    return point, trace, converged, len(trace) - 1
 
 
 def em_fit(
@@ -352,11 +432,23 @@ def em_fit(
     seed: int | None = None,
     variance_floor: float = VARIANCE_FLOOR,
 ) -> FitReport:
-    """Fit the model by EM until the log-likelihood increment drops below
-    epsilon. init_strategy "uniform" follows the standard recipe (uniform
-    segments, zero logistic coefficients, unit variances); "random" adds
-    n_restarts extra runs from jittered uniform cuts and keeps the best
-    final likelihood. Deterministic given the seed."""
+    """Fit the model by EM until the log-likelihood increment of a plain EM
+    step drops below epsilon. init_strategy "uniform" follows the standard
+    recipe (uniform segments, zero logistic coefficients, unit variances);
+    "random" adds n_restarts extra runs from jittered uniform cuts and keeps
+    the best final likelihood. Deterministic given the seed.
+
+    EM is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J. Stat.):
+    after two EM steps theta0 -> theta1 -> theta2 the parameters (free
+    logistic coefficients, betas, log variances) are extrapolated to
+    theta0 + 2s r + s^2 v with r = theta1 - theta0, v = theta2 - 2 theta1 +
+    theta0 and s = |r|/|v| in [1, cap]; the cap starts at 4 and grows 4x
+    each time an accepted step reaches it. The extrapolated point is kept
+    only if its log-likelihood is finite and at least that of theta1, else
+    the fit continues from theta2, so log_likelihood_trace never decreases.
+    max_iter bounds the log-likelihood evaluations after the initial one,
+    rejected extrapolations included; em_iterations counts the accepted
+    steps, len(log_likelihood_trace) - 1."""
     if K < 1 or p < 0 or q < 0:
         raise ValueError("require K >= 1, p >= 0, q >= 0")
     if init_strategy not in ("uniform", "random"):
@@ -452,8 +544,9 @@ def select_model(
     **fit_kwargs,
 ) -> tuple[FitReport, list[SelectionEntry]]:
     """Fit every (K, p) combination at fixed q and pick the maximum-BIC fit.
-    Per-fit failures become table entries instead of aborting the sweep; ties
-    break toward smaller (K, then p)."""
+    Numerical fit failures (package errors and LinAlgError) become table
+    entries instead of aborting the sweep; any other exception propagates.
+    Ties break toward smaller (K, then p)."""
     table: list[SelectionEntry] = []
     best: FitReport | None = None
     best_key = None
@@ -461,7 +554,7 @@ def select_model(
         for p in p_range:
             try:
                 report = em_fit(signal, K, p, q, **fit_kwargs)
-            except Exception as exc:  # record and continue the sweep
+            except (RhlpSegError, np.linalg.LinAlgError) as exc:  # record and continue
                 table.append(SelectionEntry(K, p, q, None, None, None, str(exc)))
                 continue
             table.append(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rhlpseg.core import Signal, GaussianComponent, design_matrix, gaussian_log_density
-from rhlpseg.errors import EmptyComponentError
+from rhlpseg import rhlp
+from rhlpseg.errors import EmptyComponentError, RankDeficientError
 from rhlpseg.rhlp import (
     FitReport,
     LogisticProcess,
@@ -24,7 +25,11 @@ from rhlpseg.rhlp import (
     n_free_parameters,
     select_model,
 )
-from rhlpseg.simulate import SITUATION_1, simulate_piecewise
+from rhlpseg.simulate import SITUATION_1, SITUATION_2, simulate_piecewise
+
+SCENARIOS = pytest.mark.parametrize(
+    "scenario", [SITUATION_1, SITUATION_2], ids=lambda s: s.name
+)
 
 
 def random_instance(seed, K=None, q=None, n=None):
@@ -294,6 +299,19 @@ class TestIrls:
             fd[:, i] = (irls_gradient(wu, tau, t) - irls_gradient(wd, tau, t)) / (2 * eps)
         np.testing.assert_allclose(H, fd, rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_hessian_matches_blockwise_formula(self, K):
+        w, _, t = random_instance(300 + K, K=K, q=2)
+        pi = logistic_proportions(LogisticProcess(w), t)
+        V = design_matrix(t, 2)
+        q1 = 3
+        ref = np.empty(((K - 1) * q1, (K - 1) * q1))
+        for k in range(K - 1):
+            for l in range(K - 1):
+                coef = pi[:, k] * ((k == l) - pi[:, l])
+                ref[k * q1:(k + 1) * q1, l * q1:(l + 1) * q1] = -(V * coef[:, None]).T @ V
+        np.testing.assert_allclose(irls_hessian(w, t), ref, rtol=1e-12, atol=1e-12)
+
     def test_solve_returns_stationary_init(self):
         w, _, t = random_instance(13, K=3, q=1)
         pi = logistic_proportions(LogisticProcess(w), t)
@@ -337,6 +355,49 @@ class TestEmFit:
         report = em_fit(sig, K=3, p=2, q=1, seed=seed)
         diffs = np.diff(report.log_likelihood_trace)
         assert np.all(diffs >= -1e-8)
+
+    @SCENARIOS
+    @pytest.mark.parametrize("K", [2, 4, 5])
+    def test_trace_non_decreasing_misspecified_k(self, scenario, K):
+        sig, _ = simulate_piecewise(scenario, 300, seed=K)
+        report = em_fit(sig, K=K, p=2, q=1, seed=K)
+        assert np.diff(report.log_likelihood_trace).min() >= -1e-8
+
+    @SCENARIOS
+    @pytest.mark.parametrize("K", [3, 5])
+    def test_result_is_em_fixed_point(self, scenario, K):
+        sig, _ = simulate_piecewise(scenario, 300, seed=1)
+        report = em_fit(sig, K=K, p=2, q=1, seed=1)
+        assert report.converged
+        params = report.params
+        tau = e_step(params, sig)
+        comps = m_step_regression(tau, sig, p=2)
+        w = irls_solve(params.logistic.w, tau, sig.t)
+        stepped = RhlpParams(LogisticProcess(w), comps)
+        gain = mixture_log_likelihood(stepped, sig) - report.log_likelihood
+        assert -1e-8 <= gain < 1e-4
+
+    def test_misspecified_k_converges_before_max_iter(self):
+        # plain EM stops at max_iter = 1000 on this fit
+        sig, _ = simulate_piecewise(SITUATION_1, 1000, seed=0)
+        report = em_fit(sig, K=5, p=2, q=1, seed=0)
+        assert report.converged
+        assert report.em_iterations < 1000
+
+    def test_plain_step_errors_propagate(self):
+        # epoch-second times make the quadratic design rank deficient at the
+        # first EM step, which is never an extrapolated one
+        sig, _ = simulate_piecewise(SITUATION_1, 300, seed=0)
+        epoch = Signal(1.7e9 + np.arange(300.0), sig.x)
+        with pytest.raises(RankDeficientError):
+            em_fit(epoch, K=3, p=2, q=1, seed=0)
+
+    def test_max_iter_bounds_evaluations(self):
+        sig, _ = simulate_piecewise(SITUATION_1, 300, seed=2)
+        report = em_fit(sig, K=5, p=2, q=1, max_iter=7)
+        assert not report.converged
+        assert report.em_iterations <= 7
+        assert report.em_iterations == len(report.log_likelihood_trace) - 1
 
     def test_labels_contiguous_with_q1(self):
         sig, _ = simulate_piecewise(SITUATION_1, 400, seed=3)
@@ -449,6 +510,23 @@ class TestSelectModel:
         _, table = select_model(sig, K_range=[1, 6], p_range=[2], q=1, seed=0,
                                 max_iter=20)
         assert len(table) == 2
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a fit failure")
+
+        monkeypatch.setattr(rhlp, "irls_solve", broken)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(TypeError):
+            select_model(sig, K_range=[1, 2], p_range=[2], q=1, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, seed", [(60, 4), (60, 6), (100, 1)])
+    def test_sweep_emits_no_runtime_warning(self, n, seed):
+        # these sweeps meet near-singular IRLS Hessians and wild extrapolations
+        sig, _ = simulate_piecewise(SITUATION_1, n, seed=seed)
+        _, table = select_model(sig, K_range=range(1, 6), p_range=[2], q=1, seed=seed)
+        assert all(e.error is None for e in table)
 
     def test_tie_break_prefers_smaller_model(self):
         from rhlpseg.rhlp import SelectionEntry  # noqa: F401  (documented rule)
