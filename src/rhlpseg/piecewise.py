@@ -82,9 +82,10 @@ class PiecewiseFit:
         return out
 
 
-def _floored_cost(sse: float, m: int, variance_floor: float) -> tuple[float, float]:
-    """Cost m*log(s2) + sse/s2 with s2 = max(sse/m, floor). Returns (cost, s2)."""
-    s2 = max(sse / m, variance_floor)
+def _floored_cost(sse, m, variance_floor: float):
+    """Cost m*log(s2) + sse/s2 with s2 = max(sse/m, floor), elementwise.
+    Returns (cost, s2)."""
+    s2 = np.maximum(sse / m, variance_floor)
     return m * np.log(s2) + sse / s2, s2
 
 
@@ -121,56 +122,40 @@ def build_cost_matrix(
     """(n+1) x (n+1) matrix of one-segment costs; entry (a, b) is the cost of
     fitting samples (a, b]. Infeasible ranges (b - a < min length) hold +inf.
 
-    Each row a is computed from cumulative monomial moments of the times
-    shifted to t_a (one small batched normal-equations solve per row instead
-    of a fresh regression per entry); the shift plus diagonal equilibration
-    keeps short late segments well conditioned. Entries where normal
-    equations are still unreliable (shortest segments, near-perfect fits)
-    are recomputed with segment_cost; exactness against segment_cost is
-    checked in the test suite.
+    Built column by column with Givens QR updates. Every start a keeps the
+    triangular factor of its segment's data [T | x], with times shifted to
+    t_a and values to x_a, so epoch timestamps and large offsets lose no
+    precision. Sample j's row [(t_j - t_a)^0..p | x_j - x_a] is rotated into
+    the factors of all starts a <= j at once; what is left in the x column
+    after the p+1 rotations, squared, adds to that start's exact residual
+    sum of squares. There is no normal-equations step and no fallback.
     """
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
     n = signal.n
     t, x = signal.t, signal.x
     d = p + 1
-    out = np.full((n + 1, n + 1), np.inf)
-    sq = np.concatenate(([0.0], np.cumsum(x * x)))
-    redo: list[tuple[int, int]] = []
-    for a in range(n - min_segment_length + 1):
-        ts = t[a:] - t[a]
-        pw = ts[:, None] ** np.arange(2 * p + 1)
-        mom = np.cumsum(pw, axis=0)
-        cross = np.cumsum(pw[:, :d] * x[a:, None], axis=0)
-        js = np.arange(min_segment_length - 1, n - a)  # local end indices
-        G = np.empty((len(js), d, d))
-        for u in range(d):
-            for v in range(u, d):
-                G[:, u, v] = G[:, v, u] = mom[js, u + v]
-        c = cross[js, :d]
-        scale = 1.0 / np.sqrt(np.einsum("kii->ki", G))
-        try:
-            y = np.linalg.solve(
-                G * scale[:, :, None] * scale[:, None, :], (c * scale)[:, :, None]
-            )[:, :, 0]
-        except np.linalg.LinAlgError:
-            redo.extend((a, int(b)) for b in a + js + 1)
-            continue
-        beta = y * scale
-        quad = np.einsum("ki,kij,kj->k", beta, G, beta)
-        sqr = sq[a + js + 1] - sq[a]
-        sse = np.maximum(sqr - 2 * np.einsum("ki,ki->k", beta, c) + quad, 0.0)
-        m = (js + 1).astype(float)
-        s2 = np.maximum(sse / m, variance_floor)
-        out[a, a + js + 1] = m * np.log(s2) + sse / s2
-        unreliable = (m <= p + 4) | (sse < 1e-5 * (sqr + 1.0))
-        redo.extend((a, int(b)) for b in (a + js + 1)[unreliable])
-    for a, b in redo:
-        out[a, b] = segment_cost(
-            signal, a, b, p,
-            min_segment_length=min_segment_length,
-            variance_floor=variance_floor,
-        )[0]
+    out = np.full((n + 1, n + 1), np.inf, order="F")  # the DP reads columns
+    R = np.zeros((d, d + 1, n))  # R[:, :, a]: upper-triangular factor of start a
+    sse = np.zeros(n)
+    for j in range(n):
+        Rj = R[:, :, : j + 1]
+        v = np.empty((d + 1, j + 1))
+        v[:d] = (t[j] - t[: j + 1]) ** np.arange(d)[:, None]
+        v[d] = x[j] - x[: j + 1]
+        for i in range(d):
+            r = np.hypot(Rj[i, i], v[i])
+            # r = 0 only when both entries are 0: the identity rotation
+            c = np.divide(Rj[i, i], r, out=np.ones(j + 1), where=r > 0)
+            s = np.divide(v[i], r, out=np.zeros(j + 1), where=r > 0)
+            Ri = Rj[i, i:].copy()
+            Rj[i, i:] = c * Ri + s * v[i:]
+            v[i:] = c * v[i:] - s * Ri
+        sse[: j + 1] += v[d] ** 2
+        feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
+        if feasible > 0:
+            m = j + 1 - np.arange(feasible)  # segment lengths
+            out[:feasible, j + 1] = _floored_cost(sse[:feasible], m, variance_floor)[0]
     return out
 
 

@@ -23,12 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import Signal
-from .errors import (
-    NonFiniteValueError,
-    NonMonotonicTimeError,
-    ParseError,
-    SchemaError,
-)
+from .errors import ParseError, SchemaError
 from .piecewise import PiecewiseFit
 from .rhlp import FitReport
 
@@ -37,7 +32,8 @@ MODEL_TAGS = ("rhlp", "piecewise_dp", "piecewise_iterative")
 
 def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
     """Read a signal CSV with header t,x (an optional third column, label, is
-    returned when present). Validates strict time monotonicity and finiteness."""
+    returned when present). Signal rejects non-finite values and times that
+    are not strictly increasing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -59,15 +55,9 @@ def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
                     labels.append(int(float(row[2])))
             except (ValueError, IndexError) as exc:
                 raise ParseError(str(exc), line=lineno) from None
-    t = np.asarray(ts)
-    x = np.asarray(xs)
-    if len(t) == 0:
+    if not ts:
         raise ParseError("no data rows", line=2)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
-        raise NonFiniteValueError("signal file contains non-finite values")
-    if np.any(np.diff(t) <= 0):
-        raise NonMonotonicTimeError(int(np.argmax(np.diff(t) <= 0)) + 1)
-    return Signal(t, x), (np.asarray(labels) if has_labels else None)
+    return Signal(ts, xs), (np.asarray(labels) if has_labels else None)
 
 
 def save_signal_csv(path, signal: Signal, labels=None) -> None:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianComponent, Signal, design_matrix
-from .errors import LengthMismatchError
-from .piecewise import PiecewiseFit, fisher_dp, multi_start_iterative
+from .errors import InfeasibleError, LengthMismatchError
+from .piecewise import Partition, PiecewiseFit, fisher_dp, multi_start_iterative
 from .rhlp import FitReport, RhlpParams, denoise, em_fit, logistic_proportions
 
 
@@ -42,14 +42,12 @@ class PiecewiseScenario:
         dt = (self.time_span[1] - self.time_span[0]) / (n - 1)
         gamma = np.rint(np.asarray(self.transition_times) / dt).astype(int)
         gamma[-1] = n
+        if np.any(np.diff(gamma) <= 0):
+            raise InfeasibleError(f"n={n} leaves a segment of {self.name} empty")
         return gamma
 
     def labels(self, n: int) -> np.ndarray:
-        gamma = self.boundary_indices(n)
-        out = np.empty(n, dtype=int)
-        for k in range(self.K):
-            out[gamma[k]:gamma[k + 1]] = k + 1
-        return out
+        return Partition(self.boundary_indices(n)).labels()
 
     def expectation(self, t) -> np.ndarray:
         """Noise-free signal: the active segment's polynomial at each time."""
@@ -200,20 +198,23 @@ class BenchmarkRow:
 
 def _fit_method(method: str, signal: Signal, scenario: PiecewiseScenario,
                 q: int, seed: int, measure_time: bool):
+    """Fit one method; every method is timed around the whole call, labels
+    and mean curve included."""
     K, p = scenario.K, scenario.p
     start = time.perf_counter()
     if method == "rhlp":
         report = em_fit(signal, K, p, q, seed=seed)
-        elapsed = report.runtime_seconds
-        return report.labels, report.denoised, elapsed if measure_time else 0.0
-    if method == "fisher_dp":
+        labels, curve = report.labels, report.denoised
+    elif method == "fisher_dp":
         fit = fisher_dp(signal, K, p)
+        labels, curve = fit.labels(), fit.expectation(signal.t)
     elif method == "fisher_iterative":
         fit = multi_start_iterative(signal, K, p, seed=seed)
+        labels, curve = fit.labels(), fit.expectation(signal.t)
     else:
         raise ValueError(f"unknown method {method!r}")
     elapsed = time.perf_counter() - start
-    return fit.labels(), fit.expectation(signal.t), elapsed if measure_time else 0.0
+    return labels, curve, elapsed if measure_time else 0.0
 
 
 def run_benchmark(

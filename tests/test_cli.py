@@ -182,6 +182,14 @@ class TestSignalCsvErrors:
                    "--output", str(tmp_path / "o.json"), "--k", "1"])
         assert rc == 1
 
+    def test_non_finite_value(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x\n0.0,1.0\n1.0,nan\n")
+        rc = main(["fit-dp", "--input", str(path),
+                   "--output", str(tmp_path / "o.json"), "--k", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:NonFiniteValueError:")
+
     def test_unparsable_value_reports_line(self, tmp_path):
         from rhlpseg.errors import ParseError
 

@@ -17,6 +17,7 @@ from rhlpseg.piecewise import (
     segment_cost,
     uniform_partition,
 )
+from rhlpseg.simulate import SITUATION_1, simulate_piecewise
 
 
 def oracle_segment_cost(signal, a, b, p, floor=VARIANCE_FLOOR):
@@ -48,6 +49,12 @@ def exhaustive_best_j(signal, K, p, min_len):
 def random_signal(rng, n, spread=1.0):
     t = np.sort(rng.uniform(0, 5, n))
     return Signal(t, rng.normal(scale=spread, size=n))
+
+
+def epoch_signal(signal):
+    """The same samples on epoch-second times (1.7e9 + i) with values offset
+    by 1e3."""
+    return Signal(1.7e9 + np.arange(signal.n), signal.x + 1e3)
 
 
 def step_signal(seed=0):
@@ -107,6 +114,20 @@ class TestCostMatrix:
             direct, _ = segment_cost(sig, a, b, p=2)
             assert C[a, b] == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
+    def test_epoch_times_match_shifted_reference(self):
+        # segment_cost regresses on raw times and is itself inexact here, so
+        # the reference regresses on t - t[a]
+        sig = epoch_signal(simulate_piecewise(SITUATION_1, 150, seed=3)[0])
+        p, min_len = 2, default_min_segment_length(2)
+        C = build_cost_matrix(sig, p)
+        for a in range(sig.n - min_len + 1):
+            for b in range(a + min_len, sig.n + 1):
+                T = design_matrix(sig.t[a:b] - sig.t[a], p)
+                beta = np.linalg.lstsq(T, sig.x[a:b], rcond=None)[0]
+                sse = np.sum((sig.x[a:b] - T @ beta) ** 2)
+                s2 = max(sse / (b - a), VARIANCE_FLOOR)
+                assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
+
 
 class TestFisherDp:
     def test_single_segment_is_whole_ols(self):
@@ -157,6 +178,13 @@ class TestFisherDp:
                     C[k - 1, h] + cost[h, b] for h in range(b - min_len + 1)
                 )
                 assert C[k, b] == pytest.approx(expected, abs=1e-12)
+
+    def test_epoch_times_give_the_same_optimum(self):
+        sig = simulate_piecewise(SITUATION_1, 500, seed=3)[0]
+        fit = fisher_dp(sig, K=3, p=2)
+        epoch = fisher_dp(epoch_signal(sig), K=3, p=2)
+        np.testing.assert_array_equal(epoch.partition.gamma, fit.partition.gamma)
+        assert epoch.criterion_j == pytest.approx(fit.criterion_j, rel=1e-9)
 
     def test_criterion_reconstructs_from_refit(self):
         rng = np.random.default_rng(13)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rhlpseg.core import GaussianComponent, Signal, design_matrix
-from rhlpseg.errors import LengthMismatchError
+from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import fisher_dp
 from rhlpseg.rhlp import LogisticProcess, RhlpParams
 from rhlpseg.simulate import (
@@ -42,6 +42,11 @@ class TestScenarios:
         assert labels[0] == 1 and labels[-1] == 3
         assert np.all(np.diff(labels) >= 0)
         assert len(labels) == 500
+
+    def test_too_few_samples_for_every_segment_raises(self):
+        # n=5: 0.6/dt = 0.48 rounds to 0, so the first segment is empty
+        with pytest.raises(InfeasibleError):
+            SITUATION_1.boundary_indices(5)
 
     def test_expectation_is_piecewise_polynomial(self):
         n = 200
