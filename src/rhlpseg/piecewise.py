@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
-from .errors import InfeasibleError, SegmentTooShortError
+from .errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
 
 
 def default_min_segment_length(p: int) -> int:
@@ -46,10 +46,19 @@ class Partition:
 
     def labels(self) -> np.ndarray:
         """Per-sample segment labels 1..K."""
-        out = np.empty(self.n, dtype=int)
-        for k in range(self.K):
-            out[self.gamma[k]:self.gamma[k + 1]] = k + 1
-        return out
+        return np.repeat(np.arange(1, self.K + 1), np.diff(self.gamma))
+
+
+def piecewise_mean(partition: Partition, components, t) -> np.ndarray:
+    """Mean curve of a piecewise model: components[k].mean on the samples
+    t[gamma_k:gamma_{k+1}] of segment k."""
+    t = np.asarray(t, dtype=float)
+    if len(t) != partition.n:
+        raise LengthMismatchError(
+            f"{len(t)} time points for a partition of {partition.n} samples"
+        )
+    g = partition.gamma
+    return np.concatenate([c.mean(t[a:b]) for c, a, b in zip(components, g[:-1], g[1:])])
 
 
 @dataclass(frozen=True)
@@ -73,13 +82,7 @@ class PiecewiseFit:
         """Fitted mean curve: the active segment's polynomial at each sample."""
         if isinstance(t, Signal):
             t = t.t
-        t = np.asarray(t, dtype=float)
-        out = np.empty(len(t))
-        g = self.partition.gamma
-        for k in range(self.K):
-            sl = slice(g[k], g[k + 1])
-            out[sl] = self.components[k].mean(t[sl])
-        return out
+        return piecewise_mean(self.partition, self.components, t)
 
 
 def _floored_cost(sse, m, variance_floor: float):
@@ -236,7 +239,14 @@ def _fixed_param_segmentation(
     min_len: int,
 ) -> tuple[Partition, float]:
     """Optimal partition with component parameters held fixed: segment k must
-    use component k. O(K n) via running minima over prefix costs."""
+    use component k. O(K n) in numpy, one pass per k.
+
+    With cum[k-1] the prefix sums of the per-sample costs under component k,
+    D[k, b] = min over splits h <= b - min_len of D[k-1, h] - cum[k-1, h],
+    plus cum[k-1, b]. The minimum over the growing set of splits is a running
+    minimum, np.minimum.accumulate over the candidates. H[k, b] is the split
+    that first reached it: on a tie the earliest split wins. A NaN candidate
+    is never chosen."""
     n = signal.n
     K = len(components)
     # per-point cost under each component, prefix-summed
@@ -249,15 +259,15 @@ def _fixed_param_segmentation(
     H = np.zeros((K + 1, n + 1), dtype=int)
     D[0, 0] = 0.0
     for k in range(1, K + 1):
-        best = np.inf
-        best_h = 0
-        for b in range(k * min_len, n + 1):
-            h = b - min_len  # newly eligible split point
-            cand = D[k - 1, h] - cum[k - 1, h]
-            if cand < best:
-                best, best_h = cand, h
-            D[k, b] = best + cum[k - 1, b]
-            H[k, b] = best_h
+        b0 = k * min_len
+        h = np.arange(b0 - min_len, n - min_len + 1)  # split eligible at b = h + min_len
+        cand = D[k - 1, h] - cum[k - 1, h]
+        cand[np.isnan(cand)] = np.inf
+        best = np.minimum.accumulate(cand)
+        # a split takes over only when strictly below every earlier candidate
+        improves = cand < np.concatenate(([np.inf], best[:-1]))
+        D[k, b0:] = best + cum[k - 1, b0:]
+        H[k, b0:] = np.maximum.accumulate(np.where(improves, h, 0))
     if not np.isfinite(D[K, n]):
         raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
     return _backtrack(H, K, n), float(D[K, n])

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GaussianComponent, Signal, design_matrix
-from .errors import InfeasibleError, LengthMismatchError
-from .piecewise import Partition, PiecewiseFit, fisher_dp, multi_start_iterative
+from .errors import InfeasibleError, LengthMismatchError, RhlpSegError
+from .piecewise import (
+    Partition, PiecewiseFit, fisher_dp, multi_start_iterative, piecewise_mean,
+)
 from .rhlp import FitReport, RhlpParams, denoise, em_fit, logistic_proportions
 
 
@@ -51,13 +53,9 @@ class PiecewiseScenario:
 
     def expectation(self, t) -> np.ndarray:
         """Noise-free signal: the active segment's polynomial at each time."""
-        t = np.asarray(t, dtype=float)
-        labels = self.labels(len(t))
-        out = np.empty(len(t))
-        for k in range(self.K):
-            mask = labels == k + 1
-            out[mask] = self.components[k].mean(t[mask])
-        return out
+        return piecewise_mean(
+            Partition(self.boundary_indices(len(t))), self.components, t
+        )
 
 
 def _scenario(name, times, betas, variances) -> PiecewiseScenario:
@@ -227,8 +225,11 @@ def run_benchmark(
     measure_time: bool = True,
 ) -> list[BenchmarkRow]:
     """Evaluate each method on each (scenario, n) cell, averaging the three
-    criteria over seeded replicates. Replicate seeds derive deterministically
-    from the master seed; per-cell failures are recorded, not raised."""
+    criteria over the seeded replicates that fit. Replicate seeds derive
+    deterministically from the master seed. A replicate whose fit raises a
+    package error or LinAlgError is counted in the row's error and skipped;
+    a cell where every replicate failed reports NaN criteria. Any other
+    exception propagates."""
     rows: list[BenchmarkRow] = []
     for si, scenario in enumerate(scenarios):
         for n in n_grid:
@@ -243,32 +244,29 @@ def run_benchmark(
                 )
             for method in methods:
                 crits = []
-                error = None
+                failures = []
                 for (sig_labels, child_seed) in samples:
                     signal, labels = sig_labels
                     try:
                         est_labels, est_curve, elapsed = _fit_method(
                             method, signal, scenario, q, child_seed, measure_time
                         )
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        break
+                    except (RhlpSegError, np.linalg.LinAlgError) as exc:
+                        failures.append(exc)
+                        continue
                     crits.append((
                         misclassification_rate(labels, est_labels),
                         float(np.mean((scenario.expectation(signal.t) - est_curve) ** 2)),
                         elapsed,
                     ))
-                if error is not None:
-                    rows.append(BenchmarkRow(
-                        scenario.name, n, method,
-                        float("nan"), float("nan"), float("nan"),
-                        replicates, error,
-                    ))
-                    continue
-                arr = np.asarray(crits)
+                means = ([float(col.mean()) for col in np.asarray(crits).T]
+                         if crits else [float("nan")] * 3)
+                error = None
+                if failures:
+                    first = failures[0]
+                    error = (f"{len(failures)}/{replicates} failed; "
+                             f"first: {type(first).__name__}: {first}")
                 rows.append(BenchmarkRow(
-                    scenario.name, n, method,
-                    float(arr[:, 0].mean()), float(arr[:, 1].mean()),
-                    float(arr[:, 2].mean()), replicates,
+                    scenario.name, n, method, *means, replicates, error,
                 ))
     return rows

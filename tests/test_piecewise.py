@@ -3,16 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from rhlpseg.core import VARIANCE_FLOOR, Signal, design_matrix
-from rhlpseg.errors import InfeasibleError, SegmentTooShortError
+from rhlpseg.core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
+from rhlpseg.errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
 from rhlpseg.piecewise import (
     Partition,
+    _backtrack,
     _dp_tables,
+    _fixed_param_segmentation,
     build_cost_matrix,
     default_min_segment_length,
     fisher_dp,
     iterative_fisher,
     multi_start_iterative,
+    piecewise_mean,
     random_partition,
     segment_cost,
     uniform_partition,
@@ -28,6 +31,34 @@ def oracle_segment_cost(signal, a, b, p, floor=VARIANCE_FLOOR):
     sse = np.sum((x - T @ beta) ** 2)
     s2 = max(sse / (b - a), floor)
     return (b - a) * np.log(s2) + sse / s2
+
+
+def _fixed_param_segmentation_loop(signal, components, min_len):
+    """Reference re-segmentation: the per-sample running-minimum loop that
+    the vectorized version must reproduce bit for bit."""
+    n = signal.n
+    K = len(components)
+    cum = np.zeros((K, n + 1))
+    for k, comp in enumerate(components):
+        resid = signal.x - comp.mean(signal.t)
+        cum[k, 1:] = np.cumsum(np.log(comp.sigma2) + resid**2 / comp.sigma2)
+
+    D = np.full((K + 1, n + 1), np.inf)
+    H = np.zeros((K + 1, n + 1), dtype=int)
+    D[0, 0] = 0.0
+    for k in range(1, K + 1):
+        best = np.inf
+        best_h = 0
+        for b in range(k * min_len, n + 1):
+            h = b - min_len  # newly eligible split point
+            cand = D[k - 1, h] - cum[k - 1, h]
+            if cand < best:
+                best, best_h = cand, h
+            D[k, b] = best + cum[k - 1, b]
+            H[k, b] = best_h
+    if not np.isfinite(D[K, n]):
+        raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
+    return _backtrack(H, K, n), float(D[K, n])
 
 
 def exhaustive_best_j(signal, K, p, min_len):
@@ -245,6 +276,88 @@ class TestIterativeFisher:
         sig = Signal(np.arange(12.0), np.zeros(12))
         with pytest.raises(InfeasibleError):
             iterative_fisher(sig, 3, 1, init=Partition([0, 1, 6, 12]))
+
+
+class TestMeanCurve:
+    def test_labels_and_curve_follow_the_partition(self):
+        part = Partition([0, 2, 5])
+        comps = (GaussianComponent([1.0], 1.0), GaussianComponent([0.0, 2.0], 1.0))
+        np.testing.assert_array_equal(part.labels(), [1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(
+            piecewise_mean(part, comps, np.arange(5.0)), [1.0, 1.0, 4.0, 6.0, 8.0]
+        )
+
+    def test_length_mismatch_raises(self):
+        rng = np.random.default_rng(6)
+        sig = random_signal(rng, 30)
+        fit = fisher_dp(sig, K=2, p=1)
+        with pytest.raises(LengthMismatchError):
+            fit.expectation(np.linspace(0, 5, 31))
+
+
+class TestFixedParamSegmentation:
+    """The vectorized re-segmentation against the per-sample loop."""
+
+    @staticmethod
+    def assert_matches_loop(sig, comps, min_len):
+        part, j = _fixed_param_segmentation(sig, comps, min_len)
+        ref_part, ref_j = _fixed_param_segmentation_loop(sig, comps, min_len)
+        assert np.array_equal(part.gamma, ref_part.gamma)
+        assert j == ref_j
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("min_len", [1, 2, 3, 5])
+    @pytest.mark.parametrize("extra", [0, 1, 7, 60])
+    def test_random_components(self, K, min_len, extra):
+        rng = np.random.default_rng([K, min_len, extra])
+        n = K * min_len + extra  # from the tightest feasible length upward
+        sig = random_signal(rng, n, spread=3.0)
+        comps = tuple(
+            GaussianComponent(rng.normal(size=3), float(rng.uniform(0.1, 4.0)))
+            for _ in range(K)
+        )
+        self.assert_matches_loop(sig, comps, min_len)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("min_len", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_go_to_the_earliest_split(self, K, min_len, seed):
+        # integer values and one shared integer mean: every prefix cost is an
+        # exact integer, so many splits tie
+        rng = np.random.default_rng([seed, K, min_len])
+        n = K * min_len + int(rng.integers(0, 30))
+        sig = Signal(np.arange(float(n)), rng.integers(-2, 3, size=n).astype(float))
+        comps = (GaussianComponent([0.0], 1.0),) * K
+        self.assert_matches_loop(sig, comps, min_len)
+
+    def test_all_ties_pick_the_earliest_splits(self):
+        sig = Signal(np.arange(12.0), np.zeros(12))
+        part, j = _fixed_param_segmentation(sig, (GaussianComponent([0.0], 1.0),) * 3, 2)
+        np.testing.assert_array_equal(part.gamma, [0, 2, 4, 12])
+        assert j == 0.0
+
+    def test_overflowing_component(self):
+        # the middle component's squared residual overflows from sample 10 on,
+        # so its prefix costs turn inf and later candidates are inf - inf = NaN
+        rng = np.random.default_rng(3)
+        sig = Signal(1e3 * np.arange(40.0), rng.normal(size=40))
+        comps = (
+            GaussianComponent([0.0], 1.0),
+            GaussianComponent([0.0, 1e150], 1.0),
+            GaussianComponent([1.0], 2.0),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_matches_loop(sig, comps, 3)
+            assert np.isfinite(_fixed_param_segmentation(sig, comps, 3)[1])
+
+    @pytest.mark.parametrize("K, min_len, n", [(2, 3, 5), (3, 2, 5), (4, 1, 3)])
+    def test_too_short_raises(self, K, min_len, n):
+        sig = Signal(np.arange(float(n)), np.zeros(n))
+        comps = (GaussianComponent([0.0], 1.0),) * K
+        with pytest.raises(InfeasibleError):
+            _fixed_param_segmentation(sig, comps, min_len)
+        with pytest.raises(InfeasibleError):
+            _fixed_param_segmentation_loop(sig, comps, min_len)
 
 
 class TestMultiStart:

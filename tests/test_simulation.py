@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rhlpseg.simulate as simulate
 from rhlpseg.core import GaussianComponent, Signal, design_matrix
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import fisher_dp
@@ -263,3 +264,46 @@ class TestRunBenchmark:
         assert set(by_method) == {"fisher_dp", "fisher_iterative"}
         for row in by_method.values():
             assert np.isfinite(row.misclassification)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a fit failure")
+
+        monkeypatch.setattr(simulate, "_fit_method", broken)
+        with pytest.raises(TypeError):
+            run_benchmark([SITUATION_1], [100], replicates=2, methods=["fisher_dp"])
+
+    def test_failed_replicates_are_counted(self, monkeypatch):
+        fit_method = simulate._fit_method
+        calls, scores = [], []
+
+        def second_fails(method, signal, scenario, *args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise InfeasibleError("replicate 2 cannot be split")
+            labels, curve, elapsed = fit_method(method, signal, scenario, *args)
+            scores.append((
+                misclassification_rate(scenario.labels(signal.n), labels),
+                np.mean((scenario.expectation(signal.t) - curve) ** 2),
+            ))
+            return labels, curve, elapsed
+
+        monkeypatch.setattr(simulate, "_fit_method", second_fails)
+        (row,) = run_benchmark([SITUATION_1], [100], replicates=3, methods=["fisher_dp"])
+        assert len(calls) == 3  # the third replicate still runs
+        assert row.replicates == 3
+        assert row.error == "1/3 failed; first: InfeasibleError: replicate 2 cannot be split"
+        # the criteria average the two replicates that fit
+        assert len(scores) == 2
+        assert row.misclassification == pytest.approx(np.mean([m for m, _ in scores]))
+        assert row.denoising_mse == pytest.approx(np.mean([e for _, e in scores]))
+        assert np.isfinite(row.denoising_mse) and row.runtime_s > 0.0
+
+    def test_cell_where_every_replicate_fails_is_nan(self, monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("no partition")
+
+        monkeypatch.setattr(simulate, "_fit_method", infeasible)
+        (row,) = run_benchmark([SITUATION_2], [100], replicates=2, methods=["rhlp"])
+        assert np.isnan(row.misclassification) and np.isnan(row.runtime_s)
+        assert row.error == "2/2 failed; first: InfeasibleError: no partition"
