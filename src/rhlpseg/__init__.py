@@ -50,7 +50,6 @@ from .simulate import (
     SCENARIOS,
     SITUATION_1,
     SITUATION_2,
-    EvalResult,
     PiecewiseScenario,
     denoising_error,
     misclassification_rate,

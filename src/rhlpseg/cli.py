@@ -7,28 +7,38 @@ failure. Errors print a single machine-readable line to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
+from .core import VARIANCE_FLOOR, GaussianComponent, Signal
 from .errors import DataError, NumericalError, SchemaError
-from .piecewise import fisher_dp, multi_start_iterative
+from .piecewise import Partition, fisher_dp, multi_start_iterative, piecewise_mean
 from .reports import (
     load_fit_report,
     load_signal_csv,
+    report_document,
     save_fit_report,
     save_signal_csv,
+    write_csv,
 )
-from .rhlp import LogisticProcess, RhlpParams, em_fit, logistic_proportions, select_model
+from .rhlp import (
+    LogisticProcess,
+    RhlpParams,
+    SelectionEntry,
+    em_fit,
+    logistic_proportions,
+    select_model,
+)
 from .simulate import (
     DESK_N_GRID,
     FULL_N_GRID,
     METHODS,
     SCENARIOS,
+    BenchmarkRow,
     run_benchmark,
     simulate_piecewise,
     simulate_rhlp,
@@ -43,26 +53,44 @@ def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _add_fit_flags(sp, rhlp: bool):
+def _check_orders(ks, ps, q: int) -> None:
+    """Reject a model order that no fitter accepts before any work starts."""
+    if min(ks, default=0) < 1:
+        raise DataError(f"--k must be at least 1, got {list(ks)}")
+    if min(ps, default=-1) < 0 or q < 0:
+        raise DataError(f"--p and --q must be at least 0, got {list(ps)} and {q}")
+
+
+def _add_model_flags(sp) -> None:
+    sp.add_argument("--variance-floor", type=float, default=VARIANCE_FLOOR)
+    sp.add_argument("--normalize-time", action="store_true",
+                    help="affinely rescale times to [0, 5] before fitting")
+
+
+def _add_em_flags(sp) -> None:
+    """EM settings shared by fit-rhlp and select-model."""
+    sp.add_argument("--q", type=int, default=1, help="logistic degree (default 1)")
+    sp.add_argument("--epsilon", type=float, default=1e-6,
+                    help="EM log-likelihood increment threshold")
+    sp.add_argument("--delta", type=float, default=1e-6,
+                    help="IRLS objective increment threshold")
+    sp.add_argument("--max-iter", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **defaults):
+    """A fit subcommand: model is the report's model tag, fitter maps
+    (signal, args) to a fit; defaults fill the args a fitter has no flag for."""
+    sp = sub.add_parser(command, help=help_text)
     sp.add_argument("--input", required=True, help="signal CSV with header t,x")
     sp.add_argument("--output", required=True, help="fit report JSON path")
     sp.add_argument("--k", type=int, required=True, help="number of components")
     sp.add_argument("--p", type=int, default=2, help="polynomial degree (default 2)")
-    sp.add_argument("--variance-floor", type=float, default=VARIANCE_FLOOR)
-    sp.add_argument("--normalize-time", action="store_true",
-                    help="affinely rescale times to [0, 5] before fitting")
     sp.add_argument("--series-output", default=None,
                     help="optional CSV of t,x,denoised,label")
-    if rhlp:
-        sp.add_argument("--q", type=int, default=1, help="logistic degree (default 1)")
-        sp.add_argument("--epsilon", type=float, default=1e-6,
-                        help="EM log-likelihood increment threshold")
-        sp.add_argument("--delta", type=float, default=1e-6,
-                        help="IRLS objective increment threshold")
-        sp.add_argument("--max-iter", type=int, default=1000)
-        sp.add_argument("--restarts", type=int, default=0,
-                        help="extra randomized-initialization EM runs")
-        sp.add_argument("--seed", type=int, default=0)
+    _add_model_flags(sp)
+    sp.set_defaults(func=_cmd_fit, model=model, fitter=fitter, **defaults)
+    return sp
 
 
 def _maybe_normalize(signal: Signal, flag: bool) -> Signal:
@@ -73,65 +101,57 @@ def _maybe_normalize(signal: Signal, flag: bool) -> Signal:
     return Signal(scaled, signal.x)
 
 
-def _write_series(path, signal: Signal, denoised, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "denoised", "label"])
-        for t, x, d, lab in zip(signal.t, signal.x, denoised, labels):
-            writer.writerow([repr(float(t)), repr(float(x)), repr(float(d)), int(lab)])
-
-
-def _cmd_fit_rhlp(args) -> None:
-    signal, _ = load_signal_csv(args.input)
-    signal = _maybe_normalize(signal, args.normalize_time)
-    report = em_fit(
+def _fit_rhlp(signal: Signal, args):
+    return em_fit(
         signal, args.k, args.p, args.q,
         epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
         init_strategy="random" if args.restarts > 0 else "uniform",
         n_restarts=args.restarts, seed=args.seed,
         variance_floor=args.variance_floor,
     )
-    save_fit_report(report, args.output)
-    if args.series_output:
-        _write_series(args.series_output, signal, report.denoised, report.labels)
 
 
-def _cmd_fit_dp(args) -> None:
-    signal, _ = load_signal_csv(args.input)
-    signal = _maybe_normalize(signal, args.normalize_time)
-    start = time.perf_counter()
-    fit = fisher_dp(signal, args.k, args.p, variance_floor=args.variance_floor)
-    elapsed = time.perf_counter() - start
-    save_fit_report(fit, args.output, model="piecewise_dp", runtime_seconds=elapsed)
-    if args.series_output:
-        _write_series(args.series_output, signal, fit.expectation(signal.t), fit.labels())
+def _fit_dp(signal: Signal, args):
+    return fisher_dp(signal, args.k, args.p, variance_floor=args.variance_floor)
 
 
-def _cmd_fit_dp_iter(args) -> None:
-    signal, _ = load_signal_csv(args.input)
-    signal = _maybe_normalize(signal, args.normalize_time)
-    start = time.perf_counter()
-    fit = multi_start_iterative(
+def _fit_dp_iter(signal: Signal, args):
+    return multi_start_iterative(
         signal, args.k, args.p,
         n_random_starts=args.restarts, seed=args.seed,
         max_iter=args.max_iter, tol=args.epsilon,
         variance_floor=args.variance_floor,
     )
+
+
+def _cmd_fit(args) -> None:
+    """Every fit command: load, fit (timed around the fitter's call), write
+    the report and, if asked, the t,x,denoised,label series."""
+    _check_orders([args.k], [args.p], args.q)
+    signal, _ = load_signal_csv(args.input)
+    signal = _maybe_normalize(signal, args.normalize_time)
+    start = time.perf_counter()
+    fit = args.fitter(signal, args)
     elapsed = time.perf_counter() - start
-    save_fit_report(fit, args.output, model="piecewise_iterative",
-                    seed=args.seed, runtime_seconds=elapsed)
+    doc = report_document(fit, args.model, args.seed, elapsed)
+    save_fit_report(doc, args.output)
     if args.series_output:
-        _write_series(args.series_output, signal, fit.expectation(signal.t), fit.labels())
+        write_csv(args.series_output, ["t", "x", "denoised", "label"],
+                  zip(signal.t, signal.x, fit.expectation(signal.t), doc.labels))
+
+
+def _components(beta, sigma2) -> tuple[GaussianComponent, ...]:
+    return tuple(
+        GaussianComponent(np.asarray(b, float), float(s2))
+        for b, s2 in zip(beta, sigma2, strict=True)
+    )
 
 
 def _params_from_json(path) -> RhlpParams:
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        comps = tuple(
-            GaussianComponent(np.asarray(b, float), float(s2))
-            for b, s2 in zip(raw["beta"], raw["sigma2"], strict=True)
-        )
+        comps = _components(raw["beta"], raw["sigma2"])
         return RhlpParams(LogisticProcess(np.asarray(raw["w"], float)), comps)
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"invalid params JSON: {exc}") from None
@@ -145,8 +165,13 @@ def _cmd_simulate(args) -> None:
             raise DataError(
                 f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}"
             )
+        # the grid runs from the scenario's first to its last transition time
+        if args.n < 2:
+            raise DataError(f"--n must be at least 2, got {args.n}")
         signal, labels = simulate_piecewise(SCENARIOS[args.scenario], args.n, args.seed)
     else:
+        if args.n < 1:
+            raise DataError(f"--n must be at least 1, got {args.n}")
         params = _params_from_json(args.params_json)
         t = np.linspace(0.0, 5.0, args.n)
         signal, labels = simulate_rhlp(params, t, args.seed)
@@ -154,6 +179,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_select_model(args) -> None:
+    _check_orders(args.k, args.p, args.q)
     signal, _ = load_signal_csv(args.input)
     signal = _maybe_normalize(signal, args.normalize_time)
     best, table = select_model(
@@ -161,17 +187,7 @@ def _cmd_select_model(args) -> None:
         epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
         seed=args.seed, variance_floor=args.variance_floor,
     )
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "p", "q", "bic", "log_likelihood", "converged", "error"])
-        for e in table:
-            writer.writerow([
-                e.K, e.p, e.q,
-                "" if e.bic is None else repr(float(e.bic)),
-                "" if e.log_likelihood is None else repr(float(e.log_likelihood)),
-                "" if e.converged is None else e.converged,
-                e.error or "",
-            ])
+    write_csv(args.output, [f.name for f in fields(SelectionEntry)], map(astuple, table))
     if args.report_output:
         save_fit_report(best, args.report_output)
 
@@ -186,24 +202,21 @@ def _cmd_benchmark(args) -> None:
         if m not in METHODS:
             raise DataError(f"unknown method {m!r}; choose from {METHODS}")
     n_grid = list(FULL_N_GRID) if args.full_grid else args.n
+    if min(n_grid, default=2) < 2:
+        raise DataError(f"--n must be at least 2, got {n_grid}")
     rows = run_benchmark(
         scenarios, n_grid, args.replicates, args.methods,
         seed=args.seed, measure_time=not args.no_timing,
     )
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "n", "method", "misclassification",
-                         "denoising_mse", "runtime_s", "replicates", "error"])
-        for r in rows:
-            writer.writerow([
-                r.scenario, r.n, r.method,
-                repr(r.misclassification), repr(r.denoising_mse), repr(r.runtime_s),
-                r.replicates, r.error or "",
-            ])
-            fh.flush()  # partial output survives a later cell failure
+    write_csv(args.output, [f.name for f in fields(BenchmarkRow)], map(astuple, rows))
 
 
 def _cmd_plot_data(args) -> None:
+    """Long-format series of a report's model, rebuilt from its coefficients:
+    the signal, the mean curve, each component's polynomial and, for RHLP,
+    the mixing proportions. RHLP's mean curve is the one stored at fit time,
+    which stays right when the fit rescaled time (--normalize-time); the
+    report does not record that rescaling."""
     doc = load_fit_report(args.input)
     signal, _ = load_signal_csv(args.signal)
     t = signal.t
@@ -211,28 +224,20 @@ def _cmd_plot_data(args) -> None:
         raise SchemaError(
             f"report has {len(doc.labels)} samples but signal has {len(t)}"
         )
-    series: list[tuple[str, np.ndarray]] = [("original", signal.x)]
-    betas = np.asarray(doc.beta, dtype=float)
-    means = design_matrix(t, doc.p) @ betas.T
-    if doc.model == "rhlp":
-        proc = LogisticProcess(np.asarray(doc.w, dtype=float))
-        pi = logistic_proportions(proc, t)
-        series.append(("denoised", np.asarray(doc.denoised, dtype=float)))
-        for k in range(doc.K):
-            series.append((f"component_{k + 1}", means[:, k]))
-        for k in range(doc.K):
-            series.append((f"proportion_{k + 1}", pi[:, k]))
-    else:
-        labels = np.asarray(doc.labels, dtype=int)
-        series.append(("denoised", means[np.arange(len(t)), labels - 1]))
-        for k in range(doc.K):
-            series.append((f"component_{k + 1}", means[:, k]))
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "series", "value"])
-        for name, values in series:
-            for ti, v in zip(t, values):
-                writer.writerow([repr(float(ti)), name, repr(float(v))])
+    try:
+        comps = _components(doc.beta, doc.sigma2)
+        if doc.model == "rhlp":
+            curve = np.asarray(doc.denoised, float)
+            proportions = logistic_proportions(LogisticProcess(np.asarray(doc.w, float)), t).T
+        else:
+            curve, proportions = piecewise_mean(Partition(doc.gamma), comps, t), []
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"invalid report: {exc}") from None
+    series = [("original", signal.x), ("denoised", curve)]
+    series += [(f"component_{k}", c.mean(t)) for k, c in enumerate(comps, 1)]
+    series += [(f"proportion_{k}", pi) for k, pi in enumerate(proportions, 1)]
+    write_csv(args.output, ["t", "series", "value"],
+              ((ti, name, v) for name, values in series for ti, v in zip(t, values)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,23 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("fit-rhlp", help="EM fit of the hidden-logistic-process model")
-    _add_fit_flags(sp, rhlp=True)
-    sp.set_defaults(func=_cmd_fit_rhlp)
+    sp = _add_fit_parser(sub, "fit-rhlp", "EM fit of the hidden-logistic-process model",
+                         "rhlp", _fit_rhlp)
+    _add_em_flags(sp)
+    sp.add_argument("--restarts", type=int, default=0,
+                    help="extra randomized-initialization EM runs")
 
-    sp = sub.add_parser("fit-dp", help="globally optimal piecewise fit (dynamic programming)")
-    _add_fit_flags(sp, rhlp=False)
-    sp.set_defaults(func=_cmd_fit_dp)
+    _add_fit_parser(sub, "fit-dp", "globally optimal piecewise fit (dynamic programming)",
+                    "piecewise_dp", _fit_dp, q=0, seed=None)
 
-    sp = sub.add_parser("fit-dp-iter", help="iterative piecewise fit with multi-start")
-    _add_fit_flags(sp, rhlp=False)
+    sp = _add_fit_parser(sub, "fit-dp-iter", "iterative piecewise fit with multi-start",
+                         "piecewise_iterative", _fit_dp_iter, q=0)
     sp.add_argument("--epsilon", type=float, default=1e-6,
                     help="criterion-J decrease threshold")
     sp.add_argument("--max-iter", type=int, default=100)
     sp.add_argument("--restarts", type=int, default=10,
                     help="random initial partitions besides the uniform one")
     sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_fit_dp_iter)
 
     sp = sub.add_parser("simulate", help="generate a benchmark signal CSV")
     sp.add_argument("--scenario", default=None,
@@ -277,13 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report-output", default=None, help="best fit report JSON")
     sp.add_argument("--k", type=_int_list, required=True, help="e.g. 2,3,4")
     sp.add_argument("--p", type=_int_list, required=True, help="e.g. 1,2,3")
-    sp.add_argument("--q", type=int, default=1)
-    sp.add_argument("--epsilon", type=float, default=1e-6)
-    sp.add_argument("--delta", type=float, default=1e-6)
-    sp.add_argument("--max-iter", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--variance-floor", type=float, default=VARIANCE_FLOOR)
-    sp.add_argument("--normalize-time", action="store_true")
+    _add_model_flags(sp)
+    _add_em_flags(sp)
     sp.set_defaults(func=_cmd_select_model)
 
     sp = sub.add_parser("benchmark", help="simulation study: criteria per (scenario, n, method)")

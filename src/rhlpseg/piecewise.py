@@ -351,8 +351,7 @@ def multi_start_iterative(
     tol: float = 1e-6,
     min_segment_length: int | None = None,
     variance_floor: float = VARIANCE_FLOOR,
-    return_starts: bool = False,
-):
+) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts random
     ordered partitions; returns the fit with smallest J. Deterministic given
     the seed."""
@@ -368,7 +367,4 @@ def multi_start_iterative(
         )
         for init in starts
     ]
-    best = min(fits, key=lambda f: f.criterion_j)
-    if return_starts:
-        return best, fits
-    return best
+    return min(fits, key=lambda f: f.criterion_j)

@@ -61,16 +61,26 @@ def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
 
 
 def save_signal_csv(path, signal: Signal, labels=None) -> None:
+    if labels is None:
+        write_csv(path, ["t", "x"], zip(signal.t, signal.x))
+    else:
+        labels = np.asarray(labels).astype(int)
+        write_csv(path, ["t", "x", "label"], zip(signal.t, signal.x, labels))
+
+
+def _csv_cell(value):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else value
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows in the package's one CSV format: floats by
+    repr (round-trip precision), ints such as labels plain, None empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if labels is None:
-            writer.writerow(["t", "x"])
-            for t, x in zip(signal.t, signal.x):
-                writer.writerow([repr(float(t)), repr(float(x))])
-        else:
-            writer.writerow(["t", "x", "label"])
-            for t, x, lab in zip(signal.t, signal.x, labels):
-                writer.writerow([repr(float(t)), repr(float(x)), int(lab)])
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,9 @@ def report_document(fit, model: str | None = None, seed=None,
             criterion_j=None,
             labels=_listify(fit.labels),
             denoised=_listify(fit.denoised),
-            runtime_seconds=float(fit.runtime_seconds),
+            runtime_seconds=float(
+                fit.runtime_seconds if runtime_seconds is None else runtime_seconds
+            ),
             converged=bool(fit.converged),
             seed=fit.seed if seed is None else seed,
         )
@@ -156,9 +168,18 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_rows(v, n: int, width: int) -> bool:
+    return (isinstance(v, list) and len(v) == n
+            and all(isinstance(row, list) and len(row) == width for row in v))
+
+
 def load_fit_report(path) -> ReportDocument:
     """Load and validate a report JSON; raises SchemaError on unknown model
-    tags or shape mismatches."""
+    tags, wrong types or shape mismatches."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -171,27 +192,26 @@ def load_fit_report(path) -> ReportDocument:
     missing = known - set(raw)
     _require(not missing, f"missing fields {sorted(missing)}")
     _require(raw["model"] in MODEL_TAGS, f"unknown model tag {raw['model']!r}")
-    K, p = raw["K"], raw["p"]
-    beta = raw["beta"]
+    K, p, q, labels, sigma2 = (raw[f] for f in ("K", "p", "q", "labels", "sigma2"))
+    _require(_is_int(K) and K >= 1 and _is_int(p) and p >= 0 and isinstance(labels, list),
+             "K must be an integer >= 1, p one >= 0 and labels a list")
+    _require(_is_rows(raw["beta"], K, p + 1), f"beta must be {K} rows of length {p + 1}")
     _require(
-        isinstance(beta, list) and len(beta) == K
-        and all(isinstance(b, list) and len(b) == p + 1 for b in beta),
-        f"beta must be {K} rows of length {p + 1}",
+        isinstance(sigma2, list) and len(sigma2) == K
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+                for v in sigma2),
+        f"sigma2 must be a list of {K} positive numbers",
     )
-    _require(len(raw["sigma2"]) == K, f"sigma2 must have {K} entries")
     if raw["model"] == "rhlp":
-        q = raw["q"]
-        _require(q is not None, "rhlp reports require q")
-        w = raw["w"]
-        _require(
-            isinstance(w, list) and len(w) == K
-            and all(isinstance(row, list) and len(row) == q + 1 for row in w),
-            f"w must be {K} rows of length {q + 1}",
-        )
+        _require(_is_int(q) and q >= 0, "rhlp reports require an integer q >= 0")
+        _require(_is_rows(raw["w"], K, q + 1), f"w must be {K} rows of length {q + 1}")
     else:
         gamma = raw["gamma"]
         _require(
-            isinstance(gamma, list) and len(gamma) == K + 1,
-            f"gamma must have {K + 1} entries",
+            isinstance(gamma, list) and len(gamma) == K + 1 and all(map(_is_int, gamma))
+            and gamma[0] == 0 and gamma[-1] == len(labels)
+            and all(a < b for a, b in zip(gamma, gamma[1:])),
+            f"gamma must be {K + 1} integers increasing strictly from 0 to "
+            f"{len(labels)}, got {gamma}",
         )
     return ReportDocument(**raw)

@@ -23,7 +23,7 @@ from .core import (
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, RankDeficientError, RhlpSegError
-from .piecewise import uniform_partition
+from .piecewise import segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
 
@@ -84,6 +84,10 @@ class RhlpParams:
     def sigma2s(self) -> np.ndarray:
         return np.array([c.sigma2 for c in self.components])
 
+    def expectation(self, t) -> np.ndarray:
+        """Model mean curve at times t; see denoise."""
+        return denoise(self, t)
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -103,6 +107,10 @@ class FitReport:
     def log_likelihood(self) -> float:
         return self.log_likelihood_trace[-1]
 
+    def expectation(self, t) -> np.ndarray:
+        """Fitted mean curve at times t; see denoise."""
+        return denoise(self.params, t)
+
 
 def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp with max shift. Faster than scipy's general
@@ -120,8 +128,6 @@ def _log_proportions(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
     """n x K matrix of mixing proportions pi_ik; rows sum to 1."""
-    if isinstance(t, Signal):
-        t = t.t
     return np.exp(_log_proportions(logistic.w, design_matrix(t, logistic.q)))
 
 
@@ -292,19 +298,17 @@ def _uniform_segment_init(
     """Paper-style initialization: zero logistic coefficients, unit variances,
     and per-segment OLS coefficients on a uniform (or supplied) partition."""
     if cuts is None:
-        cuts = uniform_partition(signal.n, K, min_len=1).gamma
-    T = design_matrix(signal.t, p)
-    comps = []
-    for k in range(K):
-        sl = slice(cuts[k], cuts[k + 1])
-        beta, _, _, _ = np.linalg.lstsq(T[sl], signal.x[sl], rcond=None)
-        comps.append(GaussianComponent(beta, 1.0))
-    return RhlpParams(LogisticProcess(np.zeros((K, q + 1))), tuple(comps))
+        cuts = uniform_partition(signal.n, K).gamma
+    comps = tuple(
+        GaussianComponent(segment_cost(signal, a, b, p, min_segment_length=1)[1].beta, 1.0)
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+    return RhlpParams(LogisticProcess(np.zeros((K, q + 1))), comps)
 
 
 def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
     """Uniform cut indices jittered by up to a quarter segment each way."""
-    base = np.rint(np.linspace(0, n, K + 1)).astype(int)
+    base = uniform_partition(n, K).gamma
     jitter = max(1, n // (4 * K))
     for _ in range(1000):
         cuts = base.copy()
@@ -496,9 +500,6 @@ def _argmax_labels(pi: np.ndarray) -> np.ndarray:
 
 def denoise(params: RhlpParams, t) -> np.ndarray:
     """Model mean curve: x_hat_i = sum_k pi_ik beta_k^T r_i."""
-    if isinstance(t, Signal):
-        t = t.t
-    t = np.asarray(t, dtype=float)
     pi = logistic_proportions(params.logistic, t)
     means = design_matrix(t, params.p) @ params.betas.T
     return np.sum(pi * means, axis=1)
@@ -506,9 +507,7 @@ def denoise(params: RhlpParams, t) -> np.ndarray:
 
 def hard_labels(params: RhlpParams, t) -> np.ndarray:
     """Per-sample argmax of the proportions, labels in 1..K."""
-    if isinstance(t, Signal):
-        t = t.t
-    return _argmax_labels(logistic_proportions(params.logistic, np.asarray(t, float)))
+    return _argmax_labels(logistic_proportions(params.logistic, t))
 
 
 def n_free_parameters(K: int, p: int, q: int) -> int:

@@ -9,10 +9,8 @@ import numpy as np
 
 from .core import GaussianComponent, Signal, design_matrix
 from .errors import InfeasibleError, LengthMismatchError, RhlpSegError
-from .piecewise import (
-    Partition, PiecewiseFit, fisher_dp, multi_start_iterative, piecewise_mean,
-)
-from .rhlp import FitReport, RhlpParams, denoise, em_fit, logistic_proportions
+from .piecewise import Partition, fisher_dp, multi_start_iterative, piecewise_mean
+from .rhlp import RhlpParams, em_fit, logistic_proportions
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,6 @@ SITUATION_2 = _scenario(
 SCENARIOS = {s.name: s for s in (SITUATION_1, SITUATION_2)}
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """The three evaluation criteria for one fit."""
-
-    misclassification_rate: float
-    denoising_error: float
-    runtime_seconds: float
-
-
 def simulate_piecewise(
     scenario: PiecewiseScenario, n: int, seed=None
 ) -> tuple[Signal, np.ndarray]:
@@ -148,23 +137,16 @@ def misclassification_rate(true_labels, estimated_labels) -> float:
 
 
 def expectation_curve(obj, t) -> np.ndarray:
-    """Mean curve of a scenario, parameter set, or fitted model at times t.
-    A plain array is taken as an already evaluated curve."""
-    if isinstance(obj, np.ndarray):
-        if len(obj) != len(t):
-            raise LengthMismatchError(
-                f"curve has {len(obj)} values for {len(t)} time points"
-            )
-        return obj
-    if isinstance(obj, PiecewiseScenario):
+    """Mean curve at times t of a scenario, parameter set or fitted model,
+    through its expectation(t). A plain array is taken as an already
+    evaluated curve."""
+    if not isinstance(obj, np.ndarray):
         return obj.expectation(t)
-    if isinstance(obj, RhlpParams):
-        return denoise(obj, t)
-    if isinstance(obj, FitReport):
-        return denoise(obj.params, t)
-    if isinstance(obj, PiecewiseFit):
-        return obj.expectation(t)
-    raise TypeError(f"no expectation curve for {type(obj).__name__}")
+    if len(obj) != len(t):
+        raise LengthMismatchError(
+            f"curve has {len(obj)} values for {len(t)} time points"
+        )
+    return obj
 
 
 def denoising_error(truth, estimate, t) -> float:

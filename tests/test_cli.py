@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ import pytest
 from rhlpseg.cli import main
 from rhlpseg.core import Signal
 from rhlpseg.errors import SchemaError
+from rhlpseg.piecewise import fisher_dp, multi_start_iterative, piecewise_mean
 from rhlpseg.reports import (
     load_fit_report,
     load_signal_csv,
+    report_document,
     save_fit_report,
     save_signal_csv,
 )
-from rhlpseg.rhlp import em_fit
+from rhlpseg.rhlp import denoise, em_fit, logistic_proportions
 from rhlpseg.simulate import SITUATION_1, simulate_piecewise
 
 
@@ -284,3 +287,151 @@ class TestPlotDataCommand:
         rc = main(["plot-data", "--input", str(report_path),
                    "--signal", str(short), "--output", str(tmp_path / "o.csv")])
         assert rc == 1
+
+
+def assert_one_error_line(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{kind}:") and err.count("\n") == 1, err
+
+
+# (argv, report model tag, report seed, the same fit through the library)
+FITS = {
+    "fit-rhlp": (["fit-rhlp", "--k", "3", "--p", "2", "--q", "1", "--seed", "0"],
+                 "rhlp", 0, lambda sig: em_fit(sig, 3, 2, 1, seed=0)),
+    "fit-dp": (["fit-dp", "--k", "3", "--p", "2"],
+               "piecewise_dp", None, lambda sig: fisher_dp(sig, 3, 2)),
+    "fit-dp-iter": (["fit-dp-iter", "--k", "3", "--p", "2", "--seed", "4", "--restarts", "3"],
+                    "piecewise_iterative", 4,
+                    lambda sig: multi_start_iterative(sig, 3, 2, n_random_starts=3, seed=4)),
+}
+
+
+@pytest.mark.parametrize("command", list(FITS))
+def test_fit_command_matches_library(tmp_path, signal_csv, command):
+    argv, model, seed, library_fit = FITS[command]
+    report_path, series_path = tmp_path / "fit.json", tmp_path / "series.csv"
+    assert main([*argv, "--input", str(signal_csv), "--output", str(report_path),
+                 "--series-output", str(series_path)]) == 0
+    sig, _ = load_signal_csv(signal_csv)
+    fit = library_fit(sig)
+    expected = asdict(report_document(fit, model, seed))
+    got = asdict(load_fit_report(report_path))
+    assert got.pop("runtime_seconds") > 0
+    expected.pop("runtime_seconds")
+    assert got == expected
+    rows = [[repr(float(t)), repr(float(x)), repr(float(m)), str(lab)] for t, x, m, lab
+            in zip(sig.t, sig.x, fit.expectation(sig.t), expected["labels"])]
+    assert read_csv(series_path) == [["t", "x", "denoised", "label"], *rows]
+
+
+@pytest.mark.parametrize("command", list(FITS))
+def test_plot_data_matches_library(tmp_path, signal_csv, command):
+    argv, _, _, library_fit = FITS[command]
+    report_path, out = tmp_path / "fit.json", tmp_path / "plot.csv"
+    assert main([*argv, "--input", str(signal_csv), "--output", str(report_path)]) == 0
+    assert main(["plot-data", "--input", str(report_path), "--signal", str(signal_csv),
+                 "--output", str(out)]) == 0
+    sig, _ = load_signal_csv(signal_csv)
+    t, fit = sig.t, library_fit(sig)
+    if command == "fit-rhlp":
+        comps, curve = fit.params.components, denoise(fit.params, t)
+        pi = logistic_proportions(fit.params.logistic, t)
+    else:
+        comps, curve = fit.components, piecewise_mean(fit.partition, fit.components, t)
+        pi = np.empty((len(t), 0))
+    expected = {"original": sig.x, "denoised": curve}
+    expected |= {f"component_{k + 1}": c.mean(t) for k, c in enumerate(comps)}
+    expected |= {f"proportion_{k + 1}": pi[:, k] for k in range(pi.shape[1])}
+    series = {}
+    for ti, name, value in read_csv(out)[1:]:
+        series.setdefault(name, []).append((float(ti), float(value)))
+    assert list(series) == list(expected)
+    for name, points in series.items():
+        got_t, got = np.array(points).T
+        np.testing.assert_array_equal(got_t, t)
+        np.testing.assert_allclose(got, expected[name], rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_plot_data_keeps_rhlp_curve_of_rescaled_fit(tmp_path):
+    sig, _ = simulate_piecewise(SITUATION_1, 200, seed=0)
+    signal_path = tmp_path / "offset.csv"
+    save_signal_csv(signal_path, Signal(sig.t + 100.0, sig.x))
+    report_path, out = tmp_path / "fit.json", tmp_path / "plot.csv"
+    assert main(["fit-rhlp", "--input", str(signal_path), "--output", str(report_path),
+                 "--k", "3", "--p", "2", "--seed", "0", "--normalize-time"]) == 0
+    assert main(["plot-data", "--input", str(report_path), "--signal", str(signal_path),
+                 "--output", str(out)]) == 0
+    denoised = [float(v) for _, name, v in read_csv(out)[1:] if name == "denoised"]
+    assert denoised == load_fit_report(report_path).denoised
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-rhlp", "--k", "0"],
+    ["fit-rhlp", "--k", "2", "--q", "-1"],
+    ["fit-dp", "--k", "0"],
+    ["fit-dp", "--k", "3", "--p", "-1"],
+    ["fit-dp-iter", "--k", "0", "--seed", "0"],
+    ["select-model", "--k", "0,2", "--p", "1"],
+], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0"])
+def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([*argv, "--input", str(signal_csv), "--output", str(out)])
+    assert rc == 1
+    assert_one_error_line(capsys, "DataError")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "situation1", "--n", "1"],
+    ["--scenario", "situation2", "--n", "0"],
+    ["--params-json", "unused.json", "--n", "0"],
+], ids=["scenario-n1", "scenario-n0", "params-n0"])
+def test_simulate_invalid_n_exits_one(tmp_path, capsys, argv):
+    rc = main(["simulate", *argv, "--seed", "0", "--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert_one_error_line(capsys, "DataError")
+
+
+def test_benchmark_invalid_n_exits_one(tmp_path, capsys):
+    rc = main(["benchmark", "--n", "1", "--replicates", "1", "--seed", "0",
+               "--output", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert_one_error_line(capsys, "DataError")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma2", 4.0),
+    ("sigma2", [1.0, "a", 1.0]),
+    ("sigma2", [1.0, 0.0, 1.0]),
+    ("gamma", [0, 120, 120, 200]),
+    ("gamma", [0, 150, 120, 200]),
+    ("gamma", [1, 50, 120, 200]),
+], ids=["sigma2-number", "sigma2-string", "sigma2-zero", "gamma-repeat", "gamma-decrease",
+        "gamma-start"])
+def test_malformed_report_exits_one(tmp_path, signal_csv, capsys, field, value):
+    report_path = tmp_path / "fit.json"
+    assert main(["fit-dp", "--input", str(signal_csv), "--output", str(report_path),
+                 "--k", "3", "--p", "2"]) == 0
+    raw = json.loads(report_path.read_text())
+    raw[field] = value
+    report_path.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError):
+        load_fit_report(report_path)
+    rc = main(["plot-data", "--input", str(report_path), "--signal", str(signal_csv),
+               "--output", str(tmp_path / "plot.csv")])
+    assert rc == 1
+    assert_one_error_line(capsys, "SchemaError")
+
+
+def test_report_that_builds_no_model_exits_one(tmp_path, signal_csv, capsys):
+    # well-formed JSON, but w's reference row must be zero
+    report_path = tmp_path / "fit.json"
+    assert main(["fit-rhlp", "--input", str(signal_csv), "--output", str(report_path),
+                 "--k", "2", "--p", "1", "--seed", "0"]) == 0
+    raw = json.loads(report_path.read_text())
+    raw["w"][-1] = [1.0, 0.0]
+    report_path.write_text(json.dumps(raw))
+    rc = main(["plot-data", "--input", str(report_path), "--signal", str(signal_csv),
+               "--output", str(tmp_path / "plot.csv")])
+    assert rc == 1
+    assert_one_error_line(capsys, "SchemaError")

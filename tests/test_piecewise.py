@@ -380,7 +380,10 @@ class TestMultiStart:
     def test_best_no_worse_than_any_start(self):
         rng = np.random.default_rng(17)
         sig = random_signal(rng, 40)
-        best, fits = multi_start_iterative(
-            sig, 3, 1, n_random_starts=5, seed=7, return_starts=True
-        )
-        assert all(best.criterion_j <= f.criterion_j for f in fits)
+        best = multi_start_iterative(sig, 3, 1, n_random_starts=5, seed=7)
+        # the same starts: the uniform partition, then five random ones
+        rng = np.random.default_rng(7)
+        starts = [uniform_partition(40, 3, 3)]
+        starts += [random_partition(rng, 40, 3, 3) for _ in range(5)]
+        fits = [iterative_fisher(sig, 3, 1, init=init) for init in starts]
+        assert best.criterion_j == min(f.criterion_j for f in fits)

@@ -5,7 +5,7 @@ import rhlpseg.simulate as simulate
 from rhlpseg.core import GaussianComponent, Signal, design_matrix
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import fisher_dp
-from rhlpseg.rhlp import LogisticProcess, RhlpParams
+from rhlpseg.rhlp import LogisticProcess, RhlpParams, em_fit
 from rhlpseg.simulate import (
     SCENARIOS,
     SITUATION_1,
@@ -215,6 +215,15 @@ class TestExpectationCurve:
         )
         t = np.linspace(0, 5, 20)
         np.testing.assert_allclose(expectation_curve(params, t=t), 2.0 + t)
+
+
+def test_expectation_curve_of_fitted_models():
+    sig, _ = simulate_piecewise(SITUATION_2, 120, seed=1)
+    report = em_fit(sig, K=3, p=2, q=1, seed=1)
+    np.testing.assert_array_equal(expectation_curve(report, sig.t), report.denoised)
+    np.testing.assert_array_equal(expectation_curve(report.params, sig.t), report.denoised)
+    fit = fisher_dp(sig, K=3, p=2)
+    np.testing.assert_array_equal(expectation_curve(fit, sig.t), fit.expectation(sig.t))
 
 
 class TestRunBenchmark:
