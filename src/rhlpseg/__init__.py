@@ -18,7 +18,6 @@ from .core import (
     Signal,
     design_matrix,
     gaussian_log_density,
-    polynomial_basis,
     weighted_least_squares,
 )
 from .piecewise import (

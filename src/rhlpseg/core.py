@@ -61,15 +61,9 @@ class GaussianComponent:
         return design_matrix(t, len(self.beta) - 1) @ self.beta
 
 
-def polynomial_basis(t: float, p: int) -> np.ndarray:
-    """Covariate vector (1, t, t^2, ..., t^p)."""
-    if p < 0:
-        raise ValueError("degree must be non-negative")
-    return np.asarray(t, dtype=float) ** np.arange(p + 1)
-
-
 def design_matrix(t, p: int) -> np.ndarray:
-    """n x (p+1) matrix whose row i is polynomial_basis(t_i, p).
+    """n x (p+1) matrix whose row i is the covariate vector
+    (1, t_i, t_i^2, ..., t_i^p).
 
     Accepts a Signal or an array of times.
     """

@@ -22,7 +22,7 @@ from .core import (
     gaussian_log_density,
     weighted_least_squares,
 )
-from .errors import EmptyComponentError, RankDeficientError, RhlpSegError
+from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
 from .piecewise import segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
@@ -113,34 +113,38 @@ class FitReport:
 
 
 def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp with max shift. Faster than scipy's general
-    implementation, which dominated EM profiles at n=1000."""
-    shift = scores.max(axis=1, keepdims=True)
-    return shift + np.log(np.exp(scores - shift).sum(axis=1, keepdims=True))
+    """Log-sum-exp over the K rows of a (K, n) array, with max shift: one
+    value per sample, shape (n,). Each reduction adds K contiguous rows of
+    length n; reducing n rows of length K instead runs numpy's inner loop n
+    times on 2-5 elements, which made this the costliest call in EM.
+    scipy's general implementation is slower still."""
+    shift = scores.max(axis=0)
+    return shift + np.log(np.exp(scores - shift).sum(axis=0))
 
 
 def _log_proportions(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """log pi_ik against the logistic design matrix V = design_matrix(t, q),
-    computed with max-shifted exponentials."""
-    scores = V @ w.T  # (n, K)
+    """log pi_ki, a (K, n) array, against the logistic design matrix
+    V = design_matrix(t, q), computed with max-shifted exponentials."""
+    scores = w @ V.T
     return scores - _logsumexp_rows(scores)
 
 
 def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
-    """n x K matrix of mixing proportions pi_ik; rows sum to 1."""
-    return np.exp(_log_proportions(logistic.w, design_matrix(t, logistic.q)))
+    """n x K matrix of mixing proportions pi_ik; rows sum to 1. It is the
+    transposed view of a (K, n) array, which .T gives back."""
+    return np.exp(_log_proportions(logistic.w, design_matrix(t, logistic.q))).T
 
 
 def _log_joint(params: RhlpParams, signal: Signal) -> np.ndarray:
-    """log [pi_ik * N(x_i; beta_k^T r_i, sigma2_k)], an (n, K) matrix."""
-    means = design_matrix(signal.t, params.p) @ params.betas.T  # (n, K)
-    logdens = gaussian_log_density(signal.x[:, None], means, params.sigma2s[None, :])
+    """log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)], a (K, n) array."""
+    means = params.betas @ design_matrix(signal.t, params.p).T
+    logdens = gaussian_log_density(signal.x, means, params.sigma2s[:, None])
     return _log_proportions(params.logistic.w, design_matrix(signal.t, params.q)) + logdens
 
 
 def _posterior(params: RhlpParams, signal: Signal) -> tuple[np.ndarray, float]:
-    """Responsibilities tau_ik and the observed-data log-likelihood, from one
-    log-joint evaluation."""
+    """(K, n) responsibilities tau_ki and the observed-data log-likelihood,
+    from one log-joint evaluation."""
     lj = _log_joint(params, signal)
     per_sample = _logsumexp_rows(lj)
     return np.exp(lj - per_sample), float(per_sample.sum())
@@ -152,8 +156,9 @@ def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
 
 
 def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
-    """Posterior responsibilities tau_ik, row-normalized in log space."""
-    return _posterior(params, signal)[0]
+    """Posterior responsibilities tau_ik, an n x K matrix, normalized in log
+    space."""
+    return _posterior(params, signal)[0].T
 
 
 def m_step_regression(
@@ -163,12 +168,14 @@ def m_step_regression(
     variance_floor: float = VARIANCE_FLOOR,
     iteration: int = -1,
 ) -> tuple[GaussianComponent, ...]:
-    """Component updates: beta_k by tau-weighted least squares, sigma2_k as
-    the tau-weighted mean squared residual under the new beta_k (floored)."""
+    """Component updates from the n x K responsibilities: beta_k by
+    tau-weighted least squares, sigma2_k as the tau-weighted mean squared
+    residual under the new beta_k (floored). Each column of tau is read as
+    a contiguous row of its (K, n) transpose, so the result does not depend
+    on the memory layout of tau."""
     T = design_matrix(signal.t, p)
     comps = []
-    for k in range(tau.shape[1]):
-        wk = tau[:, k]
+    for k, wk in enumerate(np.ascontiguousarray(tau.T)):
         mass = wk.sum()
         if mass < _STARVATION_TOL:
             raise EmptyComponentError(k + 1, iteration)
@@ -195,7 +202,7 @@ def _unstack(flat: np.ndarray, K: int, q: int) -> np.ndarray:
 
 
 def _gradient_v(pi: np.ndarray, tau: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return ((tau - pi)[:, :-1].T @ V).ravel()
+    return ((tau - pi)[:-1] @ V).ravel()
 
 
 def _outer_rows(V: np.ndarray) -> np.ndarray:
@@ -204,21 +211,22 @@ def _outer_rows(V: np.ndarray) -> np.ndarray:
 
 
 def _hessian_v(pi: np.ndarray, VV: np.ndarray) -> np.ndarray:
-    """Exact Hessian from the proportions and _outer_rows(V): all (K-1)^2
-    blocks come out of one product of the per-sample block weights
-    pi_ik (delta_kl - pi_il) with the outer products."""
-    n, m, q1 = pi.shape[0], pi.shape[1] - 1, VV.shape[1]
-    head = pi[:, :-1]
-    coef = -head[:, :, None] * head[:, None, :]
-    coef[:, np.arange(m), np.arange(m)] += head
-    blocks = (coef.reshape(n, m * m).T @ VV.reshape(n, q1 * q1)).reshape(m, m, q1, q1)
+    """Exact Hessian from the (K, n) proportions and _outer_rows(V). The
+    per-sample block weights pi_ki (delta_kl - pi_li) form an (m, m, n) array,
+    m = K - 1, and all m^2 blocks come out of one (m^2, n) @ (n, (q+1)^2)
+    product with the flattened outer products."""
+    m, n, q1 = pi.shape[0] - 1, pi.shape[1], VV.shape[1]
+    head = pi[:-1]
+    coef = -head[:, None, :] * head[None, :, :]
+    coef[np.arange(m), np.arange(m)] += head
+    blocks = (coef.reshape(m * m, n) @ VV.reshape(n, q1 * q1)).reshape(m, m, q1, q1)
     return -blocks.transpose(0, 2, 1, 3).reshape(m * q1, m * q1)
 
 
 def irls_objective_q1(w: np.ndarray, tau: np.ndarray, t: np.ndarray) -> float:
-    """Q1(w) = sum_ik tau_ik log pi_ik(w); always <= 0."""
+    """Q1(w) = sum_ik tau_ik log pi_ik(w) for n x K tau; always <= 0."""
     V = design_matrix(np.asarray(t, dtype=float), w.shape[1] - 1)
-    return float(np.sum(tau * _log_proportions(w, V)))
+    return float(np.sum(tau.T * _log_proportions(w, V)))
 
 
 def irls_gradient(w: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -226,7 +234,7 @@ def irls_gradient(w: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     V = design_matrix(t, w.shape[1] - 1)
     pi = np.exp(_log_proportions(w, V))
-    return _gradient_v(pi, tau, V)
+    return _gradient_v(pi, tau.T, V)
 
 
 def irls_hessian(w: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -246,14 +254,15 @@ def irls_solve(
     max_iter: int = 50,
     max_halvings: int = 30,
 ) -> np.ndarray:
-    """Maximize Q1 by Newton steps with the exact Hessian. A full step that
-    decreases Q1 is halved (up to max_halvings); a singular Hessian is
-    ridge-damped instead of aborting. Q1 never decreases across accepted
-    iterations."""
+    """Maximize Q1 for n x K responsibilities tau by Newton steps with the
+    exact Hessian. A full step that decreases Q1 is halved (up to
+    max_halvings); a singular Hessian is ridge-damped instead of aborting.
+    Q1 never decreases across accepted iterations."""
     t = np.asarray(t, dtype=float)
     K, q1 = w_init.shape
     if K == 1:
         return w_init.copy()
+    tau = np.ascontiguousarray(tau.T)  # (K, n), like the proportions
     V = design_matrix(t, q1 - 1)
     VV = _outer_rows(V)
     w = w_init.copy()
@@ -374,8 +383,9 @@ def _em_once(
     K, p, q = init.K, init.p, init.q
 
     def m_step(params, tau, iteration):
-        comps = m_step_regression(tau, signal, p, variance_floor, iteration=iteration)
-        w = irls_solve(params.logistic.w, tau, signal.t, delta, max_irls_iter)
+        # tau is (K, n); its transposed view is the public n x K layout
+        comps = m_step_regression(tau.T, signal, p, variance_floor, iteration=iteration)
+        w = irls_solve(params.logistic.w, tau.T, signal.t, delta, max_irls_iter)
         return RhlpParams(LogisticProcess(w), comps)
 
     def speculate(theta, ll_floor, iteration):
@@ -477,14 +487,12 @@ def em_fit(
     params, trace, converged, iters = best
     runtime = time.perf_counter() - start
 
-    pi = logistic_proportions(params.logistic, signal.t)
-    labels = _argmax_labels(pi)
     denoised = denoise(params, signal.t)
     return FitReport(
         params=params,
         log_likelihood_trace=tuple(trace),
         bic=bic(params, trace[-1], signal.n),
-        labels=labels,
+        labels=hard_labels(params, signal.t),
         denoised=denoised,
         runtime_seconds=runtime,
         converged=converged,
@@ -493,21 +501,16 @@ def em_fit(
     )
 
 
-def _argmax_labels(pi: np.ndarray) -> np.ndarray:
-    # np.argmax takes the first maximum, i.e. ties go to the smallest k
-    return np.argmax(pi, axis=1) + 1
-
-
 def denoise(params: RhlpParams, t) -> np.ndarray:
     """Model mean curve: x_hat_i = sum_k pi_ik beta_k^T r_i."""
-    pi = logistic_proportions(params.logistic, t)
-    means = design_matrix(t, params.p) @ params.betas.T
-    return np.sum(pi * means, axis=1)
+    means = params.betas @ design_matrix(t, params.p).T
+    return np.sum(logistic_proportions(params.logistic, t).T * means, axis=0)
 
 
 def hard_labels(params: RhlpParams, t) -> np.ndarray:
     """Per-sample argmax of the proportions, labels in 1..K."""
-    return _argmax_labels(logistic_proportions(params.logistic, t))
+    # np.argmax takes the first maximum, i.e. ties go to the smallest k
+    return np.argmax(logistic_proportions(params.logistic, t).T, axis=0) + 1
 
 
 def n_free_parameters(K: int, p: int, q: int) -> int:
@@ -545,7 +548,8 @@ def select_model(
     """Fit every (K, p) combination at fixed q and pick the maximum-BIC fit.
     Numerical fit failures (package errors and LinAlgError) become table
     entries instead of aborting the sweep; any other exception propagates.
-    Ties break toward smaller (K, then p)."""
+    NumericalError when every candidate fails. Ties break toward smaller
+    (K, then p)."""
     table: list[SelectionEntry] = []
     best: FitReport | None = None
     best_key = None
@@ -564,7 +568,7 @@ def select_model(
             if best_key is None or key < best_key:
                 best, best_key = report, key
     if best is None:
-        raise RuntimeError(
+        raise NumericalError(
             "every candidate fit failed: " + "; ".join(e.error or "" for e in table)
         )
     return best, table

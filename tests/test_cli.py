@@ -219,6 +219,15 @@ class TestSelectModelCommand:
         bics = {int(r[0]): float(r[3]) for r in rows[1:]}
         assert doc.K == max(bics, key=lambda k: bics[k])
 
+    def test_every_candidate_failing_exits_two(self, tmp_path, capsys):
+        sig, _ = simulate_piecewise(SITUATION_1, 300, seed=0)
+        epoch = tmp_path / "epoch.csv"
+        save_signal_csv(epoch, Signal(1.7e9 + np.arange(300.0), sig.x + 1e3))
+        rc = main(["select-model", "--input", str(epoch), "--k", "2,3", "--p", "2",
+                   "--output", str(tmp_path / "bic.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys, "NumericalError")
+
 
 class TestBenchmarkCommand:
     def test_deterministic_with_no_timing(self, tmp_path):

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from rhlpseg.core import Signal, GaussianComponent, design_matrix, gaussian_log_density
 from rhlpseg import rhlp
-from rhlpseg.errors import EmptyComponentError, RankDeficientError
+from rhlpseg.errors import EmptyComponentError, NumericalError, RankDeficientError
 from rhlpseg.rhlp import (
     FitReport,
     LogisticProcess,
@@ -334,6 +335,82 @@ class TestIrls:
         assert irls_objective_q1(out, tau, t) >= q0 - 1e-10
 
 
+def sample_major_reference(w, betas, sigma2s, sig):
+    """Log proportions, responsibilities and log-likelihood in the (n, K)
+    layout, with scipy's log-sum-exp over axis 1."""
+    V = design_matrix(sig.t, w.shape[1] - 1)
+    scores = V @ w.T
+    logpi = scores - logsumexp(scores, axis=1, keepdims=True)
+    means = design_matrix(sig.t, betas.shape[1] - 1) @ betas.T
+    lj = logpi + gaussian_log_density(sig.x[:, None], means, sigma2s[None, :])
+    per_sample = logsumexp(lj, axis=1, keepdims=True)
+    return logpi, np.exp(lj - per_sample), float(per_sample.sum())
+
+
+LAYOUT_CASES = pytest.mark.parametrize(
+    "K, q, scale", list(itertools.product([1, 2, 3, 5], [0, 1, 2], [0.5, 1e3]))
+)
+
+
+class TestComponentMajorLayout:
+    """The public EM helpers take and return n x K arrays while computing in
+    (K, n); a sample-major reference pins every value, including extreme
+    scores where the proportions underflow."""
+
+    @staticmethod
+    def instance(K, q, scale):
+        rng = np.random.default_rng(1000 * K + 10 * q + int(scale))
+        n = 150
+        t = np.sort(rng.uniform(0, 5, n))
+        w = np.zeros((K, q + 1))
+        w[:-1] = rng.normal(scale=scale, size=(K - 1, q + 1))
+        betas = rng.normal(scale=3.0, size=(K, 3))
+        sigma2s = rng.uniform(0.5, 2.0, K)
+        sig = Signal(t, rng.normal(scale=3.0, size=n))
+        return w, betas, sigma2s, sig
+
+    @LAYOUT_CASES
+    def test_e_step_and_likelihood(self, K, q, scale):
+        w, betas, sigma2s, sig = self.instance(K, q, scale)
+        params = make_params(w, betas, sigma2s)
+        logpi, tau, ll = sample_major_reference(w, betas, sigma2s, sig)
+        pi = logistic_proportions(params.logistic, sig.t)
+        got = e_step(params, sig)
+        assert pi.shape == got.shape == (sig.n, K)
+        np.testing.assert_allclose(pi, np.exp(logpi), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, tau, rtol=1e-12, atol=0)
+        assert mixture_log_likelihood(params, sig) == pytest.approx(ll, rel=1e-12)
+
+    @LAYOUT_CASES
+    def test_irls_derivatives(self, K, q, scale):
+        w, betas, sigma2s, sig = self.instance(K, q, scale)
+        logpi, tau, _ = sample_major_reference(w, betas, sigma2s, sig)
+        pi, V, q1 = np.exp(logpi), design_matrix(sig.t, q), q + 1
+        grad = ((tau - pi)[:, :-1].T @ V).ravel()
+        hess = np.empty(((K - 1) * q1, (K - 1) * q1))
+        for k in range(K - 1):
+            for l in range(K - 1):
+                coef = pi[:, k] * ((k == l) - pi[:, l])
+                hess[k * q1:(k + 1) * q1, l * q1:(l + 1) * q1] = -(V * coef[:, None]).T @ V
+        assert irls_objective_q1(w, tau, sig.t) == pytest.approx(
+            float(np.sum(tau * logpi)), rel=1e-12)
+        # entries of the gradient cancel, so compare against its largest one
+        np.testing.assert_allclose(irls_gradient(w, tau, sig.t), grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad).max(initial=0.0))
+        np.testing.assert_allclose(irls_hessian(w, sig.t), hess, rtol=1e-12,
+                                   atol=1e-12 * np.abs(hess).max(initial=0.0))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_m_step_independent_of_tau_layout(self, K):
+        *_, sig = self.instance(K, 1, 0.5)
+        tau = np.random.default_rng(K).dirichlet(np.ones(K), size=sig.n)
+        component_major = np.ascontiguousarray(tau.T)
+        by_rows = m_step_regression(tau, sig, p=2)
+        by_view = m_step_regression(component_major.T, sig, p=2)
+        for a, b in zip(by_rows, by_view):
+            assert np.array_equal(a.beta, b.beta) and a.sigma2 == b.sigma2
+
+
 class TestEmFit:
     def test_k1_equals_ols(self):
         rng = np.random.default_rng(14)
@@ -510,6 +587,13 @@ class TestSelectModel:
         _, table = select_model(sig, K_range=[1, 6], p_range=[2], q=1, seed=0,
                                 max_iter=20)
         assert len(table) == 2
+
+    def test_all_candidates_failing_raises_numerical_error(self):
+        # epoch-second times make every quadratic fit rank deficient
+        sig, _ = simulate_piecewise(SITUATION_1, 300, seed=0)
+        epoch = Signal(1.7e9 + np.arange(300.0), sig.x)
+        with pytest.raises(NumericalError, match="every candidate fit failed"):
+            select_model(epoch, K_range=[2, 3], p_range=[2], q=1, seed=0)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
