@@ -94,7 +94,7 @@ def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **def
 
 
 def _maybe_normalize(signal: Signal, flag: bool) -> Signal:
-    if not flag:
+    if not flag or signal.n < 2:  # one sample has no time span to rescale
         return signal
     t = signal.t
     scaled = (t - t[0]) / (t[-1] - t[0]) * 5.0

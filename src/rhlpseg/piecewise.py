@@ -132,6 +132,14 @@ def build_cost_matrix(
     the factors of all starts a <= j at once; what is left in the x column
     after the p+1 rotations, squared, adds to that start's exact residual
     sum of squares. There is no normal-equations step and no fallback.
+
+    Rotation 0 is against the all-ones column. After m = j - a + 1 rows its
+    pivot is sqrt(m), so its cosine sqrt((m-1)/m) and sine 1/sqrt(m) depend
+    on m alone (Welford's running-mean update) and come from vectors built
+    once per call; the pivot itself is never read, so it is not stored. A
+    later rotation i stores its pivot r = hypot(R_ii, v_i) and rotates only
+    the columns right of it, because it zeroes v_i. Where r = 0 (a start
+    with fewer than i + 1 rows) it is the identity rotation.
     """
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
@@ -141,24 +149,50 @@ def build_cost_matrix(
     out = np.full((n + 1, n + 1), np.inf, order="F")  # the DP reads columns
     R = np.zeros((d, d + 1, n))  # R[:, :, a]: upper-triangular factor of start a
     sse = np.zeros(n)
-    for j in range(n):
-        Rj = R[:, :, : j + 1]
-        v = np.empty((d + 1, j + 1))
-        v[:d] = (t[j] - t[: j + 1]) ** np.arange(d)[:, None]
-        v[d] = x[j] - x[: j + 1]
-        for i in range(d):
-            r = np.hypot(Rj[i, i], v[i])
-            # r = 0 only when both entries are 0: the identity rotation
-            c = np.divide(Rj[i, i], r, out=np.ones(j + 1), where=r > 0)
-            s = np.divide(v[i], r, out=np.zeros(j + 1), where=r > 0)
-            Ri = Rj[i, i:].copy()
-            Rj[i, i:] = c * Ri + s * v[i:]
-            v[i:] = c * v[i:] - s * Ri
-        sse[: j + 1] += v[d] ** 2
-        feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
-        if feasible > 0:
-            m = j + 1 - np.arange(feasible)  # segment lengths
-            out[:feasible, j + 1] = _floored_cost(sse[:feasible], m, variance_floor)[0]
+    # start a of column j holds m = j + 1 - a rows; the vectors indexed by m
+    # run from m = n down to 1, so column j reads their last j + 1 entries
+    m = np.arange(n, 0, -1, dtype=float)
+    c0 = np.sqrt((m - 1) / m)  # rotation 0, against the all-ones column
+    s0 = 1.0 / np.sqrt(m)
+    v_all = np.empty((d + 1, n))  # the incoming row of every start
+    v_all[0] = 1.0  # the all-ones column, base of the powers of t_j - t_a
+    sR_all = np.empty((d, n))
+    sv_all = np.empty((d, n))
+    with np.errstate(invalid="ignore"):  # 0/0 where r = 0, replaced below
+        for j in range(n):
+            k0 = n - 1 - j  # column j's offset into the vectors indexed by m
+            Rj = R[:, :, : j + 1]
+            v = v_all[:, : j + 1]
+            dt = t[j] - t[: j + 1]
+            for k in range(1, d):
+                np.multiply(v[k - 1], dt, out=v[k])
+            np.subtract(x[j], x[: j + 1], out=v[d])
+            for i in range(d):
+                if i == 0:
+                    c, s = c0[k0:], s0[k0:]
+                else:
+                    r = np.hypot(Rj[i, i], v[i])
+                    c = Rj[i, i] / r
+                    s = v[i] / r
+                    zero = r == 0
+                    c[zero] = 1.0
+                    s[zero] = 0.0
+                    Rj[i, i] = r
+                # the rotation zeroes v[i]: only the columns right of the
+                # pivot change
+                Ri, vi = Rj[i, i + 1 :], v[i + 1 :]
+                sR = np.multiply(Ri, s, out=sR_all[: d - i, : j + 1])
+                sv = np.multiply(vi, s, out=sv_all[: d - i, : j + 1])
+                Ri *= c
+                Ri += sv
+                vi *= c
+                vi -= sR
+            sse[: j + 1] += v[d] ** 2
+            feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
+            if feasible > 0:
+                out[:feasible, j + 1] = _floored_cost(
+                    sse[:feasible], m[k0 : k0 + feasible], variance_floor
+                )[0]
     return out
 
 

@@ -208,7 +208,9 @@ def run_benchmark(
 ) -> list[BenchmarkRow]:
     """Evaluate each method on each (scenario, n) cell, averaging the three
     criteria over the seeded replicates that fit. Replicate seeds derive
-    deterministically from the master seed. A replicate whose fit raises a
+    deterministically from the master seed. Within a cell the methods fit
+    each replicate in turn, so their runtimes are paired in time as well as
+    in data. A replicate whose fit raises a
     package error or LinAlgError is counted in the row's error and skipped;
     a cell where every replicate failed reports NaN criteria. Any other
     exception propagates."""
@@ -224,29 +226,31 @@ def run_benchmark(
                 samples.append(
                     (simulate_piecewise(scenario, n, ss), child_seed)
                 )
-            for method in methods:
-                crits = []
-                failures = []
-                for (sig_labels, child_seed) in samples:
-                    signal, labels = sig_labels
+            crits = {method: [] for method in methods}
+            failures = {method: [] for method in methods}
+            # the methods take turns on each replicate, so a drift in machine
+            # speed during the cell reaches all of their runtimes alike
+            for (signal, labels), child_seed in samples:
+                for method in methods:
                     try:
                         est_labels, est_curve, elapsed = _fit_method(
                             method, signal, scenario, q, child_seed, measure_time
                         )
                     except (RhlpSegError, np.linalg.LinAlgError) as exc:
-                        failures.append(exc)
+                        failures[method].append(exc)
                         continue
-                    crits.append((
+                    crits[method].append((
                         misclassification_rate(labels, est_labels),
                         float(np.mean((scenario.expectation(signal.t) - est_curve) ** 2)),
                         elapsed,
                     ))
-                means = ([float(col.mean()) for col in np.asarray(crits).T]
-                         if crits else [float("nan")] * 3)
+            for method in methods:
+                means = ([float(col.mean()) for col in np.asarray(crits[method]).T]
+                         if crits[method] else [float("nan")] * 3)
                 error = None
-                if failures:
-                    first = failures[0]
-                    error = (f"{len(failures)}/{replicates} failed; "
+                if failures[method]:
+                    first = failures[method][0]
+                    error = (f"{len(failures[method])}/{replicates} failed; "
                              f"first: {type(first).__name__}: {first}")
                 rows.append(BenchmarkRow(
                     scenario.name, n, method, *means, replicates, error,

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -131,6 +132,17 @@ class TestFitCommands:
                    "--output", str(tmp_path / "o.json"), "--k", "3", "--p", "2"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flags", [[], ["--normalize-time"]])
+    def test_one_sample_exits_two_with_one_error_line(self, tmp_path, capsys, flags):
+        path = tmp_path / "one.csv"
+        path.write_text("t,x\n0.0,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+            rc = main(["fit-dp", "--input", str(path),
+                       "--output", str(tmp_path / "o.json"), "--k", "1", *flags])
+        assert rc == 2
+        assert_one_error_line(capsys, "InfeasibleError")
 
 
 class TestReportRoundTrip:

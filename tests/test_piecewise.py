@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhlpseg.core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
 from rhlpseg.errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
@@ -20,7 +22,7 @@ from rhlpseg.piecewise import (
     segment_cost,
     uniform_partition,
 )
-from rhlpseg.simulate import SITUATION_1, simulate_piecewise
+from rhlpseg.simulate import SCENARIOS, SITUATION_1, simulate_piecewise
 
 
 def oracle_segment_cost(signal, a, b, p, floor=VARIANCE_FLOOR):
@@ -159,8 +161,77 @@ class TestCostMatrix:
                 s2 = max(sse / (b - a), VARIANCE_FLOOR)
                 assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
 
+    @given(
+        p=st.integers(0, 3),
+        tight=st.booleans(),
+        gaps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=29),
+        t0=st.floats(0.0, 1.7e9),
+        x0=st.floats(-1e3, 1e3),
+        flat=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_entries_match_shifted_lstsq(self, p, tight, gaps, t0, x0, flat, seed):
+        # uneven spacing, epoch-sized times, offset values and a constant
+        # stretch on which the variance floor binds
+        min_len = 1 if tight else p + 2
+        t = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        x = x0 + np.random.default_rng(seed).normal(size=len(t))
+        x[min(flat) : max(flat)] = x0
+        sig = Signal(t, x)
+        n = sig.n
+        C = build_cost_matrix(sig, p, min_segment_length=min_len)
+        ref = np.full((n + 1, n + 1), np.inf)
+        for a in range(n):
+            for b in range(a + min_len, n + 1):
+                # the same least-squares problem as the kernel's, shifted to
+                # sample a; lstsq gives the minimum-norm fit when b - a <= p
+                T = design_matrix(sig.t[a:b] - sig.t[a], p)
+                y = sig.x[a:b] - sig.x[a]
+                beta = np.linalg.lstsq(T, y, rcond=None)[0]
+                sse = np.sum((y - T @ beta) ** 2)
+                s2 = max(sse / (b - a), VARIANCE_FLOOR)
+                ref[a, b] = (b - a) * np.log(s2) + sse / s2
+        np.testing.assert_array_equal(np.isinf(C), np.isinf(ref))
+        # a relative error e in the SSE moves the cost by (b - a) * e, and the
+        # cost itself crosses zero where s2 is near 1/e
+        m = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
+        finite = np.isfinite(ref)
+        err = np.abs(C[finite] - ref[finite])
+        assert np.all(err <= 1e-9 * np.maximum(np.abs(ref[finite]), m[finite]))
+
+
+# fisher_dp(K=3, p=2) at n = 500 before the cost-matrix pass dropped its
+# per-rotation hypot against the all-ones column: (scenario, seed) -> (gamma, J)
+PINNED_OPTIMA = {
+    ("situation1", 0): ([0, 58, 399, 500], 1639.4849753933663),
+    ("situation1", 1): ([0, 64, 399, 500], 1531.5805308070558),
+    ("situation1", 2): ([0, 68, 399, 500], 1638.493672506668),
+    ("situation1", 3): ([0, 60, 399, 500], 1631.5739407436176),
+    ("situation2", 0): ([0, 98, 348, 500], 1625.8575078263418),
+    ("situation2", 1): ([0, 95, 338, 500], 1515.099114002307),
+    ("situation2", 2): ([0, 102, 352, 500], 1626.3440875370534),
+    ("situation2", 3): ([0, 109, 336, 500], 1609.545819971574),
+}
+PINNED_EPOCH_OPTIMUM = ([0, 60, 399, 500], 1631.5739407436158)
+
 
 class TestFisherDp:
+    @pytest.mark.parametrize("scenario, seed", list(PINNED_OPTIMA))
+    def test_pinned_optimum(self, scenario, seed):
+        gamma, j = PINNED_OPTIMA[scenario, seed]
+        sig = simulate_piecewise(SCENARIOS[scenario], 500, seed=seed)[0]
+        fit = fisher_dp(sig, K=3, p=2)
+        np.testing.assert_array_equal(fit.partition.gamma, gamma)
+        assert fit.criterion_j == pytest.approx(j, rel=1e-12)
+
+    def test_pinned_epoch_optimum(self):
+        gamma, j = PINNED_EPOCH_OPTIMUM
+        sig = epoch_signal(simulate_piecewise(SITUATION_1, 500, seed=3)[0])
+        fit = fisher_dp(sig, K=3, p=2)
+        np.testing.assert_array_equal(fit.partition.gamma, gamma)
+        assert fit.criterion_j == pytest.approx(j, rel=1e-12)
+
     def test_single_segment_is_whole_ols(self):
         rng = np.random.default_rng(1)
         sig = random_signal(rng, 30)

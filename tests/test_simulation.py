@@ -308,6 +308,21 @@ class TestRunBenchmark:
         assert row.denoising_mse == pytest.approx(np.mean([e for _, e in scores]))
         assert np.isfinite(row.denoising_mse) and row.runtime_s > 0.0
 
+    def test_methods_take_turns_on_each_replicate(self, monkeypatch):
+        calls = []
+
+        def record(method, signal, *args):
+            calls.append((method, signal.x[0]))
+            return np.ones(signal.n, dtype=int), np.zeros(signal.n), 0.0
+
+        monkeypatch.setattr(simulate, "_fit_method", record)
+        rows = run_benchmark([SITUATION_1], [100], replicates=3,
+                             methods=["rhlp", "fisher_dp"], measure_time=False)
+        assert [method for method, _ in calls] == ["rhlp", "fisher_dp"] * 3
+        # both methods fit the same signal in each turn
+        assert all(calls[i][1] == calls[i + 1][1] for i in range(0, 6, 2))
+        assert [row.method for row in rows] == ["rhlp", "fisher_dp"]
+
     def test_cell_where_every_replicate_fails_is_nan(self, monkeypatch):
         def infeasible(*args, **kwargs):
             raise InfeasibleError("no partition")
