@@ -16,6 +16,7 @@ from .core import (
     VARIANCE_FLOOR,
     GaussianComponent,
     Signal,
+    TimeMap,
     design_matrix,
     gaussian_log_density,
     weighted_least_squares,

@@ -14,7 +14,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .core import VARIANCE_FLOOR, GaussianComponent, Signal
+from .core import VARIANCE_FLOOR, GaussianComponent, Signal, TimeMap
 from .errors import DataError, NumericalError, SchemaError
 from .piecewise import Partition, fisher_dp, multi_start_iterative, piecewise_mean
 from .reports import (
@@ -29,6 +29,7 @@ from .rhlp import (
     LogisticProcess,
     RhlpParams,
     SelectionEntry,
+    denoise,
     em_fit,
     logistic_proportions,
     select_model,
@@ -62,9 +63,8 @@ def _check_orders(ks, ps, q: int) -> None:
 
 
 def _add_model_flags(sp) -> None:
-    sp.add_argument("--variance-floor", type=float, default=VARIANCE_FLOOR)
-    sp.add_argument("--normalize-time", action="store_true",
-                    help="affinely rescale times to [0, 5] before fitting")
+    sp.add_argument("--variance-floor", type=float, default=VARIANCE_FLOOR,
+                    help="lower bound on each variance, in the squared units of x")
 
 
 def _add_em_flags(sp) -> None:
@@ -93,19 +93,10 @@ def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **def
     return sp
 
 
-def _maybe_normalize(signal: Signal, flag: bool) -> Signal:
-    if not flag or signal.n < 2:  # one sample has no time span to rescale
-        return signal
-    t = signal.t
-    scaled = (t - t[0]) / (t[-1] - t[0]) * 5.0
-    return Signal(scaled, signal.x)
-
-
 def _fit_rhlp(signal: Signal, args):
     return em_fit(
         signal, args.k, args.p, args.q,
         epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
-        init_strategy="random" if args.restarts > 0 else "uniform",
         n_restarts=args.restarts, seed=args.seed,
         variance_floor=args.variance_floor,
     )
@@ -129,7 +120,6 @@ def _cmd_fit(args) -> None:
     the report and, if asked, the t,x,denoised,label series."""
     _check_orders([args.k], [args.p], args.q)
     signal, _ = load_signal_csv(args.input)
-    signal = _maybe_normalize(signal, args.normalize_time)
     start = time.perf_counter()
     fit = args.fitter(signal, args)
     elapsed = time.perf_counter() - start
@@ -181,7 +171,6 @@ def _cmd_simulate(args) -> None:
 def _cmd_select_model(args) -> None:
     _check_orders(args.k, args.p, args.q)
     signal, _ = load_signal_csv(args.input)
-    signal = _maybe_normalize(signal, args.normalize_time)
     best, table = select_model(
         signal, args.k, args.p, args.q,
         epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
@@ -212,11 +201,10 @@ def _cmd_benchmark(args) -> None:
 
 
 def _cmd_plot_data(args) -> None:
-    """Long-format series of a report's model, rebuilt from its coefficients:
-    the signal, the mean curve, each component's polynomial and, for RHLP,
-    the mixing proportions. RHLP's mean curve is the one stored at fit time,
-    which stays right when the fit rescaled time (--normalize-time); the
-    report does not record that rescaling."""
+    """Long-format series of a report's model, rebuilt from its coefficients
+    and evaluated at the fit times u of the signal's times t: the signal, the
+    mean curve, each component's polynomial and, for RHLP, the mixing
+    proportions."""
     doc = load_fit_report(args.input)
     signal, _ = load_signal_csv(args.signal)
     t = signal.t
@@ -224,17 +212,19 @@ def _cmd_plot_data(args) -> None:
         raise SchemaError(
             f"report has {len(doc.labels)} samples but signal has {len(t)}"
         )
+    u = TimeMap(doc.t0, doc.time_factor)(t)
     try:
         comps = _components(doc.beta, doc.sigma2)
         if doc.model == "rhlp":
-            curve = np.asarray(doc.denoised, float)
-            proportions = logistic_proportions(LogisticProcess(np.asarray(doc.w, float)), t).T
+            params = RhlpParams(LogisticProcess(np.asarray(doc.w, float)), comps)
+            curve = denoise(params, u)
+            proportions = logistic_proportions(params.logistic, u).T
         else:
-            curve, proportions = piecewise_mean(Partition(doc.gamma), comps, t), []
+            curve, proportions = piecewise_mean(Partition(doc.gamma), comps, u), []
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"invalid report: {exc}") from None
     series = [("original", signal.x), ("denoised", curve)]
-    series += [(f"component_{k}", c.mean(t)) for k, c in enumerate(comps, 1)]
+    series += [(f"component_{k}", c.mean(u)) for k, c in enumerate(comps, 1)]
     series += [(f"proportion_{k}", pi) for k, pi in enumerate(proportions, 1)]
     write_csv(args.output, ["t", "series", "value"],
               ((ti, name, v) for name, values in series for ti, v in zip(t, values)))

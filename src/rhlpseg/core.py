@@ -1,5 +1,5 @@
-"""Shared numerical primitives: polynomial bases, (weighted) least squares,
-Gaussian log-densities.
+"""Shared numerical primitives: signals and their fit-time map, polynomial
+bases, (weighted) least squares, Gaussian log-densities.
 
 All functions here are pure; every fitting algorithm in the package is built
 on top of them.
@@ -42,6 +42,39 @@ class Signal:
     @property
     def n(self) -> int:
         return len(self.t)
+
+
+@dataclass(frozen=True)
+class TimeMap:
+    """Affine map from a signal's times t to fit time u = (t - t0) * factor.
+
+    Every fitter maps its signal once with TimeMap.of, fits in u and keeps
+    the map on its result. Coefficients stay in u: mapping them back to
+    monomials in t cancels catastrophically at t0 ~ 1.7e9."""
+
+    t0: float
+    factor: float
+
+    @classmethod
+    def of(cls, t) -> "TimeMap":
+        """The map taking t[0] to 0 and t[-1] to 5, the time span of the
+        paper's simulations; factor 1 for a single sample. The factor is
+        precomputed and multiplied, so t = linspace(0, 5, n) maps to itself
+        bit for bit."""
+        t = np.asarray(t, dtype=float)
+        span = t[-1] - t[0]
+        return cls(float(t[0]), float(5.0 / span) if span > 0 else 1.0)
+
+    def __call__(self, t) -> np.ndarray:
+        """Fit times u of the times t."""
+        return (np.asarray(t, dtype=float) - self.t0) * self.factor
+
+
+def to_fit_time(signal: Signal) -> tuple[Signal, TimeMap]:
+    """The signal on fit time u, and the map from its times to u. Values are
+    not mapped, so a variance floor stays in the units of x."""
+    time_map = TimeMap.of(signal.t)
+    return Signal(time_map(signal.t), signal.x), time_map
 
 
 @dataclass(frozen=True)

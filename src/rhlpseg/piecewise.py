@@ -3,7 +3,9 @@
 Exact global minimization of the segmentation criterion
 J = sum_k sum_{i in segment k} [log sigma_k^2 + (x_i - beta_k^T r_i)^2 / sigma_k^2]
 by dynamic programming, plus a faster iterative variant that alternates
-per-segment regression with a fixed-parameter re-segmentation.
+per-segment regression with a fixed-parameter re-segmentation. Each fitter
+maps the signal's times once to fit time u = time_map(t), time_map =
+TimeMap.of(signal.t), fits in u and keeps the map on its PiecewiseFit.
 """
 from __future__ import annotations
 
@@ -11,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
+from .core import (
+    VARIANCE_FLOOR,
+    GaussianComponent,
+    Signal,
+    TimeMap,
+    design_matrix,
+    to_fit_time,
+)
 from .errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
 
 
@@ -63,12 +72,14 @@ def piecewise_mean(partition: Partition, components, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PiecewiseFit:
-    """Result of a piecewise regression fit."""
+    """Result of a piecewise regression fit; the components are polynomials
+    in fit time u = time_map(t)."""
 
     partition: Partition
     components: tuple[GaussianComponent, ...]
     criterion_j: float
     log_likelihood: float
+    time_map: TimeMap
     j_trace: tuple[float, ...] | None = None
 
     @property
@@ -79,10 +90,11 @@ class PiecewiseFit:
         return self.partition.labels()
 
     def expectation(self, t) -> np.ndarray:
-        """Fitted mean curve: the active segment's polynomial at each sample."""
+        """Fitted mean curve at the signal times t: the active segment's
+        polynomial at each sample."""
         if isinstance(t, Signal):
             t = t.t
-        return piecewise_mean(self.partition, self.components, t)
+        return piecewise_mean(self.partition, self.components, self.time_map(t))
 
 
 def _floored_cost(sse, m, variance_floor: float):
@@ -259,12 +271,13 @@ def fisher_dp(
         raise InfeasibleError(
             f"n={n} < K*min_segment_length={K * min_segment_length}"
         )
+    signal, time_map = to_fit_time(signal)
     cost = build_cost_matrix(signal, p, min_segment_length, variance_floor)
     C, H = _dp_tables(cost, K, min_segment_length)
     partition = _backtrack(H, K, n)
     components, _ = _refit(signal, partition, p, variance_floor)
     j = float(C[K, n])
-    return PiecewiseFit(partition, components, j, _log_likelihood_from_j(j, n))
+    return PiecewiseFit(partition, components, j, _log_likelihood_from_j(j, n), time_map)
 
 
 def _fixed_param_segmentation(
@@ -328,6 +341,7 @@ def iterative_fisher(
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_segment_length):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
+    signal, time_map = to_fit_time(signal)
     partition = init
     components, j = _refit(signal, partition, p, variance_floor)
     trace = [j]
@@ -343,7 +357,7 @@ def iterative_fisher(
         if converged:
             break
     return PiecewiseFit(
-        partition, components, j, _log_likelihood_from_j(j, n), tuple(trace)
+        partition, components, j, _log_likelihood_from_j(j, n), time_map, tuple(trace)
     )
 
 
@@ -388,7 +402,7 @@ def multi_start_iterative(
 ) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts random
     ordered partitions; returns the fit with smallest J. Deterministic given
-    the seed."""
+    the seed. Every start maps the times to the same fit time."""
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
     rng = np.random.default_rng(seed)

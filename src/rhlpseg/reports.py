@@ -1,18 +1,22 @@
 """Persistence: signal CSVs and the fit-report JSON schema.
 
-Report schema (absent fields are null):
+Report schema, version 2 (absent fields are null):
 {
+  "schema_version": 2,
   "model": "rhlp" | "piecewise_dp" | "piecewise_iterative",
   "K": int, "p": int, "q": int | null,
-  "w": [[...]] | null,          # (K, q+1) logistic coefficients
-  "beta": [[...]],              # (K, p+1) regression coefficients
+  "t0": float, "time_factor": float,  # fit time u = (t - t0) * time_factor
+  "w": [[...]] | null,          # (K, q+1) logistic coefficients, in u
+  "beta": [[...]],              # (K, p+1) regression coefficients, in u
   "sigma2": [...],              # K variances
   "gamma": [...] | null,        # K+1 partition boundaries (piecewise models)
   "log_likelihood": float, "bic": float | null, "criterion_j": float | null,
   "labels": [...], "denoised": [...] | null,
   "runtime_seconds": float | null, "converged": bool | null, "seed": int | null
 }
-Numbers are serialized with full round-trip precision.
+Numbers are serialized with full round-trip precision. Version 1 had no
+time map, so it cannot say whether its times were rescaled; loading it
+raises SchemaError.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .piecewise import PiecewiseFit
 from .rhlp import FitReport
 
 MODEL_TAGS = ("rhlp", "piecewise_dp", "piecewise_iterative")
+SCHEMA_VERSION = 2
 
 
 def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
@@ -87,10 +92,13 @@ def write_csv(path, header, rows) -> None:
 class ReportDocument:
     """In-memory form of a persisted fit report."""
 
+    schema_version: int
     model: str
     K: int
     p: int
     q: int | None
+    t0: float
+    time_factor: float
     w: list | None
     beta: list
     sigma2: list
@@ -117,7 +125,8 @@ def report_document(fit, model: str | None = None, seed=None,
     if isinstance(fit, FitReport):
         p = fit.params
         return ReportDocument(
-            model="rhlp", K=p.K, p=p.p, q=p.q,
+            schema_version=SCHEMA_VERSION, model="rhlp", K=p.K, p=p.p, q=p.q,
+            t0=float(fit.time_map.t0), time_factor=float(fit.time_map.factor),
             w=_listify(p.logistic.w),
             beta=_listify(p.betas),
             sigma2=_listify(p.sigma2s),
@@ -137,7 +146,9 @@ def report_document(fit, model: str | None = None, seed=None,
         if model not in ("piecewise_dp", "piecewise_iterative"):
             raise SchemaError(f"piecewise fits need an explicit model tag, got {model!r}")
         return ReportDocument(
-            model=model, K=fit.K, p=len(fit.components[0].beta) - 1, q=None,
+            schema_version=SCHEMA_VERSION, model=model, K=fit.K,
+            p=len(fit.components[0].beta) - 1, q=None,
+            t0=float(fit.time_map.t0), time_factor=float(fit.time_map.factor),
             w=None,
             beta=_listify([c.beta for c in fit.components]),
             sigma2=[float(c.sigma2) for c in fit.components],
@@ -172,6 +183,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_rows(v, n: int, width: int) -> bool:
     return (isinstance(v, list) and len(v) == n
             and all(isinstance(row, list) and len(row) == width for row in v))
@@ -186,6 +201,10 @@ def load_fit_report(path) -> ReportDocument:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from None
     _require(isinstance(raw, dict), "report must be a JSON object")
+    version = raw.get("schema_version")
+    _require(_is_int(version) and version == SCHEMA_VERSION,
+             f"schema_version must be {SCHEMA_VERSION}, got {version!r}; a report "
+             "without it predates the stored time map")
     known = {f for f in ReportDocument.__dataclass_fields__}
     unknown = set(raw) - known
     _require(not unknown, f"unknown fields {sorted(unknown)}")
@@ -196,10 +215,13 @@ def load_fit_report(path) -> ReportDocument:
     _require(_is_int(K) and K >= 1 and _is_int(p) and p >= 0 and isinstance(labels, list),
              "K must be an integer >= 1, p one >= 0 and labels a list")
     _require(_is_rows(raw["beta"], K, p + 1), f"beta must be {K} rows of length {p + 1}")
+    t0, factor = raw["t0"], raw["time_factor"]
+    _require(_is_number(t0) and np.isfinite(t0) and _is_number(factor)
+             and np.isfinite(factor) and factor > 0,
+             "t0 must be a finite number and time_factor a finite positive one")
     _require(
         isinstance(sigma2, list) and len(sigma2) == K
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                for v in sigma2),
+        and all(_is_number(v) and v > 0 for v in sigma2),
         f"sigma2 must be a list of {K} positive numbers",
     )
     if raw["model"] == "rhlp":

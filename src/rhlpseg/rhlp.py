@@ -18,8 +18,10 @@ from .core import (
     VARIANCE_FLOOR,
     GaussianComponent,
     Signal,
+    TimeMap,
     design_matrix,
     gaussian_log_density,
+    to_fit_time,
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
@@ -85,13 +87,15 @@ class RhlpParams:
         return np.array([c.sigma2 for c in self.components])
 
     def expectation(self, t) -> np.ndarray:
-        """Model mean curve at times t; see denoise."""
+        """Model mean curve at times t, in the time the parameters were fitted
+        in (a FitReport's fit time u); see denoise."""
         return denoise(self, t)
 
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything produced by one EM fit."""
+    """Everything produced by one EM fit. params are in fit time u =
+    time_map(t); labels and denoised are at the signal's samples."""
 
     params: RhlpParams
     log_likelihood_trace: tuple[float, ...]
@@ -101,6 +105,7 @@ class FitReport:
     runtime_seconds: float
     converged: bool
     em_iterations: int
+    time_map: TimeMap
     seed: int | None = None
 
     @property
@@ -108,8 +113,8 @@ class FitReport:
         return self.log_likelihood_trace[-1]
 
     def expectation(self, t) -> np.ndarray:
-        """Fitted mean curve at times t; see denoise."""
-        return denoise(self.params, t)
+        """Fitted mean curve at the signal times t; see denoise."""
+        return denoise(self.params, self.time_map(t))
 
 
 def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
@@ -441,16 +446,17 @@ def em_fit(
     delta: float = 1e-6,
     max_iter: int = 1000,
     max_irls_iter: int = 50,
-    init_strategy: str = "uniform",
     n_restarts: int = 0,
     seed: int | None = None,
     variance_floor: float = VARIANCE_FLOOR,
 ) -> FitReport:
     """Fit the model by EM until the log-likelihood increment of a plain EM
-    step drops below epsilon. init_strategy "uniform" follows the standard
-    recipe (uniform segments, zero logistic coefficients, unit variances);
-    "random" adds n_restarts extra runs from jittered uniform cuts and keeps
-    the best final likelihood. Deterministic given the seed.
+    step drops below epsilon. The first run starts from the standard recipe
+    (uniform segments, zero logistic coefficients, unit variances);
+    n_restarts extra runs start from jittered uniform cuts, and the best
+    final likelihood wins. Deterministic given the seed. The fit runs in
+    fit time u = time_map(t), time_map = TimeMap.of(signal.t), which the
+    report keeps; its parameters are in u.
 
     EM is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J. Stat.):
     after two EM steps theta0 -> theta1 -> theta2 the parameters (free
@@ -465,18 +471,14 @@ def em_fit(
     steps, len(log_likelihood_trace) - 1."""
     if K < 1 or p < 0 or q < 0:
         raise ValueError("require K >= 1, p >= 0, q >= 0")
-    if init_strategy not in ("uniform", "random"):
-        raise ValueError(f"unknown init strategy {init_strategy!r}")
     start = time.perf_counter()
+    signal, time_map = to_fit_time(signal)
     inits = [_uniform_segment_init(signal, K, p, q)]
-    if init_strategy == "random":
-        rng = np.random.default_rng(seed)
-        for _ in range(n_restarts):
-            inits.append(
-                _uniform_segment_init(
-                    signal, K, p, q, _perturbed_cuts(rng, signal.n, K)
-                )
-            )
+    rng = np.random.default_rng(seed)
+    for _ in range(n_restarts):
+        inits.append(
+            _uniform_segment_init(signal, K, p, q, _perturbed_cuts(rng, signal.n, K))
+        )
     best = None
     for init in inits:
         result = _em_once(
@@ -497,6 +499,7 @@ def em_fit(
         runtime_seconds=runtime,
         converged=converged,
         em_iterations=iters,
+        time_map=time_map,
         seed=seed,
     )
 

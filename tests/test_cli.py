@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rhlpseg.cli import main
-from rhlpseg.core import Signal
+from rhlpseg.core import Signal, TimeMap
 from rhlpseg.errors import SchemaError
 from rhlpseg.piecewise import fisher_dp, multi_start_iterative, piecewise_mean
 from rhlpseg.reports import (
@@ -133,14 +133,13 @@ class TestFitCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("flags", [[], ["--normalize-time"]])
-    def test_one_sample_exits_two_with_one_error_line(self, tmp_path, capsys, flags):
+    def test_one_sample_exits_two_with_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("t,x\n0.0,1.0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
             rc = main(["fit-dp", "--input", str(path),
-                       "--output", str(tmp_path / "o.json"), "--k", "1", *flags])
+                       "--output", str(tmp_path / "o.json"), "--k", "1"])
         assert rc == 2
         assert_one_error_line(capsys, "InfeasibleError")
 
@@ -232,10 +231,10 @@ class TestSelectModelCommand:
         assert doc.K == max(bics, key=lambda k: bics[k])
 
     def test_every_candidate_failing_exits_two(self, tmp_path, capsys):
-        sig, _ = simulate_piecewise(SITUATION_1, 300, seed=0)
-        epoch = tmp_path / "epoch.csv"
-        save_signal_csv(epoch, Signal(1.7e9 + np.arange(300.0), sig.x + 1e3))
-        rc = main(["select-model", "--input", str(epoch), "--k", "2,3", "--p", "2",
+        # three samples cannot determine a cubic: every fit is rank deficient
+        path = tmp_path / "three.csv"
+        save_signal_csv(path, Signal(np.arange(3.0), np.array([0.0, 1.0, 0.0])))
+        rc = main(["select-model", "--input", str(path), "--k", "1,2", "--p", "3",
                    "--output", str(tmp_path / "bic.csv")])
         assert rc == 2
         assert_one_error_line(capsys, "NumericalError")
@@ -374,16 +373,89 @@ def test_plot_data_matches_library(tmp_path, signal_csv, command):
 
 
 def test_plot_data_keeps_rhlp_curve_of_rescaled_fit(tmp_path):
+    # times on [100, 105] are mapped to fit time [0, 5]; plot-data applies
+    # the report's map and rebuilds the curve the fit stored
     sig, _ = simulate_piecewise(SITUATION_1, 200, seed=0)
     signal_path = tmp_path / "offset.csv"
     save_signal_csv(signal_path, Signal(sig.t + 100.0, sig.x))
     report_path, out = tmp_path / "fit.json", tmp_path / "plot.csv"
     assert main(["fit-rhlp", "--input", str(signal_path), "--output", str(report_path),
-                 "--k", "3", "--p", "2", "--seed", "0", "--normalize-time"]) == 0
+                 "--k", "3", "--p", "2", "--seed", "0"]) == 0
     assert main(["plot-data", "--input", str(report_path), "--signal", str(signal_path),
                  "--output", str(out)]) == 0
     denoised = [float(v) for _, name, v in read_csv(out)[1:] if name == "denoised"]
     assert denoised == load_fit_report(report_path).denoised
+
+
+def epoch_and_paper_csvs(tmp_path, offset=0.0, n=500):
+    """SITUATION_1 samples (seed 3, values plus offset) written twice: on
+    epoch-second times 1.7e9 + i and on the paper's grid linspace(0, 5, n)."""
+    x = simulate_piecewise(SITUATION_1, n, seed=3)[0].x + offset
+    paths = tmp_path / "epoch.csv", tmp_path / "paper.csv"
+    for path, t in zip(paths, (1.7e9 + np.arange(n, dtype=float), np.linspace(0.0, 5.0, n))):
+        save_signal_csv(path, Signal(t, x))
+    return paths
+
+
+def plot_series(tmp_path, argv, signal_path, stem, series_output=False):
+    """Fit signal_path with argv, run plot-data on the report and return its
+    rows; with series_output, also the rows of --series-output."""
+    report, plot, series = (tmp_path / f"{stem}{suffix}"
+                            for suffix in (".json", "-plot.csv", "-series.csv"))
+    extra = ["--series-output", str(series)] if series_output else []
+    assert main([*argv, "--input", str(signal_path), "--output", str(report), *extra]) == 0
+    assert main(["plot-data", "--input", str(report), "--signal", str(signal_path),
+                 "--output", str(plot)]) == 0
+    rows = read_csv(plot)[1:]
+    return (rows, read_csv(series)[1:]) if series_output else rows
+
+
+@pytest.mark.parametrize("command", list(FITS))
+def test_report_keeps_the_time_map_bit_for_bit(tmp_path, command):
+    argv, model, seed, library_fit = FITS[command]
+    epoch, _ = epoch_and_paper_csvs(tmp_path, offset=1e3, n=200)
+    fit = library_fit(load_signal_csv(epoch)[0])
+    path = tmp_path / "fit.json"
+    save_fit_report(fit, path, model=model, seed=seed)
+    doc = load_fit_report(path)
+    assert doc.schema_version == 2
+    assert TimeMap(doc.t0, doc.time_factor) == fit.time_map
+    assert fit.time_map.t0 == 1.7e9
+
+
+def test_report_without_schema_version_exits_one(tmp_path, signal_csv, capsys):
+    # a version 1 report cannot say whether its times were rescaled
+    report_path = tmp_path / "fit.json"
+    assert main(["fit-dp", "--input", str(signal_csv), "--output", str(report_path),
+                 "--k", "3", "--p", "2"]) == 0
+    raw = json.loads(report_path.read_text())
+    for field in ("schema_version", "t0", "time_factor"):
+        del raw[field]
+    report_path.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError, match="schema_version"):
+        load_fit_report(report_path)
+    rc = main(["plot-data", "--input", str(report_path), "--signal", str(signal_csv),
+               "--output", str(tmp_path / "plot.csv")])
+    assert rc == 1
+    assert_one_error_line(capsys, "SchemaError")
+
+
+@pytest.mark.parametrize("command", list(FITS))
+def test_plot_data_curve_is_the_series_output_on_epoch_times(tmp_path, command):
+    epoch, _ = epoch_and_paper_csvs(tmp_path, offset=1e3)
+    plot, series = plot_series(tmp_path, FITS[command][0], epoch, "fit", series_output=True)
+    denoised = [float(v) for _, name, v in plot if name == "denoised"]
+    np.testing.assert_allclose(denoised, [float(row[2]) for row in series],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("command", list(FITS))
+def test_plot_data_on_epoch_times_is_the_paper_grid_fit(tmp_path, command):
+    # at n = 500 the epoch times map onto linspace(0, 5, 500) bit for bit
+    epoch, paper = epoch_and_paper_csvs(tmp_path)
+    on_epoch = plot_series(tmp_path, FITS[command][0], epoch, "epoch")
+    on_paper = plot_series(tmp_path, FITS[command][0], paper, "paper")
+    assert [row[1:] for row in on_epoch] == [row[1:] for row in on_paper]
 
 
 @pytest.mark.parametrize("argv", [
@@ -427,8 +499,11 @@ def test_benchmark_invalid_n_exits_one(tmp_path, capsys):
     ("gamma", [0, 120, 120, 200]),
     ("gamma", [0, 150, 120, 200]),
     ("gamma", [1, 50, 120, 200]),
+    ("schema_version", 1),
+    ("t0", None),
+    ("time_factor", 0.0),
 ], ids=["sigma2-number", "sigma2-string", "sigma2-zero", "gamma-repeat", "gamma-decrease",
-        "gamma-start"])
+        "gamma-start", "schema-v1", "t0-null", "time-factor-zero"])
 def test_malformed_report_exits_one(tmp_path, signal_csv, capsys, field, value):
     report_path = tmp_path / "fit.json"
     assert main(["fit-dp", "--input", str(signal_csv), "--output", str(report_path),

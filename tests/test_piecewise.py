@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlpseg.core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix
+from rhlpseg.core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix, to_fit_time
 from rhlpseg.errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
 from rhlpseg.piecewise import (
     Partition,
@@ -236,10 +236,14 @@ class TestFisherDp:
         rng = np.random.default_rng(1)
         sig = random_signal(rng, 30)
         fit = fisher_dp(sig, K=1, p=1)
-        cost, comp = segment_cost(sig, 0, 30, p=1)
+        # the components are in fit time: compare with OLS on the mapped signal
+        cost, comp = segment_cost(to_fit_time(sig)[0], 0, 30, p=1)
         assert fit.criterion_j == pytest.approx(cost)
         np.testing.assert_allclose(fit.components[0].beta, comp.beta, rtol=1e-9)
         np.testing.assert_array_equal(fit.partition.gamma, [0, 30])
+        # and its mean curve is the OLS line on the raw times
+        _, raw = segment_cost(sig, 0, 30, p=1)
+        np.testing.assert_allclose(fit.expectation(sig.t), raw.mean(sig.t), rtol=1e-9)
 
     def test_step_signal_changepoint(self):
         sig = step_signal()

@@ -1,0 +1,105 @@
+"""The fit-time map: every fitter maps its times t once to u = (t - t0) *
+factor, fits in u and keeps the map, so a fit does not depend on where the
+clock starts or how fast it runs."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rhlpseg.core import Signal, TimeMap, to_fit_time
+from rhlpseg.piecewise import fisher_dp, multi_start_iterative
+from rhlpseg.rhlp import FitReport, em_fit
+from rhlpseg.simulate import SITUATION_1, SITUATION_2, simulate_piecewise
+
+EPOCH = 1.7e9
+
+
+def summary(fit):
+    """Labels, log-likelihood and criterion J (None for RHLP) of a fit."""
+    if isinstance(fit, FitReport):
+        return fit.labels, fit.log_likelihood, None
+    return fit.labels(), fit.log_likelihood, fit.criterion_j
+
+
+class TestTimeMap:
+    @pytest.mark.parametrize("n", [2, 7, 500, 1000])
+    def test_paper_grid_is_its_own_fit_time(self, n):
+        t = np.linspace(0.0, 5.0, n)
+        assert TimeMap.of(t) == TimeMap(0.0, 1.0)
+        assert np.array_equal(TimeMap.of(t)(t), t)
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_epoch_grid_maps_onto_the_paper_grid(self, n):
+        t = EPOCH + np.arange(n, dtype=float)
+        assert np.array_equal(TimeMap.of(t)(t), np.linspace(0.0, 5.0, n))
+
+    def test_single_sample_has_factor_one(self):
+        assert TimeMap.of([EPOCH]) == TimeMap(EPOCH, 1.0)
+        signal, time_map = to_fit_time(Signal([EPOCH], [3.0]))
+        assert time_map(EPOCH + 2.0) == 2.0
+        np.testing.assert_array_equal(signal.t, [0.0])
+        np.testing.assert_array_equal(signal.x, [3.0])
+
+
+@given(
+    scenario=st.sampled_from([SITUATION_1, SITUATION_2]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(60, 100),
+    # alpha = a / 1024 runs from about 1e-3 to 1e6; with integer sample
+    # indices and an integer beta, alpha * i + beta is exact in binary64
+    a=st.integers(1, 2**30),
+    beta=st.integers(-1_700_000_000, 1_700_000_000),
+    c=st.floats(1e-2, 1e3),
+    negate=st.booleans(),
+    d=st.floats(-1e3, 1e3),
+)
+@settings(max_examples=25, deadline=None)
+def test_fits_are_invariant_under_affine_time_and_values(
+    scenario, seed, n, a, beta, c, negate, d
+):
+    # segments of at least 10 samples (7 degrees of freedom at p = 2) and
+    # |c| >= 1e-2 keep every segment variance far above the variance floor;
+    # the default minimum of p + 2 leaves one degree of freedom, and such a
+    # segment's variance can come within a factor 1e-4 of the floor
+    x = simulate_piecewise(scenario, n, seed)[0].x
+    i = np.arange(n, dtype=float)
+    base = Signal(i, x)
+    c = -c if negate else c
+    moved = Signal(a / 1024 * i + beta, c * x + d)
+    shift = 2 * n * np.log(abs(c))
+    for fitter in (lambda s: fisher_dp(s, 3, 2, min_segment_length=10),
+                   lambda s: multi_start_iterative(s, 3, 2, seed=0, min_segment_length=10)):
+        want, got = fitter(base), fitter(moved)
+        np.testing.assert_array_equal(got.partition.gamma, want.partition.gamma)
+        expected = want.criterion_j + shift
+        assert abs(got.criterion_j - expected) <= 1e-9 * (abs(want.criterion_j) + abs(shift))
+    trace = em_fit(moved, 3, 2, 1, seed=0).log_likelihood_trace
+    assert np.diff(trace).min(initial=0.0) >= -1e-8
+
+
+class TestEpochSignal:
+    """SITUATION_1, n = 500, seed 3 on t = 1.7e9 + i against t on [0, 5]."""
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        return simulate_piecewise(SITUATION_1, 500, seed=3)[0].x
+
+    @pytest.mark.parametrize("fitter", [
+        lambda s: em_fit(s, 3, 2, 1, seed=0),
+        lambda s: fisher_dp(s, 3, 2),
+        lambda s: multi_start_iterative(s, 3, 2, seed=0),
+    ], ids=["em_fit", "fisher_dp", "multi_start_iterative"])
+    def test_fits_are_bit_identical_to_the_paper_grid(self, x, fitter):
+        epoch = summary(fitter(Signal(EPOCH + np.arange(500.0), x)))
+        paper = summary(fitter(Signal(np.linspace(0.0, 5.0, 500), x)))
+        np.testing.assert_array_equal(epoch[0], paper[0])
+        assert epoch[1:] == paper[1:]
+
+    def test_offset_values_reach_the_dp_optimum_iteratively(self, x):
+        fit = multi_start_iterative(Signal(EPOCH + np.arange(500.0), x + 1e3), 3, 2, seed=0)
+        np.testing.assert_array_equal(fit.partition.gamma, [0, 60, 399, 500])
+
+    def test_offset_values_keep_the_em_log_likelihood(self, x):
+        epoch = em_fit(Signal(EPOCH + np.arange(500.0), x + 1e3), 3, 2, 1, seed=0)
+        paper = em_fit(Signal(np.linspace(0.0, 5.0, 500), x), 3, 2, 1, seed=0)
+        assert epoch.log_likelihood == pytest.approx(paper.log_likelihood, rel=1e-8)
