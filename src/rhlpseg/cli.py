@@ -54,12 +54,14 @@ def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _check_orders(ks, ps, q: int) -> None:
-    """Reject a model order that no fitter accepts before any work starts."""
+def _check_model(ks, ps, q: int, variance_floor: float) -> None:
+    """Reject a model order or variance floor that no fitter accepts, first."""
     if min(ks, default=0) < 1:
         raise DataError(f"--k must be at least 1, got {list(ks)}")
     if min(ps, default=-1) < 0 or q < 0:
         raise DataError(f"--p and --q must be at least 0, got {list(ps)} and {q}")
+    if not (np.isfinite(variance_floor) and variance_floor > 0):
+        raise DataError(f"--variance-floor must be finite and positive, got {variance_floor}")
 
 
 def _add_model_flags(sp) -> None:
@@ -118,7 +120,7 @@ def _fit_dp_iter(signal: Signal, args):
 def _cmd_fit(args) -> None:
     """Every fit command: load, fit (timed around the fitter's call), write
     the report and, if asked, the t,x,denoised,label series."""
-    _check_orders([args.k], [args.p], args.q)
+    _check_model([args.k], [args.p], args.q, args.variance_floor)
     signal, _ = load_signal_csv(args.input)
     start = time.perf_counter()
     fit = args.fitter(signal, args)
@@ -169,7 +171,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_select_model(args) -> None:
-    _check_orders(args.k, args.p, args.q)
+    _check_model(args.k, args.p, args.q, args.variance_floor)
     signal, _ = load_signal_csv(args.input)
     best, table = select_model(
         signal, args.k, args.p, args.q,

@@ -96,14 +96,8 @@ class GaussianComponent:
 
 def design_matrix(t, p: int) -> np.ndarray:
     """n x (p+1) matrix whose row i is the covariate vector
-    (1, t_i, t_i^2, ..., t_i^p).
-
-    Accepts a Signal or an array of times.
-    """
-    if isinstance(t, Signal):
-        t = t.t
-    t = np.asarray(t, dtype=float)
-    return np.vander(t, p + 1, increasing=True)
+    (1, t_i, t_i^2, ..., t_i^p)."""
+    return np.vander(np.asarray(t, dtype=float), p + 1, increasing=True)
 
 
 def weighted_least_squares(T: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -21,12 +21,25 @@ from .core import (
     design_matrix,
     to_fit_time,
 )
-from .errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
+from .errors import InfeasibleError, LengthMismatchError, NumericalError, SegmentTooShortError
 
 
 def default_min_segment_length(p: int) -> int:
     # p+1 points interpolate exactly; one extra keeps the variance informative
     return p + 2
+
+
+def _check_request(n: int, K: int, min_len: int | None, p: int = 0) -> int:
+    """The one entry check for K segments of at least min_len samples each
+    (default p + 2) over n samples; returns min_len. ValueError for K < 1,
+    p < 0 or min_len < 1, InfeasibleError for n < K * min_len."""
+    if min_len is None:
+        min_len = default_min_segment_length(p)
+    if K < 1 or p < 0 or min_len < 1:
+        raise ValueError(f"require K >= 1, p >= 0, min length >= 1; got {K}, {p}, {min_len}")
+    if n < K * min_len:
+        raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
+    return min_len
 
 
 @dataclass(frozen=True)
@@ -78,7 +91,6 @@ class PiecewiseFit:
     partition: Partition
     components: tuple[GaussianComponent, ...]
     criterion_j: float
-    log_likelihood: float
     time_map: TimeMap
     j_trace: tuple[float, ...] | None = None
 
@@ -89,11 +101,14 @@ class PiecewiseFit:
     def labels(self) -> np.ndarray:
         return self.partition.labels()
 
+    @property
+    def log_likelihood(self) -> float:
+        """Gaussian log-likelihood of the fit, -(J + n log 2 pi) / 2."""
+        return -0.5 * (self.criterion_j + self.partition.n * np.log(2.0 * np.pi))
+
     def expectation(self, t) -> np.ndarray:
         """Fitted mean curve at the signal times t: the active segment's
         polynomial at each sample."""
-        if isinstance(t, Signal):
-            t = t.t
         return piecewise_mean(self.partition, self.components, self.time_map(t))
 
 
@@ -250,10 +265,6 @@ def _refit(
     return tuple(comps), j
 
 
-def _log_likelihood_from_j(j: float, n: int) -> float:
-    return -0.5 * (j + n * np.log(2.0 * np.pi))
-
-
 def fisher_dp(
     signal: Signal,
     K: int,
@@ -264,20 +275,14 @@ def fisher_dp(
     """Globally optimal piecewise polynomial fit with K segments, by dynamic
     programming over the one-segment cost matrix. Ties in the split argmin go
     to the smallest index."""
-    if min_segment_length is None:
-        min_segment_length = default_min_segment_length(p)
     n = signal.n
-    if n < K * min_segment_length:
-        raise InfeasibleError(
-            f"n={n} < K*min_segment_length={K * min_segment_length}"
-        )
+    min_segment_length = _check_request(n, K, min_segment_length, p)
     signal, time_map = to_fit_time(signal)
     cost = build_cost_matrix(signal, p, min_segment_length, variance_floor)
     C, H = _dp_tables(cost, K, min_segment_length)
     partition = _backtrack(H, K, n)
     components, _ = _refit(signal, partition, p, variance_floor)
-    j = float(C[K, n])
-    return PiecewiseFit(partition, components, j, _log_likelihood_from_j(j, n), time_map)
+    return PiecewiseFit(partition, components, float(C[K, n]), time_map)
 
 
 def _fixed_param_segmentation(
@@ -296,6 +301,7 @@ def _fixed_param_segmentation(
     is never chosen."""
     n = signal.n
     K = len(components)
+    _check_request(n, K, min_len)
     # per-point cost under each component, prefix-summed
     cum = np.zeros((K, n + 1))
     for k, comp in enumerate(components):
@@ -316,7 +322,7 @@ def _fixed_param_segmentation(
         D[k, b0:] = best + cum[k - 1, b0:]
         H[k, b0:] = np.maximum.accumulate(np.where(improves, h, 0))
     if not np.isfinite(D[K, n]):
-        raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
+        raise NumericalError(f"re-segmentation cost {D[K, n]} is not finite")
     return _backtrack(H, K, n), float(D[K, n])
 
 
@@ -333,11 +339,8 @@ def iterative_fisher(
     """Local minimization of J: alternate per-segment OLS (regression step)
     with dynamic-programming re-segmentation at fixed parameters
     (segmentation step). J is non-increasing across iterations."""
-    if min_segment_length is None:
-        min_segment_length = default_min_segment_length(p)
     n = signal.n
-    if n < K * min_segment_length:
-        raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_segment_length}")
+    min_segment_length = _check_request(n, K, min_segment_length, p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_segment_length):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
@@ -356,37 +359,31 @@ def iterative_fisher(
         trace.append(j)
         if converged:
             break
-    return PiecewiseFit(
-        partition, components, j, _log_likelihood_from_j(j, n), time_map, tuple(trace)
-    )
+    return PiecewiseFit(partition, components, j, time_map, tuple(trace))
 
 
 def uniform_partition(n: int, K: int, min_len: int = 1) -> Partition:
-    """K near-equal segments; boundaries nudged to respect the minimum length."""
+    """K near-equal segments; boundaries nudged to respect the minimum length
+    (the forward pass gives gamma_k >= k min_len, the backward pass keeps it)."""
+    _check_request(n, K, min_len)
     gamma = np.rint(np.linspace(0, n, K + 1)).astype(int)
     for k in range(1, K + 1):
         gamma[k] = max(gamma[k], gamma[k - 1] + min_len)
     gamma[K] = n
     for k in range(K - 1, 0, -1):
         gamma[k] = min(gamma[k], gamma[k + 1] - min_len)
-    if gamma[0] != 0 or np.any(np.diff(gamma) < min_len):
-        raise InfeasibleError(f"no uniform partition of n={n} into K={K} segments")
     return Partition(gamma)
 
 
-def random_partition(
-    rng: np.random.Generator, n: int, K: int, min_len: int, max_attempts: int = 1000
-) -> Partition:
-    """K segments from K-1 distinct interior cuts drawn uniformly; infeasible
-    draws (a segment shorter than min_len) are rejected and redrawn."""
-    for _ in range(max_attempts):
-        cuts = np.sort(rng.choice(np.arange(1, n), size=K - 1, replace=False))
-        gamma = np.concatenate(([0], cuts, [n]))
-        if np.all(np.diff(gamma) >= min_len):
-            return Partition(gamma)
-    raise InfeasibleError(
-        f"no feasible random partition found in {max_attempts} attempts"
-    )
+def random_partition(rng: np.random.Generator, n: int, K: int, min_len: int) -> Partition:
+    """A partition drawn uniformly from those of n samples into K segments of
+    at least min_len, by stars and bars: K - 1 distinct cuts among the inner
+    points 1..N-1 of N = n - K (min_len - 1) samples, then cut i (1-based)
+    shifted right by i (min_len - 1). It never fails when n >= K min_len."""
+    _check_request(n, K, min_len)
+    bars = np.sort(rng.choice(np.arange(1, n - K * min_len + K), K - 1, replace=False))
+    cuts = bars + np.arange(1, K) * (min_len - 1)
+    return Partition(np.concatenate(([0], cuts, [n])))
 
 
 def multi_start_iterative(
@@ -400,11 +397,10 @@ def multi_start_iterative(
     min_segment_length: int | None = None,
     variance_floor: float = VARIANCE_FLOOR,
 ) -> PiecewiseFit:
-    """iterative_fisher from a uniform partition plus n_random_starts random
-    ordered partitions; returns the fit with smallest J. Deterministic given
+    """iterative_fisher from a uniform partition plus n_random_starts
+    partitions from random_partition; returns the fit with smallest J. Deterministic given
     the seed. Every start maps the times to the same fit time."""
-    if min_segment_length is None:
-        min_segment_length = default_min_segment_length(p)
+    min_segment_length = _check_request(signal.n, K, min_segment_length, p)
     rng = np.random.default_rng(seed)
     starts = [uniform_partition(signal.n, K, min_segment_length)]
     for _ in range(n_random_starts):

@@ -28,6 +28,9 @@ from .errors import EmptyComponentError, NumericalError, RankDeficientError, Rhl
 from .piecewise import segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
+# IRLS limits of every M-step: Newton steps, and halvings per Newton step.
+_IRLS_MAX_ITER = 50
+_IRLS_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,17 @@ class FitReport:
     denoised: np.ndarray
     runtime_seconds: float
     converged: bool
-    em_iterations: int
     time_map: TimeMap
     seed: int | None = None
 
     @property
     def log_likelihood(self) -> float:
         return self.log_likelihood_trace[-1]
+
+    @property
+    def em_iterations(self) -> int:
+        """Accepted EM steps, plain and extrapolated."""
+        return len(self.log_likelihood_trace) - 1
 
     def expectation(self, t) -> np.ndarray:
         """Fitted mean curve at the signal times t; see denoise."""
@@ -256,13 +263,12 @@ def irls_solve(
     tau: np.ndarray,
     t: np.ndarray,
     delta: float = 1e-6,
-    max_iter: int = 50,
-    max_halvings: int = 30,
 ) -> np.ndarray:
-    """Maximize Q1 for n x K responsibilities tau by Newton steps with the
-    exact Hessian. A full step that decreases Q1 is halved (up to
-    max_halvings); a singular Hessian is ridge-damped instead of aborting.
-    Q1 never decreases across accepted iterations."""
+    """Maximize Q1 for n x K responsibilities tau by at most _IRLS_MAX_ITER
+    Newton steps with the exact Hessian. A full step that decreases Q1 is
+    halved (up to _IRLS_MAX_HALVINGS times); a singular Hessian is
+    ridge-damped instead of aborting. Q1 never decreases across accepted
+    iterations."""
     t = np.asarray(t, dtype=float)
     K, q1 = w_init.shape
     if K == 1:
@@ -273,7 +279,7 @@ def irls_solve(
     w = w_init.copy()
     logpi = _log_proportions(w, V)
     q_old = float(np.sum(tau * logpi))
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         pi = np.exp(logpi)
         g = _gradient_v(pi, tau, V)
         H = _hessian_v(pi, VV)
@@ -289,7 +295,7 @@ def irls_solve(
         # a step from a near-singular Hessian can overflow; the non-finite Q1
         # it gives sends it to halving, so numpy's warning would be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_halvings + 1):
+            for _ in range(_IRLS_MAX_HALVINGS + 1):
                 cand = _unstack(flat - alpha * step, K, q1 - 1)
                 logpi_cand = _log_proportions(cand, V)
                 q_cand = float(np.sum(tau * logpi_cand))
@@ -321,15 +327,14 @@ def _uniform_segment_init(
 
 
 def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
-    """Uniform cut indices jittered by up to a quarter segment each way."""
+    """Uniform cut indices jittered by up to a quarter segment each way, and
+    by at most (g - 1) // 2 for the smallest uniform gap g: the windows of
+    neighbouring cuts cannot overlap, so every draw is a partition."""
     base = uniform_partition(n, K).gamma
-    jitter = max(1, n // (4 * K))
-    for _ in range(1000):
-        cuts = base.copy()
-        cuts[1:K] = base[1:K] + rng.integers(-jitter, jitter + 1, size=K - 1)
-        if np.all(np.diff(cuts) >= 1):
-            return cuts
-    return base
+    jitter = min(max(1, n // (4 * K)), (int(np.diff(base).min()) - 1) // 2)
+    cuts = base.copy()
+    cuts[1:K] = base[1:K] + rng.integers(-jitter, jitter + 1, size=K - 1)
+    return cuts
 
 
 # SQUAREM step-length cap: it starts at _STEP_MAX0 and is multiplied by
@@ -379,9 +384,8 @@ def _em_once(
     epsilon: float,
     delta: float,
     max_iter: int,
-    max_irls_iter: int,
     variance_floor: float,
-) -> tuple[RhlpParams, list[float], bool, int]:
+) -> tuple[RhlpParams, list[float], bool]:
     """One EM run from init with the SQUAREM step described in em_fit.
     Numerical errors at an extrapolated point reject it; on plain EM steps
     they propagate."""
@@ -390,7 +394,7 @@ def _em_once(
     def m_step(params, tau, iteration):
         # tau is (K, n); its transposed view is the public n x K layout
         comps = m_step_regression(tau.T, signal, p, variance_floor, iteration=iteration)
-        w = irls_solve(params.logistic.w, tau.T, signal.t, delta, max_irls_iter)
+        w = irls_solve(params.logistic.w, tau.T, signal.t, delta)
         return RhlpParams(LogisticProcess(w), comps)
 
     def speculate(theta, ll_floor, iteration):
@@ -434,7 +438,7 @@ def _em_once(
                 step_max *= _STEP_GROWTH
             point, ll, nxt = accepted
             trace.append(ll)
-    return point, trace, converged, len(trace) - 1
+    return point, trace, converged
 
 
 def em_fit(
@@ -445,7 +449,6 @@ def em_fit(
     epsilon: float = 1e-6,
     delta: float = 1e-6,
     max_iter: int = 1000,
-    max_irls_iter: int = 50,
     n_restarts: int = 0,
     seed: int | None = None,
     variance_floor: float = VARIANCE_FLOOR,
@@ -481,12 +484,10 @@ def em_fit(
         )
     best = None
     for init in inits:
-        result = _em_once(
-            signal, init, epsilon, delta, max_iter, max_irls_iter, variance_floor
-        )
+        result = _em_once(signal, init, epsilon, delta, max_iter, variance_floor)
         if best is None or result[1][-1] > best[1][-1]:
             best = result
-    params, trace, converged, iters = best
+    params, trace, converged = best
     runtime = time.perf_counter() - start
 
     denoised = denoise(params, signal.t)
@@ -498,7 +499,6 @@ def em_fit(
         denoised=denoised,
         runtime_seconds=runtime,
         converged=converged,
-        em_iterations=iters,
         time_map=time_map,
         seed=seed,
     )

@@ -112,19 +112,16 @@ def simulate_rhlp(params: RhlpParams, t, seed=None) -> tuple[Signal, np.ndarray]
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel in temporal order of first appearance (1, 2, ...)."""
-    labels = np.asarray(labels)
-    mapping: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=int)
-    for i, lab in enumerate(labels):
-        if lab not in mapping:
-            mapping[int(lab)] = len(mapping) + 1
-        out[i] = mapping[int(lab)]
-    return out
+    values, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(values), dtype=int)
+    rank[np.argsort(first)] = np.arange(1, len(values) + 1)
+    return rank[inverse]
 
 
 def misclassification_rate(true_labels, estimated_labels) -> float:
-    """Fraction of mismatched samples after aligning label identities by
-    temporal order of first appearance (both labelings are contiguous)."""
+    """Fraction of mismatched samples after renaming each labeling's labels
+    1, 2, ... in temporal order of first appearance. A label that returns
+    after another one (RHLP hard labels can) keeps its first name."""
     true_labels = np.asarray(true_labels)
     estimated_labels = np.asarray(estimated_labels)
     if len(true_labels) != len(estimated_labels):
@@ -241,7 +238,7 @@ def run_benchmark(
                         continue
                     crits[method].append((
                         misclassification_rate(labels, est_labels),
-                        float(np.mean((scenario.expectation(signal.t) - est_curve) ** 2)),
+                        denoising_error(scenario, est_curve, signal.t),
                         elapsed,
                     ))
             for method in methods:

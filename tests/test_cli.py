@@ -474,6 +474,35 @@ def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("floor", ["0", "-1e-3", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["fit-rhlp", "--k", "2", "--seed", "0"],
+    ["fit-dp", "--k", "2"],
+    ["fit-dp-iter", "--k", "2", "--seed", "0"],
+    ["select-model", "--k", "2", "--p", "1"],
+], ids=["rhlp", "dp", "dp-iter", "select"])
+def test_invalid_variance_floor_exits_one(tmp_path, signal_csv, capsys, argv, floor):
+    out = tmp_path / "out"
+    rc = main([*argv, f"--variance-floor={floor}", "--input", str(signal_csv),
+               "--output", str(out)])
+    assert rc == 1
+    assert_one_error_line(capsys, "DataError")
+    assert not out.exists()
+
+
+def test_iterative_fit_of_a_tight_request(tmp_path, capsys):
+    # 45 samples in 10 segments of at least 4: a uniform draw of 9 cuts is
+    # feasible about once in 350 000 tries
+    t = np.linspace(0, 5, 45)
+    path = tmp_path / "short.csv"
+    save_signal_csv(path, Signal(t, np.random.default_rng(0).normal(size=45)))
+    out = tmp_path / "it.json"
+    rc = main(["fit-dp-iter", "--input", str(path), "--output", str(out),
+               "--k", "10", "--p", "2", "--seed", "0"])
+    assert rc == 0, capsys.readouterr().err
+    assert np.all(np.diff(load_fit_report(out).gamma) >= 4)
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "situation1", "--n", "1"],
     ["--scenario", "situation2", "--n", "0"],

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from rhlpseg.core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix, to_fit_time
 from rhlpseg.errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
@@ -462,3 +463,98 @@ class TestMultiStart:
         starts += [random_partition(rng, 40, 3, 3) for _ in range(5)]
         fits = [iterative_fisher(sig, 3, 1, init=init) for init in starts]
         assert best.criterion_j == min(f.criterion_j for f in fits)
+
+
+def uniform_cut_draw(rng, n, K):
+    """K - 1 distinct cuts drawn uniformly from 1..n-1, as a rejection
+    sampler's first try draws them."""
+    return np.sort(rng.choice(np.arange(1, n), K - 1, replace=False))
+
+
+class TestFeasibleRequests:
+    @given(
+        n=st.integers(1, 40),
+        K=st.integers(1, 8),
+        p=st.integers(0, 2),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=40, K=8, p=2, extra=1, seed=0)  # 1000 rejections fail here
+    @settings(max_examples=80, deadline=None)
+    def test_every_feasible_request_fits(self, n, K, p, extra, seed):
+        min_len = p + 1 + extra
+        rng = np.random.default_rng(seed)
+        sig = Signal(np.arange(n) + rng.uniform(0.0, 0.5, n), rng.normal(size=n))
+        fits = (
+            lambda: fisher_dp(sig, K, p, min_segment_length=min_len),
+            lambda: multi_start_iterative(
+                sig, K, p, n_random_starts=3, seed=seed, min_segment_length=min_len
+            ),
+        )
+        if n < K * min_len:
+            for fit in fits:
+                with pytest.raises(InfeasibleError):
+                    fit()
+            return
+        dp, it = (fit() for fit in fits)
+        for f in (dp, it):
+            assert f.partition.K == K and f.partition.n == n
+            assert np.all(np.diff(f.partition.gamma) >= min_len)
+        assert it.criterion_j >= dp.criterion_j - 1e-9 * max(1.0, abs(dp.criterion_j))
+
+    def test_tight_request_of_ten_segments(self):
+        # 45 samples, K = 10, min length 4: a uniform draw of 9 cuts is
+        # feasible about once in 350 000 tries
+        sig = Signal(np.linspace(0, 5, 45), np.random.default_rng(0).normal(size=45))
+        it = multi_start_iterative(sig, 10, 2, seed=0)
+        dp = fisher_dp(sig, 10, 2)
+        assert np.all(np.diff(it.partition.gamma) >= 4)
+        assert it.criterion_j >= dp.criterion_j - 1e-9 * max(1.0, abs(dp.criterion_j))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"K": 0, "p": 1}, {"K": 2, "p": -1}, {"K": 2, "p": 1, "min_segment_length": 0},
+    ], ids=["K0", "p-1", "min-length-0"])
+    @pytest.mark.parametrize("fitter", ["fisher_dp", "iterative_fisher", "multi_start_iterative"])
+    def test_invalid_request_raises_value_error(self, fitter, kwargs):
+        sig = Signal(np.linspace(0, 5, 20), np.random.default_rng(1).normal(size=20))
+        extra = {"init": Partition([0, 10, 20])} if fitter == "iterative_fisher" else {}
+        with pytest.raises(ValueError):
+            globals()[fitter](sig, **kwargs, **extra)
+
+    @pytest.mark.parametrize("make", [uniform_partition, random_partition])
+    def test_partitions_share_the_entry_check(self, make):
+        args = (np.random.default_rng(0),) if make is random_partition else ()
+        with pytest.raises(InfeasibleError):
+            make(*args, 11, 3, 4)
+        for K, min_len in [(0, 1), (2, 0)]:
+            with pytest.raises(ValueError):
+                make(*args, 10, K, min_len)
+
+    @pytest.mark.parametrize("n, K, min_len", [(12, 3, 4), (7, 7, 1), (5, 1, 5), (9, 2, 3)])
+    def test_tightest_requests(self, n, K, min_len):
+        rng = np.random.default_rng(0)
+        for make in (lambda: uniform_partition(n, K, min_len),
+                     lambda: random_partition(rng, n, K, min_len)):
+            gamma = make().gamma
+            assert gamma[0] == 0 and gamma[-1] == n and len(gamma) == K + 1
+            assert np.all(np.diff(gamma) >= min_len)
+
+    def test_random_partition_is_uniform(self):
+        # n = 12, K = 3, min length 3: 10 feasible partitions (C(5, 2))
+        rng = np.random.default_rng(2024)
+        draws = [tuple(random_partition(rng, 12, 3, 3).gamma) for _ in range(20_000)]
+        feasible = {
+            (0, a, b, 12)
+            for a, b in itertools.combinations(range(1, 12), 2)
+            if min(a, b - a, 12 - b) >= 3
+        }
+        assert len(feasible) == 10 and set(draws) == feasible
+        counts = [draws.count(g) for g in sorted(feasible)]
+        assert chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n, K", [(2, 2), (10, 3), (45, 10), (500, 3)])
+    def test_unit_min_length_is_one_uniform_cut_draw(self, n, K):
+        for s in range(100):
+            gamma = random_partition(np.random.default_rng(s), n, K, 1).gamma
+            expected = uniform_cut_draw(np.random.default_rng(s), n, K)
+            np.testing.assert_array_equal(gamma[1:-1], expected)

@@ -50,10 +50,6 @@ class TestPolynomialBasis:
     def test_design_matrix_line(self):
         np.testing.assert_array_equal(design_matrix([0.0, 1.0], 1), [[1, 0], [1, 1]])
 
-    def test_design_matrix_accepts_signal(self):
-        s = Signal([0.0, 1.0], [5.0, 6.0])
-        np.testing.assert_array_equal(design_matrix(s, 1), design_matrix(s.t, 1))
-
 
 class TestWeightedLeastSquares:
     def test_noiseless_line(self):

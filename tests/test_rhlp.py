@@ -496,6 +496,25 @@ class TestEmFit:
         assert report.em_iterations == len(report.log_likelihood_trace) - 1
         assert report.bic < report.log_likelihood
 
+    @pytest.mark.parametrize("n, K", [(3, 3), (4, 3), (5, 2), (7, 3), (9, 4), (20, 6)])
+    def test_restart_cuts_are_always_a_partition(self, n, K):
+        # short signals, where a quarter-segment jitter would let cuts collide
+        for s in range(200):
+            cuts = rhlp._perturbed_cuts(np.random.default_rng(s), n, K)
+            assert cuts[0] == 0 and cuts[-1] == n and np.all(np.diff(cuts) >= 1)
+
+    @pytest.mark.parametrize("n, K", [(40, 3), (100, 5), (500, 4), (1000, 2)])
+    def test_restart_cuts_keep_the_quarter_segment_jitter(self, n, K):
+        # the jitter windows of neighbouring cuts are disjoint here, so the
+        # cap does not bind: one draw of K - 1 offsets in [-j, j]
+        base = np.rint(np.linspace(0, n, K + 1)).astype(int)
+        j = max(1, n // (4 * K))
+        assert 2 * j + 1 <= np.diff(base).min()
+        for s in range(50):
+            offsets = np.random.default_rng(s).integers(-j, j + 1, size=K - 1)
+            cuts = rhlp._perturbed_cuts(np.random.default_rng(s), n, K)
+            np.testing.assert_array_equal(cuts[1:-1], base[1:-1] + offsets)
+
 
 class TestDenoiseAndLabels:
     def test_k1_denoise_is_polynomial(self):

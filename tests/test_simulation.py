@@ -176,6 +176,12 @@ class TestMisclassification:
         with pytest.raises(LengthMismatchError):
             misclassification_rate(np.array([1, 2]), np.array([1, 2, 3]))
 
+    def test_recurring_label_keeps_its_first_name(self):
+        # RHLP hard labels need not be contiguous: a regime can come back
+        truth = np.array([1, 1, 2, 2, 1, 1])
+        assert misclassification_rate(truth, np.array([5, 5, 2, 2, 5, 5])) == 0.0
+        assert misclassification_rate(truth, np.array([1, 1, 2, 2, 3, 3])) == pytest.approx(1 / 3)
+
 
 class TestDenoisingError:
     def test_zero_for_exact_curve(self):
