@@ -13,7 +13,7 @@ A benchmark harness (`rhlpseg.simulate`) and a CLI (`rhlpseg.cli`) drive the
 simulation study.
 """
 from .core import (
-    VARIANCE_FLOOR,
+    RELATIVE_VARIANCE_FLOOR,
     GaussianComponent,
     Signal,
     TimeMap,

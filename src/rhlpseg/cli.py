@@ -14,7 +14,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .core import VARIANCE_FLOOR, GaussianComponent, Signal, TimeMap
+from .core import GaussianComponent, Signal, TimeMap
 from .errors import DataError, NumericalError, SchemaError
 from .piecewise import Partition, fisher_dp, multi_start_iterative, piecewise_mean
 from .reports import (
@@ -54,19 +54,12 @@ def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _check_model(ks, ps, q: int, variance_floor: float) -> None:
-    """Reject a model order or variance floor that no fitter accepts, first."""
+def _check_model(ks, ps, q: int) -> None:
+    """Reject a model order that no fitter accepts, first."""
     if min(ks, default=0) < 1:
         raise DataError(f"--k must be at least 1, got {list(ks)}")
     if min(ps, default=-1) < 0 or q < 0:
         raise DataError(f"--p and --q must be at least 0, got {list(ps)} and {q}")
-    if not (np.isfinite(variance_floor) and variance_floor > 0):
-        raise DataError(f"--variance-floor must be finite and positive, got {variance_floor}")
-
-
-def _add_model_flags(sp) -> None:
-    sp.add_argument("--variance-floor", type=float, default=VARIANCE_FLOOR,
-                    help="lower bound on each variance, in the squared units of x")
 
 
 def _add_em_flags(sp) -> None:
@@ -90,7 +83,6 @@ def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **def
     sp.add_argument("--p", type=int, default=2, help="polynomial degree (default 2)")
     sp.add_argument("--series-output", default=None,
                     help="optional CSV of t,x,denoised,label")
-    _add_model_flags(sp)
     sp.set_defaults(func=_cmd_fit, model=model, fitter=fitter, **defaults)
     return sp
 
@@ -100,12 +92,11 @@ def _fit_rhlp(signal: Signal, args):
         signal, args.k, args.p, args.q,
         epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
         n_restarts=args.restarts, seed=args.seed,
-        variance_floor=args.variance_floor,
     )
 
 
 def _fit_dp(signal: Signal, args):
-    return fisher_dp(signal, args.k, args.p, variance_floor=args.variance_floor)
+    return fisher_dp(signal, args.k, args.p)
 
 
 def _fit_dp_iter(signal: Signal, args):
@@ -113,14 +104,13 @@ def _fit_dp_iter(signal: Signal, args):
         signal, args.k, args.p,
         n_random_starts=args.restarts, seed=args.seed,
         max_iter=args.max_iter, tol=args.epsilon,
-        variance_floor=args.variance_floor,
     )
 
 
 def _cmd_fit(args) -> None:
     """Every fit command: load, fit (timed around the fitter's call), write
     the report and, if asked, the t,x,denoised,label series."""
-    _check_model([args.k], [args.p], args.q, args.variance_floor)
+    _check_model([args.k], [args.p], args.q)
     signal, _ = load_signal_csv(args.input)
     start = time.perf_counter()
     fit = args.fitter(signal, args)
@@ -171,12 +161,11 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_select_model(args) -> None:
-    _check_model(args.k, args.p, args.q, args.variance_floor)
+    _check_model(args.k, args.p, args.q)
     signal, _ = load_signal_csv(args.input)
     best, table = select_model(
         signal, args.k, args.p, args.q,
-        epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
-        seed=args.seed, variance_floor=args.variance_floor,
+        epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter, seed=args.seed,
     )
     write_csv(args.output, [f.name for f in fields(SelectionEntry)], map(astuple, table))
     if args.report_output:
@@ -232,8 +221,17 @@ def _cmd_plot_data(args) -> None:
               ((ti, name, v) for name, values in series for ti, v in zip(t, values)))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error (a bad value, an unknown flag, a missing argument)
+    raises DataError, so main reports it like any other user error: exit 1,
+    one line. add_parser builds every subcommand's parser with this class."""
+
+    def error(self, message):
+        raise DataError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhlpseg",
         description="Time-series segmentation and denoising: hidden-logistic-"
                     "process regression and optimal piecewise polynomial fits.",
@@ -274,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report-output", default=None, help="best fit report JSON")
     sp.add_argument("--k", type=_int_list, required=True, help="e.g. 2,3,4")
     sp.add_argument("--p", type=_int_list, required=True, help="e.g. 1,2,3")
-    _add_model_flags(sp)
     _add_em_flags(sp)
     sp.set_defaults(func=_cmd_select_model)
 
@@ -301,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (DataError, OSError, json.JSONDecodeError) as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)

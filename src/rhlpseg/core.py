@@ -7,14 +7,17 @@ on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteValueError, NonMonotonicTimeError, RankDeficientError
 
-# Applied wherever a variance estimate is formed; exact interpolation would
-# otherwise give sigma2 = 0 and an unbounded log-likelihood.
-VARIANCE_FLOOR = 1e-8
+# Every variance estimate is floored at this fraction of the signal's
+# variance (Signal.variance_floor); exact interpolation would otherwise give
+# sigma2 = 0 and an unbounded log-likelihood. A component's noise standard
+# deviation never falls below 1e-6 of the signal's.
+RELATIVE_VARIANCE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,15 @@ class Signal:
     @property
     def n(self) -> int:
         return len(self.t)
+
+    @cached_property
+    def variance_floor(self) -> float:
+        """Lower bound on every variance fitted to this signal:
+        RELATIVE_VARIANCE_FLOOR times var(x), or times 1 for a constant x.
+        Offsetting x leaves it unchanged and scaling x by c scales it by c^2,
+        like every variance fitted to x."""
+        var = float(np.var(self.x))
+        return RELATIVE_VARIANCE_FLOOR * (var if var > 0 else 1.0)
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ class TimeMap:
 
 def to_fit_time(signal: Signal) -> tuple[Signal, TimeMap]:
     """The signal on fit time u, and the map from its times to u. Values are
-    not mapped, so a variance floor stays in the units of x."""
+    not mapped: the variance floor is relative to var(x) already."""
     time_map = TimeMap.of(signal.t)
     return Signal(time_map(signal.t), signal.x), time_map
 

@@ -17,10 +17,6 @@ class RankDeficientError(NumericalError):
     """Weighted design matrix is singular beyond tolerance."""
 
 
-class SegmentTooShortError(NumericalError):
-    """A segment has fewer points than the minimum segment length."""
-
-
 class InfeasibleError(NumericalError):
     """No feasible partition exists for the requested (n, K, min length)."""
 

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    VARIANCE_FLOOR,
     GaussianComponent,
     Signal,
     TimeMap,
     design_matrix,
     to_fit_time,
 )
-from .errors import InfeasibleError, LengthMismatchError, NumericalError, SegmentTooShortError
+from .errors import InfeasibleError, LengthMismatchError, NumericalError
 
 
 def default_min_segment_length(p: int) -> int:
@@ -112,42 +111,30 @@ class PiecewiseFit:
         return piecewise_mean(self.partition, self.components, self.time_map(t))
 
 
-def _floored_cost(sse, m, variance_floor: float):
-    """Cost m*log(s2) + sse/s2 with s2 = max(sse/m, floor), elementwise.
-    Returns (cost, s2)."""
-    s2 = np.maximum(sse / m, variance_floor)
+def _floored_cost(sse, m, signal: Signal):
+    """Cost m*log(s2) + sse/s2 with s2 = max(sse/m, signal.variance_floor),
+    elementwise. Returns (cost, s2)."""
+    s2 = np.maximum(sse / m, signal.variance_floor)
     return m * np.log(s2) + sse / s2, s2
 
 
-def segment_cost(
-    signal: Signal,
-    a: int,
-    b: int,
-    p: int,
-    min_segment_length: int | None = None,
-    variance_floor: float = VARIANCE_FLOOR,
-) -> tuple[float, GaussianComponent]:
+def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, GaussianComponent]:
     """OLS fit of samples in the index range (a, b] (0-based: a..b-1) and its
-    segmentation cost sum_i [log s2 + resid^2/s2]."""
-    if min_segment_length is None:
-        min_segment_length = default_min_segment_length(p)
-    m = b - a
-    if m < min_segment_length:
-        raise SegmentTooShortError(f"segment ({a},{b}] has {m} < {min_segment_length} points")
+    segmentation cost sum_i [log s2 + resid^2/s2]. Fewer than p + 1 samples
+    get lstsq's minimum-norm fit. ValueError unless 0 <= a < b <= n."""
+    if not 0 <= a < b <= signal.n:
+        raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
     t = signal.t[a:b]
     x = signal.x[a:b]
     T = design_matrix(t, p)
     beta, _, _, _ = np.linalg.lstsq(T, x, rcond=None)
     sse = float(np.sum((x - T @ beta) ** 2))
-    cost, s2 = _floored_cost(sse, m, variance_floor)
+    cost, s2 = _floored_cost(sse, b - a, signal)
     return cost, GaussianComponent(beta, s2)
 
 
 def build_cost_matrix(
-    signal: Signal,
-    p: int,
-    min_segment_length: int | None = None,
-    variance_floor: float = VARIANCE_FLOOR,
+    signal: Signal, p: int, min_segment_length: int | None = None
 ) -> np.ndarray:
     """(n+1) x (n+1) matrix of one-segment costs; entry (a, b) is the cost of
     fitting samples (a, b]. Infeasible ranges (b - a < min length) hold +inf.
@@ -218,7 +205,7 @@ def build_cost_matrix(
             feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
             if feasible > 0:
                 out[:feasible, j + 1] = _floored_cost(
-                    sse[:feasible], m[k0 : k0 + feasible], variance_floor
+                    sse[:feasible], m[k0 : k0 + feasible], signal
                 )[0]
     return out
 
@@ -249,17 +236,14 @@ def _backtrack(H: np.ndarray, K: int, n: int) -> Partition:
 
 
 def _refit(
-    signal: Signal, partition: Partition, p: int, variance_floor: float
+    signal: Signal, partition: Partition, p: int
 ) -> tuple[tuple[GaussianComponent, ...], float]:
     """Per-segment OLS on a partition; returns components and total cost J."""
     comps = []
     j = 0.0
     g = partition.gamma
     for k in range(partition.K):
-        cost, comp = segment_cost(
-            signal, g[k], g[k + 1], p,
-            min_segment_length=1, variance_floor=variance_floor,
-        )
+        cost, comp = segment_cost(signal, g[k], g[k + 1], p)
         comps.append(comp)
         j += cost
     return tuple(comps), j
@@ -270,7 +254,6 @@ def fisher_dp(
     K: int,
     p: int,
     min_segment_length: int | None = None,
-    variance_floor: float = VARIANCE_FLOOR,
 ) -> PiecewiseFit:
     """Globally optimal piecewise polynomial fit with K segments, by dynamic
     programming over the one-segment cost matrix. Ties in the split argmin go
@@ -278,10 +261,10 @@ def fisher_dp(
     n = signal.n
     min_segment_length = _check_request(n, K, min_segment_length, p)
     signal, time_map = to_fit_time(signal)
-    cost = build_cost_matrix(signal, p, min_segment_length, variance_floor)
+    cost = build_cost_matrix(signal, p, min_segment_length)
     C, H = _dp_tables(cost, K, min_segment_length)
     partition = _backtrack(H, K, n)
-    components, _ = _refit(signal, partition, p, variance_floor)
+    components, _ = _refit(signal, partition, p)
     return PiecewiseFit(partition, components, float(C[K, n]), time_map)
 
 
@@ -334,7 +317,6 @@ def iterative_fisher(
     max_iter: int = 100,
     tol: float = 1e-6,
     min_segment_length: int | None = None,
-    variance_floor: float = VARIANCE_FLOOR,
 ) -> PiecewiseFit:
     """Local minimization of J: alternate per-segment OLS (regression step)
     with dynamic-programming re-segmentation at fixed parameters
@@ -346,11 +328,11 @@ def iterative_fisher(
 
     signal, time_map = to_fit_time(signal)
     partition = init
-    components, j = _refit(signal, partition, p, variance_floor)
+    components, j = _refit(signal, partition, p)
     trace = [j]
     for _ in range(max_iter):
         partition_new, _ = _fixed_param_segmentation(signal, components, min_segment_length)
-        components_new, j_new = _refit(signal, partition_new, p, variance_floor)
+        components_new, j_new = _refit(signal, partition_new, p)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
         partition, components = partition_new, components_new
@@ -395,7 +377,6 @@ def multi_start_iterative(
     max_iter: int = 100,
     tol: float = 1e-6,
     min_segment_length: int | None = None,
-    variance_floor: float = VARIANCE_FLOOR,
 ) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts
     partitions from random_partition; returns the fit with smallest J. Deterministic given
@@ -406,9 +387,7 @@ def multi_start_iterative(
     for _ in range(n_random_starts):
         starts.append(random_partition(rng, signal.n, K, min_segment_length))
     fits = [
-        iterative_fisher(
-            signal, K, p, init, max_iter, tol, min_segment_length, variance_floor
-        )
+        iterative_fisher(signal, K, p, init, max_iter, tol, min_segment_length)
         for init in starts
     ]
     return min(fits, key=lambda f: f.criterion_j)

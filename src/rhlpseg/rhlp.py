@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    VARIANCE_FLOOR,
     GaussianComponent,
     Signal,
     TimeMap,
@@ -177,14 +176,13 @@ def m_step_regression(
     tau: np.ndarray,
     signal: Signal,
     p: int,
-    variance_floor: float = VARIANCE_FLOOR,
     iteration: int = -1,
 ) -> tuple[GaussianComponent, ...]:
     """Component updates from the n x K responsibilities: beta_k by
     tau-weighted least squares, sigma2_k as the tau-weighted mean squared
-    residual under the new beta_k (floored). Each column of tau is read as
-    a contiguous row of its (K, n) transpose, so the result does not depend
-    on the memory layout of tau."""
+    residual under the new beta_k (floored at signal.variance_floor). Each
+    column of tau is read as a contiguous row of its (K, n) transpose, so the
+    result does not depend on the memory layout of tau."""
     T = design_matrix(signal.t, p)
     comps = []
     for k, wk in enumerate(np.ascontiguousarray(tau.T)):
@@ -193,7 +191,7 @@ def m_step_regression(
             raise EmptyComponentError(k + 1, iteration)
         beta = weighted_least_squares(T, signal.x, wk)
         sse = float(wk @ (signal.x - T @ beta) ** 2)
-        comps.append(GaussianComponent(beta, max(sse / mass, variance_floor)))
+        comps.append(GaussianComponent(beta, max(sse / mass, signal.variance_floor)))
     return tuple(comps)
 
 
@@ -320,7 +318,7 @@ def _uniform_segment_init(
     if cuts is None:
         cuts = uniform_partition(signal.n, K).gamma
     comps = tuple(
-        GaussianComponent(segment_cost(signal, a, b, p, min_segment_length=1)[1].beta, 1.0)
+        GaussianComponent(segment_cost(signal, a, b, p)[1].beta, 1.0)
         for a, b in zip(cuts[:-1], cuts[1:])
     )
     return RhlpParams(LogisticProcess(np.zeros((K, q + 1))), comps)
@@ -354,13 +352,11 @@ def _pack(params: RhlpParams) -> np.ndarray:
     )
 
 
-def _unpack(
-    theta: np.ndarray, K: int, p: int, q: int, variance_floor: float
-) -> RhlpParams:
-    """Inverse of _pack, with the variance floor applied."""
+def _unpack(theta: np.ndarray, K: int, p: int, q: int, floor: float) -> RhlpParams:
+    """Inverse of _pack, with the variances floored at floor."""
     nw, nb = (K - 1) * (q + 1), K * (p + 1)
     betas = theta[nw:nw + nb].reshape(K, p + 1)
-    sigma2s = np.maximum(np.exp(theta[nw + nb:]), variance_floor)
+    sigma2s = np.maximum(np.exp(theta[nw + nb:]), floor)
     comps = tuple(GaussianComponent(b, s) for b, s in zip(betas, sigma2s))
     return RhlpParams(LogisticProcess(_unstack(theta[:nw], K, q)), comps)
 
@@ -384,7 +380,6 @@ def _em_once(
     epsilon: float,
     delta: float,
     max_iter: int,
-    variance_floor: float,
 ) -> tuple[RhlpParams, list[float], bool]:
     """One EM run from init with the SQUAREM step described in em_fit.
     Numerical errors at an extrapolated point reject it; on plain EM steps
@@ -393,7 +388,7 @@ def _em_once(
 
     def m_step(params, tau, iteration):
         # tau is (K, n); its transposed view is the public n x K layout
-        comps = m_step_regression(tau.T, signal, p, variance_floor, iteration=iteration)
+        comps = m_step_regression(tau.T, signal, p, iteration=iteration)
         w = irls_solve(params.logistic.w, tau.T, signal.t, delta)
         return RhlpParams(LogisticProcess(w), comps)
 
@@ -401,7 +396,7 @@ def _em_once(
         """(params, log-likelihood, EM step) at theta, or None if rejected."""
         if not np.all(np.isfinite(theta)):
             return None
-        cand = _unpack(theta, K, p, q, variance_floor)
+        cand = _unpack(theta, K, p, q, signal.variance_floor)
         tau, ll = _posterior(cand, signal)
         if not (np.isfinite(ll) and ll >= ll_floor):
             return None
@@ -451,7 +446,6 @@ def em_fit(
     max_iter: int = 1000,
     n_restarts: int = 0,
     seed: int | None = None,
-    variance_floor: float = VARIANCE_FLOOR,
 ) -> FitReport:
     """Fit the model by EM until the log-likelihood increment of a plain EM
     step drops below epsilon. The first run starts from the standard recipe
@@ -484,7 +478,7 @@ def em_fit(
         )
     best = None
     for init in inits:
-        result = _em_once(signal, init, epsilon, delta, max_iter, variance_floor)
+        result = _em_once(signal, init, epsilon, delta, max_iter)
         if best is None or result[1][-1] > best[1][-1]:
             best = result
     params, trace, converged = best

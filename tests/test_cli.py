@@ -474,7 +474,7 @@ def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("floor", ["0", "-1e-3", "nan", "inf"])
+@pytest.mark.parametrize("floor", ["0", "-1e-3", "nan", "inf", "1e-6"])
 @pytest.mark.parametrize("argv", [
     ["fit-rhlp", "--k", "2", "--seed", "0"],
     ["fit-dp", "--k", "2"],
@@ -482,12 +482,37 @@ def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     ["select-model", "--k", "2", "--p", "1"],
 ], ids=["rhlp", "dp", "dp-iter", "select"])
 def test_invalid_variance_floor_exits_one(tmp_path, signal_csv, capsys, argv, floor):
+    # the floor is worked out from var(x) and its flag is gone: a script that
+    # still passes it, with any value, gets an argument error
     out = tmp_path / "out"
     rc = main([*argv, f"--variance-floor={floor}", "--input", str(signal_csv),
                "--output", str(out)])
     assert rc == 1
     assert_one_error_line(capsys, "DataError")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fit-dp"], ["select-model", "--p", "1"]],
+                         ids=["dp", "select"])
+@pytest.mark.parametrize("args", [
+    ["--k", "abc", "--input", None],
+    ["--k", "2", "--bogus", "1", "--input", None],
+    ["--k", "2"],
+], ids=["k-abc", "unknown-flag", "no-input"])
+def test_argument_error_exits_one(tmp_path, signal_csv, capsys, command, args):
+    # argparse alone exits 2, the code of a numerical failure, with a usage text
+    out = tmp_path / "out"
+    argv = [*command, *(str(signal_csv) if a is None else a for a in args)]
+    assert main([*argv, "--output", str(out)]) == 1
+    assert_one_error_line(capsys, "DataError")
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-dp", "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
 
 
 def test_iterative_fit_of_a_tight_request(tmp_path, capsys):

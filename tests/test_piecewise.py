@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rhlpseg.core import VARIANCE_FLOOR, GaussianComponent, Signal, design_matrix, to_fit_time
-from rhlpseg.errors import InfeasibleError, LengthMismatchError, SegmentTooShortError
+from rhlpseg.core import GaussianComponent, Signal, design_matrix, to_fit_time
+from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
@@ -26,13 +26,13 @@ from rhlpseg.piecewise import (
 from rhlpseg.simulate import SCENARIOS, SITUATION_1, simulate_piecewise
 
 
-def oracle_segment_cost(signal, a, b, p, floor=VARIANCE_FLOOR):
+def oracle_segment_cost(signal, a, b, p):
     """Independent re-implementation via raw normal equations."""
     t, x = signal.t[a:b], signal.x[a:b]
     T = design_matrix(t, p)
     beta = np.linalg.solve(T.T @ T, T.T @ x)
     sse = np.sum((x - T @ beta) ** 2)
-    s2 = max(sse / (b - a), floor)
+    s2 = max(sse / (b - a), signal.variance_floor)
     return (b - a) * np.log(s2) + sse / s2
 
 
@@ -72,10 +72,7 @@ def exhaustive_best_j(signal, K, p, min_len):
         gamma = (0,) + cuts + (n,)
         if any(b - a < min_len for a, b in zip(gamma, gamma[1:])):
             continue
-        j = sum(
-            segment_cost(signal, a, b, p, min_segment_length=min_len)[0]
-            for a, b in zip(gamma, gamma[1:])
-        )
+        j = sum(segment_cost(signal, a, b, p)[0] for a, b in zip(gamma, gamma[1:]))
         best = min(best, j)
     return best
 
@@ -101,15 +98,15 @@ def step_signal(seed=0):
 class TestSegmentCost:
     def test_hand_example_two_points(self):
         sig = Signal([0.0, 1.0], [1.0, 3.0])
-        cost, comp = segment_cost(sig, 0, 2, p=0, min_segment_length=1)
+        cost, comp = segment_cost(sig, 0, 2, p=0)
         assert comp.beta[0] == pytest.approx(2.0)
         assert comp.sigma2 == pytest.approx(1.0)
         assert cost == pytest.approx(2.0)  # 2 * (log 1 + 1)
 
     def test_interpolation_clamps_variance(self):
         sig = Signal([0.0, 1.0, 2.0], [1.0, 2.0, 5.0])
-        _, comp = segment_cost(sig, 0, 3, p=2, min_segment_length=3)
-        assert comp.sigma2 == VARIANCE_FLOOR
+        _, comp = segment_cost(sig, 0, 3, p=2)
+        assert comp.sigma2 == sig.variance_floor
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(11)
@@ -119,8 +116,9 @@ class TestSegmentCost:
 
     def test_too_short_raises(self):
         sig = Signal([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        with pytest.raises(SegmentTooShortError):
-            segment_cost(sig, 0, 2, p=1)  # needs p+2 = 3 points
+        for a, b in [(1, 1), (2, 1), (-1, 2), (0, 4)]:  # empty or out of range
+            with pytest.raises(ValueError):
+                segment_cost(sig, a, b, p=1)
 
 
 class TestCostMatrix:
@@ -159,7 +157,7 @@ class TestCostMatrix:
                 T = design_matrix(sig.t[a:b] - sig.t[a], p)
                 beta = np.linalg.lstsq(T, sig.x[a:b], rcond=None)[0]
                 sse = np.sum((sig.x[a:b] - T @ beta) ** 2)
-                s2 = max(sse / (b - a), VARIANCE_FLOOR)
+                s2 = max(sse / (b - a), sig.variance_floor)
                 assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
 
     @given(
@@ -191,7 +189,7 @@ class TestCostMatrix:
                 y = sig.x[a:b] - sig.x[a]
                 beta = np.linalg.lstsq(T, y, rcond=None)[0]
                 sse = np.sum((y - T @ beta) ** 2)
-                s2 = max(sse / (b - a), VARIANCE_FLOOR)
+                s2 = max(sse / (b - a), sig.variance_floor)
                 ref[a, b] = (b - a) * np.log(s2) + sse / s2
         np.testing.assert_array_equal(np.isinf(C), np.isinf(ref))
         # a relative error e in the SSE moves the cost by (b - a) * e, and the

@@ -1,6 +1,8 @@
 """The fit-time map: every fitter maps its times t once to u = (t - t0) *
 factor, fits in u and keeps the map, so a fit does not depend on where the
-clock starts or how fast it runs."""
+clock starts or how fast it runs. Values are not mapped; the variance floor
+is relative to var(x), so the piecewise fits do not depend on their offset
+or scale either."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,7 +51,7 @@ class TestTimeMap:
     # indices and an integer beta, alpha * i + beta is exact in binary64
     a=st.integers(1, 2**30),
     beta=st.integers(-1_700_000_000, 1_700_000_000),
-    c=st.floats(1e-2, 1e3),
+    c=st.floats(1e-6, 1e6),
     negate=st.booleans(),
     d=st.floats(-1e3, 1e3),
 )
@@ -57,24 +59,35 @@ class TestTimeMap:
 def test_fits_are_invariant_under_affine_time_and_values(
     scenario, seed, n, a, beta, c, negate, d
 ):
-    # segments of at least 10 samples (7 degrees of freedom at p = 2) and
-    # |c| >= 1e-2 keep every segment variance far above the variance floor;
-    # the default minimum of p + 2 leaves one degree of freedom, and such a
-    # segment's variance can come within a factor 1e-4 of the floor
-    x = simulate_piecewise(scenario, n, seed)[0].x
+    # the values move as c * (x + d) against a base of x + d: c * x + d at
+    # c = 1e-6 and d = 1e3 would keep only about 7 digits of x itself
+    x = simulate_piecewise(scenario, n, seed)[0].x + d
     i = np.arange(n, dtype=float)
     base = Signal(i, x)
     c = -c if negate else c
-    moved = Signal(a / 1024 * i + beta, c * x + d)
+    moved = Signal(a / 1024 * i + beta, c * x)
     shift = 2 * n * np.log(abs(c))
-    for fitter in (lambda s: fisher_dp(s, 3, 2, min_segment_length=10),
-                   lambda s: multi_start_iterative(s, 3, 2, seed=0, min_segment_length=10)):
+    for fitter in (lambda s: fisher_dp(s, 3, 2),
+                   lambda s: multi_start_iterative(s, 3, 2, seed=0)):
         want, got = fitter(base), fitter(moved)
         np.testing.assert_array_equal(got.partition.gamma, want.partition.gamma)
         expected = want.criterion_j + shift
         assert abs(got.criterion_j - expected) <= 1e-9 * (abs(want.criterion_j) + abs(shift))
     trace = em_fit(moved, 3, 2, 1, seed=0).log_likelihood_trace
     assert np.diff(trace).min(initial=0.0) >= -1e-8
+
+
+def test_binding_variance_floor_scales_with_the_values():
+    # the optimum has a 4-sample segment (one degree of freedom at p = 2)
+    # whose variance, 1.5e-6 here, falls under an absolute floor of 1e-8
+    # once x is divided by 16
+    sig = simulate_piecewise(SITUATION_2, 60, seed=0)[0]
+    want = fisher_dp(sig, 3, 2)
+    got = fisher_dp(Signal(sig.t, sig.x / 16), 3, 2)
+    np.testing.assert_array_equal(got.partition.gamma, want.partition.gamma)
+    shift = 2 * 60 * np.log(1 / 16)
+    expected = want.criterion_j + shift
+    assert abs(got.criterion_j - expected) <= 1e-9 * (abs(want.criterion_j) + abs(shift))
 
 
 class TestEpochSignal:
