@@ -67,8 +67,6 @@ def _add_em_flags(sp) -> None:
     sp.add_argument("--q", type=int, default=1, help="logistic degree (default 1)")
     sp.add_argument("--epsilon", type=float, default=1e-6,
                     help="EM log-likelihood increment threshold")
-    sp.add_argument("--delta", type=float, default=1e-6,
-                    help="IRLS objective increment threshold")
     sp.add_argument("--max-iter", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
 
@@ -90,7 +88,7 @@ def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **def
 def _fit_rhlp(signal: Signal, args):
     return em_fit(
         signal, args.k, args.p, args.q,
-        epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter,
+        epsilon=args.epsilon, max_iter=args.max_iter,
         n_restarts=args.restarts, seed=args.seed,
     )
 
@@ -165,7 +163,7 @@ def _cmd_select_model(args) -> None:
     signal, _ = load_signal_csv(args.input)
     best, table = select_model(
         signal, args.k, args.p, args.q,
-        epsilon=args.epsilon, delta=args.delta, max_iter=args.max_iter, seed=args.seed,
+        epsilon=args.epsilon, max_iter=args.max_iter, seed=args.seed,
     )
     write_csv(args.output, [f.name for f in fields(SelectionEntry)], map(astuple, table))
     if args.report_output:

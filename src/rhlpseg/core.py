@@ -11,13 +11,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteValueError, NonMonotonicTimeError, RankDeficientError
+from .errors import DataError, NonFiniteValueError, NonMonotonicTimeError, RankDeficientError
 
 # Every variance estimate is floored at this fraction of the signal's
 # variance (Signal.variance_floor); exact interpolation would otherwise give
 # sigma2 = 0 and an unbounded log-likelihood. A component's noise standard
 # deviation never falls below 1e-6 of the signal's.
 RELATIVE_VARIANCE_FLOOR = 1e-12
+_FLOAT = np.finfo(float)
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class Signal:
             raise NonMonotonicTimeError(int(np.argmax(steps <= 0)) + 1)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
+        _check_value_range(x)
 
     @property
     def n(self) -> int:
@@ -52,8 +54,29 @@ class Signal:
         RELATIVE_VARIANCE_FLOOR times var(x), or times 1 for a constant x.
         Offsetting x leaves it unchanged and scaling x by c scales it by c^2,
         like every variance fitted to x."""
-        var = float(np.var(self.x))
-        return RELATIVE_VARIANCE_FLOOR * (var if var > 0 else 1.0)
+        constant = np.ptp(self.x) == 0
+        return RELATIVE_VARIANCE_FLOOR * (1.0 if constant else float(np.var(self.x)))
+
+
+def _check_value_range(x: np.ndarray) -> None:
+    """DataError unless a non-constant x lies in the range the fitters can
+    represent. At the bottom the variance floor, RELATIVE_VARIANCE_FLOOR *
+    var(x), must be a normal double. At the top the fits accumulate squared
+    residuals up to about n * ptp(x)^2, and least squares and the segment
+    costs break down within a factor 2^5 of overflow; n * ptp(x)^2 must stay
+    1 / RELATIVE_VARIANCE_FLOOR below the largest double, the same headroom
+    the floor keeps at the bottom."""
+    span = float(np.ptp(x))
+    if span == 0:
+        return
+    # checked before var(x), which would overflow first
+    top = np.sqrt(_FLOAT.max * RELATIVE_VARIANCE_FLOOR / len(x))
+    if span > top or RELATIVE_VARIANCE_FLOOR * np.var(x) < _FLOAT.smallest_normal:
+        raise DataError(
+            f"values out of range: a non-constant x needs var(x) >= "
+            f"{_FLOAT.smallest_normal / RELATIVE_VARIANCE_FLOOR:.3g} and ptp(x) <= "
+            f"{top:.3g}, got ptp(x) = {span:.3g}"
+        )
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,8 @@ def _listify(arr):
 
 def report_document(fit, model: str | None = None, seed=None,
                     runtime_seconds=None) -> ReportDocument:
-    """Build a ReportDocument from a FitReport or PiecewiseFit."""
+    """Build a ReportDocument from a FitReport or PiecewiseFit. The fitters
+    keep no runtime: runtime_seconds is whatever the caller timed, or None."""
     if isinstance(fit, FitReport):
         p = fit.params
         return ReportDocument(
@@ -136,9 +137,7 @@ def report_document(fit, model: str | None = None, seed=None,
             criterion_j=None,
             labels=_listify(fit.labels),
             denoised=_listify(fit.denoised),
-            runtime_seconds=float(
-                fit.runtime_seconds if runtime_seconds is None else runtime_seconds
-            ),
+            runtime_seconds=runtime_seconds,
             converged=bool(fit.converged),
             seed=fit.seed if seed is None else seed,
         )

@@ -9,7 +9,6 @@ BIC-driven model-selection sweep.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,11 @@ from .errors import EmptyComponentError, NumericalError, RankDeficientError, Rhl
 from .piecewise import segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
-# IRLS limits of every M-step: Newton steps, and halvings per Newton step.
+# IRLS limits of every M-step: Newton steps, halvings per Newton step, and
+# the Q1 increment below which the solve stops.
 _IRLS_MAX_ITER = 50
 _IRLS_MAX_HALVINGS = 30
+_IRLS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class FitReport:
     bic: float
     labels: np.ndarray
     denoised: np.ndarray
-    runtime_seconds: float
     converged: bool
     time_map: TimeMap
     seed: int | None = None
@@ -256,17 +256,14 @@ def irls_hessian(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _hessian_v(pi, _outer_rows(V))
 
 
-def irls_solve(
-    w_init: np.ndarray,
-    tau: np.ndarray,
-    t: np.ndarray,
-    delta: float = 1e-6,
-) -> np.ndarray:
+def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Maximize Q1 for n x K responsibilities tau by at most _IRLS_MAX_ITER
-    Newton steps with the exact Hessian. A full step that decreases Q1 is
-    halved (up to _IRLS_MAX_HALVINGS times); a singular Hessian is
-    ridge-damped instead of aborting. Q1 never decreases across accepted
-    iterations."""
+    Newton steps with the exact Hessian, until a step raises Q1 by at most
+    _IRLS_TOL. A full step that decreases Q1 is halved (up to
+    _IRLS_MAX_HALVINGS times). An exactly singular Hessian ends the solve at
+    the current w: on separated responsibilities the maximum lies at |w| ->
+    infinity, where the proportions are already hard. Q1 never decreases
+    across accepted iterations."""
     t = np.asarray(t, dtype=float)
     K, q1 = w_init.shape
     if K == 1:
@@ -284,8 +281,7 @@ def irls_solve(
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            lam = 1e-6 * max(1.0, abs(np.trace(H)) / H.shape[0])
-            step = np.linalg.solve(H - lam * np.eye(H.shape[0]), g)
+            return w
         flat = _stack(w)
         alpha = 1.0
         w_new = w
@@ -301,7 +297,7 @@ def irls_solve(
                     w_new, q_new, logpi = cand, q_cand, logpi_cand
                     break
                 alpha *= 0.5
-        if q_new - q_old <= delta:
+        if q_new - q_old <= _IRLS_TOL:
             return w_new
         w, q_old = w_new, q_new
     return w
@@ -342,7 +338,7 @@ _STEP_MAX0 = 4.0
 _STEP_GROWTH = 4.0
 # Numerical failures that reject a speculative (extrapolated) point instead of
 # aborting the fit.
-_SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError, np.linalg.LinAlgError)
+_SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError)
 
 
 def _pack(params: RhlpParams) -> np.ndarray:
@@ -378,7 +374,6 @@ def _em_once(
     signal: Signal,
     init: RhlpParams,
     epsilon: float,
-    delta: float,
     max_iter: int,
 ) -> tuple[RhlpParams, list[float], bool]:
     """One EM run from init with the SQUAREM step described in em_fit.
@@ -389,7 +384,7 @@ def _em_once(
     def m_step(params, tau, iteration):
         # tau is (K, n); its transposed view is the public n x K layout
         comps = m_step_regression(tau.T, signal, p, iteration=iteration)
-        w = irls_solve(params.logistic.w, tau.T, signal.t, delta)
+        w = irls_solve(params.logistic.w, tau.T, signal.t)
         return RhlpParams(LogisticProcess(w), comps)
 
     def speculate(theta, ll_floor, iteration):
@@ -442,7 +437,6 @@ def em_fit(
     p: int,
     q: int,
     epsilon: float = 1e-6,
-    delta: float = 1e-6,
     max_iter: int = 1000,
     n_restarts: int = 0,
     seed: int | None = None,
@@ -468,7 +462,6 @@ def em_fit(
     steps, len(log_likelihood_trace) - 1."""
     if K < 1 or p < 0 or q < 0:
         raise ValueError("require K >= 1, p >= 0, q >= 0")
-    start = time.perf_counter()
     signal, time_map = to_fit_time(signal)
     inits = [_uniform_segment_init(signal, K, p, q)]
     rng = np.random.default_rng(seed)
@@ -478,11 +471,10 @@ def em_fit(
         )
     best = None
     for init in inits:
-        result = _em_once(signal, init, epsilon, delta, max_iter)
+        result = _em_once(signal, init, epsilon, max_iter)
         if best is None or result[1][-1] > best[1][-1]:
             best = result
     params, trace, converged = best
-    runtime = time.perf_counter() - start
 
     denoised = denoise(params, signal.t)
     return FitReport(
@@ -491,7 +483,6 @@ def em_fit(
         bic=bic(params, trace[-1], signal.n),
         labels=hard_labels(params, signal.t),
         denoised=denoised,
-        runtime_seconds=runtime,
         converged=converged,
         time_map=time_map,
         seed=seed,

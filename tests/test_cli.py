@@ -204,6 +204,18 @@ class TestSignalCsvErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:NonFiniteValueError:")
 
+    @pytest.mark.parametrize("scale", [2.0**-904, 1e-160], ids=["2^-904", "1e-160"])
+    def test_values_out_of_range(self, tmp_path, capsys, scale):
+        # var(x) underflows to 0 at 2^-904 and to a subnormal at 1e-160
+        sig, _ = simulate_piecewise(SITUATION_1, 500, seed=3)
+        path, out = tmp_path / "tiny.csv", tmp_path / "o.json"
+        path.write_text("t,x\n" + "".join(
+            f"{1.7e9 + i!r},{v!r}\n" for i, v in enumerate((sig.x * scale).tolist())))
+        rc = main(["fit-dp", "--input", str(path), "--output", str(out), "--k", "3"])
+        assert rc == 1
+        assert_one_error_line(capsys, "DataError")
+        assert not out.exists()
+
     def test_unparsable_value_reports_line(self, tmp_path):
         from rhlpseg.errors import ParseError
 
@@ -229,6 +241,8 @@ class TestSelectModelCommand:
         doc = load_fit_report(report_path)
         bics = {int(r[0]): float(r[3]) for r in rows[1:]}
         assert doc.K == max(bics, key=lambda k: bics[k])
+        # the fitters keep no runtime and select-model times no single fit
+        assert doc.runtime_seconds is None
 
     def test_every_candidate_failing_exits_two(self, tmp_path, capsys):
         # three samples cannot determine a cubic: every fit is rank deficient
@@ -492,15 +506,18 @@ def test_invalid_variance_floor_exits_one(tmp_path, signal_csv, capsys, argv, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["fit-dp"], ["select-model", "--p", "1"]],
-                         ids=["dp", "select"])
+@pytest.mark.parametrize("command", [
+    ["fit-dp"], ["select-model", "--p", "1"], ["fit-rhlp", "--seed", "0"],
+], ids=["dp", "select", "rhlp"])
 @pytest.mark.parametrize("args", [
     ["--k", "abc", "--input", None],
     ["--k", "2", "--bogus", "1", "--input", None],
     ["--k", "2"],
-], ids=["k-abc", "unknown-flag", "no-input"])
+    ["--k", "2", "--delta", "1e-6", "--input", None],
+], ids=["k-abc", "unknown-flag", "no-input", "delta"])
 def test_argument_error_exits_one(tmp_path, signal_csv, capsys, command, args):
-    # argparse alone exits 2, the code of a numerical failure, with a usage text
+    # argparse alone exits 2, the code of a numerical failure, with a usage text;
+    # the IRLS tolerance is a constant, so the removed --delta is an unknown flag
     out = tmp_path / "out"
     argv = [*command, *(str(signal_csv) if a is None else a for a in args)]
     assert main([*argv, "--output", str(out)]) == 1

@@ -327,6 +327,16 @@ class TestIrls:
         out = irls_solve(np.zeros((2, 1)), tau, t)
         assert out[0, 0] == pytest.approx(np.log(c / (1 - c)), abs=1e-8)
 
+    def test_singular_hessian_ends_the_solve(self):
+        # tau = 1/2 everywhere and w[0] = (1000, 0): pi_1 = 1 in double
+        # precision, so every Hessian block weight pi_1 (1 - pi_1) is 0
+        t = np.linspace(0, 5, 50)
+        w = np.array([[1000.0, 0.0], [0.0, 0.0]])
+        tau = np.full((50, 2), 0.5)
+        assert not np.any(irls_hessian(w, t))
+        out = irls_solve(w, tau, t)
+        assert out.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("seed", range(10))
     def test_objective_never_decreases(self, seed):
         w, tau, t = random_instance(200 + seed)
@@ -492,7 +502,6 @@ class TestEmFit:
         sig, _ = simulate_piecewise(SITUATION_1, 200, seed=1)
         report = em_fit(sig, K=3, p=2, q=1, seed=1)
         assert len(report.labels) == len(report.denoised) == 200
-        assert report.runtime_seconds > 0
         assert report.em_iterations == len(report.log_likelihood_trace) - 1
         assert report.bic < report.log_likelihood
 

@@ -2,13 +2,16 @@
 factor, fits in u and keeps the map, so a fit does not depend on where the
 clock starts or how fast it runs. Values are not mapped; the variance floor
 is relative to var(x), so the piecewise fits do not depend on their offset
-or scale either."""
+or scale either, across the whole value range a Signal accepts."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rhlpseg.core import Signal, TimeMap, to_fit_time
+from rhlpseg.core import RELATIVE_VARIANCE_FLOOR, Signal, TimeMap, to_fit_time
+from rhlpseg.errors import DataError
 from rhlpseg.piecewise import fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit
 from rhlpseg.simulate import SITUATION_1, SITUATION_2, simulate_piecewise
@@ -88,6 +91,73 @@ def test_binding_variance_floor_scales_with_the_values():
     shift = 2 * 60 * np.log(1 / 16)
     expected = want.criterion_j + shift
     assert abs(got.criterion_j - expected) <= 1e-9 * (abs(want.criterion_j) + abs(shift))
+
+
+def accepted_exponents(x):
+    """The smallest and the largest e for which Signal accepts x * 2^e: the
+    floor RELATIVE_VARIANCE_FLOOR * var(x * 2^e) is a normal double, and
+    n * ptp(x * 2^e)^2 is at most RELATIVE_VARIANCE_FLOOR times the largest
+    double."""
+    fl = np.finfo(float)
+    bottom = math.log2(fl.smallest_normal / (RELATIVE_VARIANCE_FLOOR * np.var(x)))
+    top = math.log2(fl.max * RELATIVE_VARIANCE_FLOOR / (len(x) * np.ptp(x) ** 2))
+    return math.ceil(bottom / 2), math.floor(top / 2)
+
+
+@given(
+    scenario=st.sampled_from([SITUATION_1, SITUATION_2]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(60, 100),
+    where=st.floats(0.0, 1.0),
+)
+# both ends of the range, on the CLI's epoch signal and on the signal whose
+# iterative fit failed at x * 2^503 before the range was checked
+@example(scenario=SITUATION_1, seed=3, n=500, where=0.0)
+@example(scenario=SITUATION_1, seed=3, n=500, where=1.0)
+@example(scenario=SITUATION_2, seed=0, n=60, where=0.0)
+@example(scenario=SITUATION_2, seed=0, n=60, where=1.0)
+@settings(max_examples=20, deadline=None)
+def test_fits_span_the_accepted_value_range(scenario, seed, n, where):
+    # scaling by a power of two is exact, so the DP fit moves by exactly
+    # 2 n log c in J and not at all in gamma
+    x = simulate_piecewise(scenario, n, seed)[0].x
+    t = np.linspace(0.0, 5.0, n)
+    lo, hi = accepted_exponents(x)
+    for outside in (lo - 1, hi + 1):
+        with pytest.raises(DataError, match="values out of range"):
+            Signal(t, np.ldexp(x, outside))
+    e = lo + round(where * (hi - lo))
+    moved = Signal(t, np.ldexp(x, e))
+    want, got = fisher_dp(Signal(t, x), 3, 2), fisher_dp(moved, 3, 2)
+    np.testing.assert_array_equal(got.partition.gamma, want.partition.gamma)
+    shift = 2 * n * e * np.log(2.0)
+    expected = want.criterion_j + shift
+    assert abs(got.criterion_j - expected) <= 1e-9 * (abs(want.criterion_j) + abs(shift))
+    assert np.isfinite(multi_start_iterative(moved, 3, 2, seed=0).criterion_j)
+    assert np.isfinite(em_fit(moved, 3, 2, 1, seed=0).log_likelihood)
+
+
+@pytest.mark.parametrize("scenario, n, seed, scale", [
+    (SITUATION_1, 500, 3, 2.0**-904),  # var(x) underflows to 0
+    (SITUATION_1, 500, 3, 1e-160),  # var(x) is subnormal
+    (SITUATION_1, 500, 3, 2.0**498),  # em_fit's least squares fails
+    (SITUATION_2, 60, 0, 2.0**503),  # the iterative fit's costs overflow
+], ids=["2^-904", "1e-160", "2^498", "2^503"])
+def test_values_out_of_range_raise_data_error(scenario, n, seed, scale):
+    x = simulate_piecewise(scenario, n, seed)[0].x
+    with pytest.raises(DataError, match="values out of range"):
+        Signal(np.arange(float(n)), x * scale)
+
+
+@pytest.mark.parametrize("value", [0.0, -3.0, 0.1, 1e-300, 1e150])
+def test_constant_values_fit(value):
+    # np.var of 60 copies of 0.1 or 1e150 is not 0 but roundoff (1.7e-33 and
+    # 3.3e268), which must not set the floor of a constant signal
+    sig = Signal(np.linspace(0.0, 5.0, 60), np.full(60, value))
+    assert sig.variance_floor == RELATIVE_VARIANCE_FLOOR
+    for fit in (em_fit(sig, 3, 2, 1, seed=0), fisher_dp(sig, 3, 2),
+                multi_start_iterative(sig, 3, 2, seed=0)):
+        assert np.isfinite(fit.log_likelihood)
 
 
 class TestEpochSignal:
