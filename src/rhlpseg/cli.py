@@ -62,18 +62,29 @@ def _check_model(ks, ps, q: int) -> None:
         raise DataError(f"--p and --q must be at least 0, got {list(ps)} and {q}")
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer of at least minimum, else an argument
+    error (exit 1, one line)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def _add_em_flags(sp) -> None:
     """EM settings shared by fit-rhlp and select-model."""
     sp.add_argument("--q", type=int, default=1, help="logistic degree (default 1)")
     sp.add_argument("--epsilon", type=float, default=1e-6,
                     help="EM log-likelihood increment threshold")
-    sp.add_argument("--max-iter", type=int, default=1000)
+    sp.add_argument("--max-iter", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
 
 
-def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **defaults):
-    """A fit subcommand: model is the report's model tag, fitter maps
-    (signal, args) to a fit; defaults fill the args a fitter has no flag for."""
+def _add_fit_parser(sub, command: str, help_text: str, fitter, **defaults):
+    """A fit subcommand: fitter maps (signal, args) to a fit, which names its
+    own model and seed; defaults fill the args a fitter has no flag for."""
     sp = sub.add_parser(command, help=help_text)
     sp.add_argument("--input", required=True, help="signal CSV with header t,x")
     sp.add_argument("--output", required=True, help="fit report JSON path")
@@ -81,7 +92,7 @@ def _add_fit_parser(sub, command: str, help_text: str, model: str, fitter, **def
     sp.add_argument("--p", type=int, default=2, help="polynomial degree (default 2)")
     sp.add_argument("--series-output", default=None,
                     help="optional CSV of t,x,denoised,label")
-    sp.set_defaults(func=_cmd_fit, model=model, fitter=fitter, **defaults)
+    sp.set_defaults(func=_cmd_fit, fitter=fitter, **defaults)
     return sp
 
 
@@ -113,7 +124,7 @@ def _cmd_fit(args) -> None:
     start = time.perf_counter()
     fit = args.fitter(signal, args)
     elapsed = time.perf_counter() - start
-    doc = report_document(fit, args.model, args.seed, elapsed)
+    doc = report_document(fit, elapsed)
     save_fit_report(doc, args.output)
     if args.series_output:
         write_csv(args.series_output, ["t", "x", "denoised", "label"],
@@ -237,20 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = _add_fit_parser(sub, "fit-rhlp", "EM fit of the hidden-logistic-process model",
-                         "rhlp", _fit_rhlp)
+                         _fit_rhlp)
     _add_em_flags(sp)
-    sp.add_argument("--restarts", type=int, default=0,
+    sp.add_argument("--restarts", type=_at_least(0), default=0,
                     help="extra randomized-initialization EM runs")
 
     _add_fit_parser(sub, "fit-dp", "globally optimal piecewise fit (dynamic programming)",
-                    "piecewise_dp", _fit_dp, q=0, seed=None)
+                    _fit_dp, q=0)
 
     sp = _add_fit_parser(sub, "fit-dp-iter", "iterative piecewise fit with multi-start",
-                         "piecewise_iterative", _fit_dp_iter, q=0)
+                         _fit_dp_iter, q=0)
     sp.add_argument("--epsilon", type=float, default=1e-6,
                     help="criterion-J decrease threshold")
-    sp.add_argument("--max-iter", type=int, default=100)
-    sp.add_argument("--restarts", type=int, default=10,
+    sp.add_argument("--max-iter", type=_at_least(1), default=100)
+    sp.add_argument("--restarts", type=_at_least(0), default=10,
                     help="random initial partitions besides the uniform one")
     sp.add_argument("--seed", type=int, required=True)
 
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_list, default=list(DESK_N_GRID))
     sp.add_argument("--full-grid", action="store_true",
                     help="use the full n grid 100,200,...,1000")
-    sp.add_argument("--replicates", type=int, default=20)
+    sp.add_argument("--replicates", type=_at_least(1), default=20)
     sp.add_argument("--methods", type=_str_list, default=list(METHODS))
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--no-timing", action="store_true",

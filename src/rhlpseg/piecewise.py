@@ -5,11 +5,12 @@ J = sum_k sum_{i in segment k} [log sigma_k^2 + (x_i - beta_k^T r_i)^2 / sigma_k
 by dynamic programming, plus a faster iterative variant that alternates
 per-segment regression with a fixed-parameter re-segmentation. Each fitter
 maps the signal's times once to fit time u = time_map(t), time_map =
-TimeMap.of(signal.t), fits in u and keeps the map on its PiecewiseFit.
+TimeMap.of(signal.t), fits in u and keeps the map on its PiecewiseFit, which
+also names the fitter that made it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,13 +86,16 @@ def piecewise_mean(partition: Partition, components, t) -> np.ndarray:
 @dataclass(frozen=True)
 class PiecewiseFit:
     """Result of a piecewise regression fit; the components are polynomials
-    in fit time u = time_map(t)."""
+    in fit time u = time_map(t). model is the fitter's tag, "piecewise_dp"
+    or "piecewise_iterative"; seed is multi_start_iterative's."""
 
     partition: Partition
     components: tuple[GaussianComponent, ...]
     criterion_j: float
     time_map: TimeMap
+    model: str
     j_trace: tuple[float, ...] | None = None
+    seed: int | None = None
 
     @property
     def K(self) -> int:
@@ -265,7 +269,7 @@ def fisher_dp(
     C, H = _dp_tables(cost, K, min_segment_length)
     partition = _backtrack(H, K, n)
     components, _ = _refit(signal, partition, p)
-    return PiecewiseFit(partition, components, float(C[K, n]), time_map)
+    return PiecewiseFit(partition, components, float(C[K, n]), time_map, "piecewise_dp")
 
 
 def _fixed_param_segmentation(
@@ -341,7 +345,7 @@ def iterative_fisher(
         trace.append(j)
         if converged:
             break
-    return PiecewiseFit(partition, components, j, time_map, tuple(trace))
+    return PiecewiseFit(partition, components, j, time_map, "piecewise_iterative", tuple(trace))
 
 
 def uniform_partition(n: int, K: int, min_len: int = 1) -> Partition:
@@ -379,8 +383,9 @@ def multi_start_iterative(
     min_segment_length: int | None = None,
 ) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts
-    partitions from random_partition; returns the fit with smallest J. Deterministic given
-    the seed. Every start maps the times to the same fit time."""
+    partitions from random_partition; returns the fit with smallest J, which
+    keeps the seed. Deterministic given the seed. Every start maps the times
+    to the same fit time."""
     min_segment_length = _check_request(signal.n, K, min_segment_length, p)
     rng = np.random.default_rng(seed)
     starts = [uniform_partition(signal.n, K, min_segment_length)]
@@ -390,4 +395,4 @@ def multi_start_iterative(
         iterative_fisher(signal, K, p, init, max_iter, tol, min_segment_length)
         for init in starts
     ]
-    return min(fits, key=lambda f: f.criterion_j)
+    return replace(min(fits, key=lambda f: f.criterion_j), seed=seed)

@@ -14,9 +14,14 @@ Report schema, version 2 (absent fields are null):
   "labels": [...], "denoised": [...] | null,
   "runtime_seconds": float | null, "converged": bool | null, "seed": int | null
 }
-Numbers are serialized with full round-trip precision. Version 1 had no
-time map, so it cannot say whether its times were rescaled; loading it
-raises SchemaError.
+model and seed come from the fit: each fitter stamps its own tag, and
+em_fit and multi_start_iterative their seed (null for fisher_dp and
+iterative_fisher). Numbers are serialized with full round-trip precision.
+Besides types and shapes, load_fit_report checks that labels are integers
+in 1..K, that a piecewise report's labels are its gamma's segment numbers,
+and that denoised holds one finite number per label for rhlp and is null
+for the piecewise models. Version 1 had no time map, so it cannot say
+whether its times were rescaled; loading it raises SchemaError.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .core import Signal
 from .errors import ParseError, SchemaError
-from .piecewise import PiecewiseFit
+from .piecewise import Partition, PiecewiseFit
 from .rhlp import FitReport
 
 MODEL_TAGS = ("rhlp", "piecewise_dp", "piecewise_iterative")
@@ -119,55 +124,50 @@ def _listify(arr):
     return np.asarray(arr).tolist()
 
 
-def report_document(fit, model: str | None = None, seed=None,
-                    runtime_seconds=None) -> ReportDocument:
-    """Build a ReportDocument from a FitReport or PiecewiseFit. The fitters
-    keep no runtime: runtime_seconds is whatever the caller timed, or None."""
+def report_document(fit, runtime_seconds=None) -> ReportDocument:
+    """Build a ReportDocument from a FitReport or PiecewiseFit; its model tag
+    and seed are the fit's own. The fitters keep no runtime: runtime_seconds
+    is whatever the caller timed, or None."""
     if isinstance(fit, FitReport):
         p = fit.params
-        return ReportDocument(
-            schema_version=SCHEMA_VERSION, model="rhlp", K=p.K, p=p.p, q=p.q,
-            t0=float(fit.time_map.t0), time_factor=float(fit.time_map.factor),
+        fields = dict(
+            K=p.K, p=p.p, q=p.q,
             w=_listify(p.logistic.w),
             beta=_listify(p.betas),
             sigma2=_listify(p.sigma2s),
             gamma=None,
-            log_likelihood=float(fit.log_likelihood),
             bic=float(fit.bic),
             criterion_j=None,
             labels=_listify(fit.labels),
             denoised=_listify(fit.denoised),
-            runtime_seconds=runtime_seconds,
             converged=bool(fit.converged),
-            seed=fit.seed if seed is None else seed,
         )
-    if isinstance(fit, PiecewiseFit):
-        if model not in ("piecewise_dp", "piecewise_iterative"):
-            raise SchemaError(f"piecewise fits need an explicit model tag, got {model!r}")
-        return ReportDocument(
-            schema_version=SCHEMA_VERSION, model=model, K=fit.K,
-            p=len(fit.components[0].beta) - 1, q=None,
-            t0=float(fit.time_map.t0), time_factor=float(fit.time_map.factor),
+    elif isinstance(fit, PiecewiseFit):
+        fields = dict(
+            K=fit.K, p=len(fit.components[0].beta) - 1, q=None,
             w=None,
             beta=_listify([c.beta for c in fit.components]),
             sigma2=[float(c.sigma2) for c in fit.components],
             gamma=_listify(fit.partition.gamma),
-            log_likelihood=float(fit.log_likelihood),
             bic=None,
             criterion_j=float(fit.criterion_j),
             labels=_listify(fit.labels()),
             denoised=None,
-            runtime_seconds=runtime_seconds,
             converged=None,
-            seed=seed,
         )
-    raise SchemaError(f"cannot serialize object of type {type(fit).__name__}")
+    else:
+        raise SchemaError(f"cannot serialize object of type {type(fit).__name__}")
+    return ReportDocument(
+        schema_version=SCHEMA_VERSION, model=fit.model,
+        t0=float(fit.time_map.t0), time_factor=float(fit.time_map.factor),
+        log_likelihood=float(fit.log_likelihood),
+        runtime_seconds=runtime_seconds, seed=fit.seed, **fields,
+    )
 
 
-def save_fit_report(fit, path, model: str | None = None, seed=None,
-                    runtime_seconds=None) -> None:
-    doc = (fit if isinstance(fit, ReportDocument)
-           else report_document(fit, model, seed, runtime_seconds))
+def save_fit_report(fit, path, runtime_seconds=None) -> None:
+    """Write a fit, or a ReportDocument built from one, as report JSON."""
+    doc = fit if isinstance(fit, ReportDocument) else report_document(fit, runtime_seconds)
     with open(path, "w") as fh:
         json.dump(asdict(doc), fh, indent=1)
         fh.write("\n")
@@ -223,9 +223,25 @@ def load_fit_report(path) -> ReportDocument:
         and all(_is_number(v) and v > 0 for v in sigma2),
         f"sigma2 must be a list of {K} positive numbers",
     )
+    _require(all(_is_int(v) and 1 <= v <= K for v in labels),
+             f"labels must be integers in 1..{K}")
+    _require(_is_number(raw["log_likelihood"]), "log_likelihood must be a number")
+    for name, valid, kind in (
+        ("bic", _is_number, "a number"), ("criterion_j", _is_number, "a number"),
+        ("runtime_seconds", _is_number, "a number"), ("seed", _is_int, "an integer"),
+        ("converged", lambda v: isinstance(v, bool), "a boolean"),
+    ):
+        _require(raw[name] is None or valid(raw[name]),
+                 f"{name} must be {kind} or null, got {raw[name]!r}")
+    denoised = raw["denoised"]
     if raw["model"] == "rhlp":
         _require(_is_int(q) and q >= 0, "rhlp reports require an integer q >= 0")
         _require(_is_rows(raw["w"], K, q + 1), f"w must be {K} rows of length {q + 1}")
+        _require(
+            isinstance(denoised, list) and len(denoised) == len(labels)
+            and all(_is_number(v) and np.isfinite(v) for v in denoised),
+            f"denoised must be a list of {len(labels)} finite numbers",
+        )
     else:
         gamma = raw["gamma"]
         _require(
@@ -235,4 +251,7 @@ def load_fit_report(path) -> ReportDocument:
             f"gamma must be {K + 1} integers increasing strictly from 0 to "
             f"{len(labels)}, got {gamma}",
         )
+        _require(labels == Partition(gamma).labels().tolist(),
+                 "labels must be the segment numbers of gamma")
+        _require(denoised is None, "piecewise reports have denoised null")
     return ReportDocument(**raw)

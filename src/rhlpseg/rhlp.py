@@ -10,6 +10,7 @@ BIC-driven model-selection sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,8 +99,11 @@ class RhlpParams:
 @dataclass(frozen=True)
 class FitReport:
     """Everything produced by one EM fit. params are in fit time u =
-    time_map(t); labels and denoised are at the signal's samples."""
+    time_map(t); labels and denoised are at the signal's samples. Every
+    FitReport is an RHLP fit, so its model tag is a class constant; seed is
+    em_fit's."""
 
+    model: ClassVar[str] = "rhlp"
     params: RhlpParams
     log_likelihood_trace: tuple[float, ...]
     bic: float
@@ -536,8 +540,12 @@ def select_model(
     """Fit every (K, p) combination at fixed q and pick the maximum-BIC fit.
     Numerical fit failures (package errors and LinAlgError) become table
     entries instead of aborting the sweep; any other exception propagates.
-    NumericalError when every candidate fails. Ties break toward smaller
-    (K, then p)."""
+    NumericalError when every candidate fails, and ValueError before any
+    fit when K_range or p_range is empty. Ties break toward smaller (K, then
+    p)."""
+    K_range, p_range = list(K_range), list(p_range)
+    if not K_range or not p_range:
+        raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")
     table: list[SelectionEntry] = []
     best: FitReport | None = None
     best_key = None

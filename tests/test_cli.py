@@ -9,7 +9,13 @@ import pytest
 from rhlpseg.cli import main
 from rhlpseg.core import Signal, TimeMap
 from rhlpseg.errors import SchemaError
-from rhlpseg.piecewise import fisher_dp, multi_start_iterative, piecewise_mean
+from rhlpseg.piecewise import (
+    fisher_dp,
+    iterative_fisher,
+    multi_start_iterative,
+    piecewise_mean,
+    uniform_partition,
+)
 from rhlpseg.reports import (
     load_fit_report,
     load_signal_csv,
@@ -328,7 +334,7 @@ def assert_one_error_line(capsys, kind):
     assert err.startswith(f"error:{kind}:") and err.count("\n") == 1, err
 
 
-# (argv, report model tag, report seed, the same fit through the library)
+# (argv, the model tag and seed the fit stamps, the same fit through the library)
 FITS = {
     "fit-rhlp": (["fit-rhlp", "--k", "3", "--p", "2", "--q", "1", "--seed", "0"],
                  "rhlp", 0, lambda sig: em_fit(sig, 3, 2, 1, seed=0)),
@@ -348,8 +354,10 @@ def test_fit_command_matches_library(tmp_path, signal_csv, command):
                  "--series-output", str(series_path)]) == 0
     sig, _ = load_signal_csv(signal_csv)
     fit = library_fit(sig)
-    expected = asdict(report_document(fit, model, seed))
-    got = asdict(load_fit_report(report_path))
+    expected = asdict(report_document(fit))
+    doc = load_fit_report(report_path)
+    assert (doc.model, doc.seed) == (model, seed)
+    got = asdict(doc)
     assert got.pop("runtime_seconds") > 0
     expected.pop("runtime_seconds")
     assert got == expected
@@ -430,11 +438,34 @@ def test_report_keeps_the_time_map_bit_for_bit(tmp_path, command):
     epoch, _ = epoch_and_paper_csvs(tmp_path, offset=1e3, n=200)
     fit = library_fit(load_signal_csv(epoch)[0])
     path = tmp_path / "fit.json"
-    save_fit_report(fit, path, model=model, seed=seed)
+    save_fit_report(fit, path)
     doc = load_fit_report(path)
-    assert doc.schema_version == 2
+    assert (doc.schema_version, doc.model, doc.seed) == (2, model, seed)
     assert TimeMap(doc.t0, doc.time_factor) == fit.time_map
     assert fit.time_map.t0 == 1.7e9
+
+
+@pytest.mark.parametrize("fitter, model, seed", [
+    (lambda sig: em_fit(sig, 3, 2, 1, seed=5), "rhlp", 5),
+    (lambda sig: em_fit(sig, 3, 2, 1), "rhlp", None),
+    (lambda sig: fisher_dp(sig, 3, 2), "piecewise_dp", None),
+    (lambda sig: iterative_fisher(sig, 3, 2, uniform_partition(sig.n, 3, 4)),
+     "piecewise_iterative", None),
+    (lambda sig: multi_start_iterative(sig, 3, 2, n_random_starts=2, seed=4),
+     "piecewise_iterative", 4),
+    (lambda sig: multi_start_iterative(sig, 3, 2, n_random_starts=2),
+     "piecewise_iterative", None),
+], ids=["em-seed5", "em-unseeded", "dp", "iterative", "multi-start-seed4",
+        "multi-start-unseeded"])
+def test_library_fit_saves_its_own_model_and_seed(tmp_path, fitter, model, seed):
+    sig, _ = simulate_piecewise(SITUATION_1, 150, seed=1)
+    fit = fitter(sig)
+    assert (fit.model, fit.seed) == (model, seed)
+    path = tmp_path / "fit.json"
+    save_fit_report(fit, path)
+    doc = load_fit_report(path)
+    assert (doc.model, doc.seed) == (model, seed)
+    assert asdict(doc) == asdict(report_document(fit))
 
 
 def test_report_without_schema_version_exits_one(tmp_path, signal_csv, capsys):
@@ -479,7 +510,14 @@ def test_plot_data_on_epoch_times_is_the_paper_grid_fit(tmp_path, command):
     ["fit-dp", "--k", "3", "--p", "-1"],
     ["fit-dp-iter", "--k", "0", "--seed", "0"],
     ["select-model", "--k", "0,2", "--p", "1"],
-], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0"])
+    ["fit-rhlp", "--k", "2", "--seed", "0", "--restarts", "-2"],
+    ["fit-dp-iter", "--k", "2", "--seed", "0", "--restarts", "-2"],
+    ["fit-rhlp", "--k", "2", "--seed", "0", "--max-iter", "-5"],
+    ["fit-dp-iter", "--k", "2", "--seed", "0", "--max-iter", "-5"],
+    ["select-model", "--k", "2", "--p", "1", "--max-iter", "-5"],
+], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0",
+        "rhlp-restarts-2", "dp-iter-restarts-2", "rhlp-max-iter-5", "dp-iter-max-iter-5",
+        "select-max-iter-5"])
 def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     out = tmp_path / "out"
     rc = main([*argv, "--input", str(signal_csv), "--output", str(out)])
@@ -556,29 +594,53 @@ def test_simulate_invalid_n_exits_one(tmp_path, capsys, argv):
     assert_one_error_line(capsys, "DataError")
 
 
-def test_benchmark_invalid_n_exits_one(tmp_path, capsys):
-    rc = main(["benchmark", "--n", "1", "--replicates", "1", "--seed", "0",
-               "--output", str(tmp_path / "o.csv")])
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--replicates", "1"],
+    ["--n", "100", "--replicates", "0"],
+], ids=["n1", "replicates0"])
+def test_benchmark_invalid_n_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    rc = main(["benchmark", *argv, "--seed", "0", "--output", str(out)])
     assert rc == 1
     assert_one_error_line(capsys, "DataError")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("sigma2", 4.0),
-    ("sigma2", [1.0, "a", 1.0]),
-    ("sigma2", [1.0, 0.0, 1.0]),
-    ("gamma", [0, 120, 120, 200]),
-    ("gamma", [0, 150, 120, 200]),
-    ("gamma", [1, 50, 120, 200]),
-    ("schema_version", 1),
-    ("t0", None),
-    ("time_factor", 0.0),
+@pytest.mark.parametrize("command, field, value", [
+    ("fit-dp", "sigma2", 4.0),
+    ("fit-dp", "sigma2", [1.0, "a", 1.0]),
+    ("fit-dp", "sigma2", [1.0, 0.0, 1.0]),
+    ("fit-dp", "gamma", [0, 120, 120, 200]),
+    ("fit-dp", "gamma", [0, 150, 120, 200]),
+    ("fit-dp", "gamma", [1, 50, 120, 200]),
+    ("fit-dp", "schema_version", 1),
+    ("fit-dp", "t0", None),
+    ("fit-dp", "time_factor", 0.0),
+    ("fit-dp", "labels", [9] * 200),
+    ("fit-dp", "labels", ["1"] * 200),
+    ("fit-dp", "labels", [1] * 200),
+    ("fit-dp", "denoised", [0.0] * 200),
+    ("fit-dp", "log_likelihood", "ll"),
+    ("fit-dp", "seed", "s"),
+    ("fit-dp", "converged", 3),
+    ("fit-rhlp", "labels", [9] * 200),
+    ("fit-rhlp", "labels", ["1"] * 200),
+    ("fit-rhlp", "denoised", "xyz"),
+    ("fit-rhlp", "denoised", [0.0]),
+    ("fit-rhlp", "denoised", None),
+    ("fit-rhlp", "log_likelihood", None),
+    ("fit-rhlp", "bic", "b"),
+    ("fit-rhlp", "converged", 1),
 ], ids=["sigma2-number", "sigma2-string", "sigma2-zero", "gamma-repeat", "gamma-decrease",
-        "gamma-start", "schema-v1", "t0-null", "time-factor-zero"])
-def test_malformed_report_exits_one(tmp_path, signal_csv, capsys, field, value):
+        "gamma-start", "schema-v1", "t0-null", "time-factor-zero", "labels-9",
+        "labels-string", "labels-not-gamma", "denoised-list", "log-likelihood-string",
+        "seed-string", "converged-3", "rhlp-labels-9", "rhlp-labels-string",
+        "rhlp-denoised-string", "rhlp-denoised-short", "rhlp-denoised-null",
+        "rhlp-log-likelihood-null", "rhlp-bic-string", "rhlp-converged-1"])
+def test_malformed_report_exits_one(tmp_path, signal_csv, capsys, command, field, value):
     report_path = tmp_path / "fit.json"
-    assert main(["fit-dp", "--input", str(signal_csv), "--output", str(report_path),
-                 "--k", "3", "--p", "2"]) == 0
+    assert main([*FITS[command][0], "--input", str(signal_csv),
+                 "--output", str(report_path)]) == 0
     raw = json.loads(report_path.read_text())
     raw[field] = value
     report_path.write_text(json.dumps(raw))

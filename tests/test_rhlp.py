@@ -621,6 +621,17 @@ class TestSelectModel:
         with pytest.raises(NumericalError, match="every candidate fit failed"):
             select_model(sig, K_range=[1, 2], p_range=[3], q=1, seed=0)
 
+    @pytest.mark.parametrize("K_range, p_range", [([], [2]), ([1, 2], []), (range(0), [2])],
+                             ids=["no-K", "no-p", "empty-range"])
+    def test_empty_range_raises_before_any_fit(self, monkeypatch, K_range, p_range):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("em_fit called")
+
+        monkeypatch.setattr(rhlp, "em_fit", no_fit)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(ValueError, match="empty model range"):
+            select_model(sig, K_range, p_range, 1)
+
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not a fit failure")
