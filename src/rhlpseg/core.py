@@ -136,28 +136,35 @@ def design_matrix(t, p: int) -> np.ndarray:
 
 
 def weighted_least_squares(T: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """argmin_beta sum_i w_i (x_i - beta^T r_i)^2.
+    """argmin_beta sum_i w_i (x_i - beta^T r_i)^2 for the n x (p+1) design T.
 
-    Solved through an orthogonal decomposition of the sqrt(w)-scaled design
-    (stable for ill-conditioned polynomial bases), not raw normal equations.
+    w is one weight vector of length n, giving beta of length p+1, or a
+    (K, n) stack of them, giving K fits as a (K, p+1) array. All fits come
+    from one batched Householder QR of the sqrt(w)-scaled designs with the
+    scaled x appended as a last column (stable for ill-conditioned polynomial
+    bases, unlike raw normal equations): the triangle's last column is Q^T x.
 
-    Raises RankDeficientError when the weighted design has effective rank
-    below the number of coefficients.
+    Raises RankDeficientError when a weighted design has effective rank
+    below the number of coefficients: rank counts the singular values of R
+    above lstsq's default cutoff, eps * max(n, p+1) times the largest.
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    if w.sum() <= 0:
+    if np.any(w.sum(axis=-1) <= 0):
         raise ValueError("weights must have positive sum")
-    sw = np.sqrt(w)
-    beta, _, rank, _ = np.linalg.lstsq(T * sw[:, None], x * sw, rcond=None)
-    if rank < T.shape[1]:
-        raise RankDeficientError(
-            f"weighted design has rank {rank} < {T.shape[1]} coefficients"
-        )
-    return beta
+    n, d = T.shape
+    # scaled as (..., d+1, n) rows and handed over transposed: the
+    # column-major layout LAPACK factors
+    scaled = np.vstack([T.T, x]) * np.sqrt(w)[..., None, :]
+    R = np.linalg.qr(np.swapaxes(scaled, -1, -2), mode="r")
+    s = np.linalg.svd(R[..., :d, :d], compute_uv=False)
+    rank = int(np.min(np.sum(s > _FLOAT.eps * max(n, d) * s[..., :1], axis=-1)))
+    if rank < d:
+        raise RankDeficientError(f"weighted design has rank {rank} < {d} coefficients")
+    return np.linalg.solve(R[..., :d, :d], R[..., :d, d:])[..., 0]
 
 
 def gaussian_log_density(x, mean, sigma2):

@@ -385,8 +385,14 @@ def multi_start_iterative(
     """iterative_fisher from a uniform partition plus n_random_starts
     partitions from random_partition; returns the fit with smallest J, which
     keeps the seed. Deterministic given the seed. Every start maps the times
-    to the same fit time."""
+    to the same fit time. ValueError unless n_random_starts >= 0 and
+    max_iter >= 1."""
     min_segment_length = _check_request(signal.n, K, min_segment_length, p)
+    if n_random_starts < 0 or max_iter < 1:
+        raise ValueError(
+            f"require n_random_starts >= 0 and max_iter >= 1, got "
+            f"n_random_starts={n_random_starts}, max_iter={max_iter}"
+        )
     rng = np.random.default_rng(seed)
     starts = [uniform_partition(signal.n, K, min_segment_length)]
     for _ in range(n_random_starts):

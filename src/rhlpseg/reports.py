@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -126,8 +127,9 @@ def _listify(arr):
 
 def report_document(fit, runtime_seconds=None) -> ReportDocument:
     """Build a ReportDocument from a FitReport or PiecewiseFit; its model tag
-    and seed are the fit's own. The fitters keep no runtime: runtime_seconds
-    is whatever the caller timed, or None."""
+    and seed are the fit's own, the seed as a Python int (a numpy integer
+    seed is stored as its value). The fitters keep no runtime:
+    runtime_seconds is whatever the caller timed, or None."""
     if isinstance(fit, FitReport):
         p = fit.params
         fields = dict(
@@ -161,16 +163,19 @@ def report_document(fit, runtime_seconds=None) -> ReportDocument:
         schema_version=SCHEMA_VERSION, model=fit.model,
         t0=float(fit.time_map.t0), time_factor=float(fit.time_map.factor),
         log_likelihood=float(fit.log_likelihood),
-        runtime_seconds=runtime_seconds, seed=fit.seed, **fields,
+        runtime_seconds=runtime_seconds,
+        seed=None if fit.seed is None else operator.index(fit.seed), **fields,
     )
 
 
 def save_fit_report(fit, path, runtime_seconds=None) -> None:
-    """Write a fit, or a ReportDocument built from one, as report JSON."""
+    """Write a fit, or a ReportDocument built from one, as report JSON. The
+    document is serialized before the file is opened, so one that JSON
+    cannot encode raises and leaves no file behind."""
     doc = fit if isinstance(fit, ReportDocument) else report_document(fit, runtime_seconds)
+    text = json.dumps(asdict(doc), indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(asdict(doc), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _require(cond: bool, msg: str) -> None:

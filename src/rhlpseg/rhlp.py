@@ -150,30 +150,57 @@ def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
     return np.exp(_log_proportions(logistic.w, design_matrix(t, logistic.q))).T
 
 
-def _log_joint(params: RhlpParams, signal: Signal) -> np.ndarray:
-    """log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)], a (K, n) array."""
-    means = params.betas @ design_matrix(signal.t, params.p).T
-    logdens = gaussian_log_density(signal.x, means, params.sigma2s[:, None])
-    return _log_proportions(params.logistic.w, design_matrix(signal.t, params.q)) + logdens
+def _log_joint(
+    params: RhlpParams, x: np.ndarray, T: np.ndarray, V: np.ndarray
+) -> np.ndarray:
+    """log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)], a (K, n) array, against
+    the design matrices T = design_matrix(t, p) and V = design_matrix(t, q)."""
+    logdens = gaussian_log_density(x, params.betas @ T.T, params.sigma2s[:, None])
+    return _log_proportions(params.logistic.w, V) + logdens
 
 
-def _posterior(params: RhlpParams, signal: Signal) -> tuple[np.ndarray, float]:
+def _posterior(
+    params: RhlpParams, x: np.ndarray, T: np.ndarray, V: np.ndarray
+) -> tuple[np.ndarray, float]:
     """(K, n) responsibilities tau_ki and the observed-data log-likelihood,
-    from one log-joint evaluation."""
-    lj = _log_joint(params, signal)
+    from one log-joint evaluation against T and V (see _log_joint)."""
+    lj = _log_joint(params, x, T, V)
     per_sample = _logsumexp_rows(lj)
     return np.exp(lj - per_sample), float(per_sample.sum())
 
 
 def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
     """Observed-data log-likelihood: per-sample log-sum-exp over components."""
-    return float(np.sum(_logsumexp_rows(_log_joint(params, signal))))
+    T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
+    return float(np.sum(_logsumexp_rows(_log_joint(params, signal.x, T, V))))
 
 
 def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
     """Posterior responsibilities tau_ik, an n x K matrix, normalized in log
     space."""
-    return _posterior(params, signal)[0].T
+    T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
+    return _posterior(params, signal.x, T, V)[0].T
+
+
+def _m_step_regression(
+    tau: np.ndarray, signal: Signal, T: np.ndarray, iteration: int
+) -> tuple[GaussianComponent, ...]:
+    """m_step_regression for (K, n) responsibilities tau against the design
+    matrix T = design_matrix(signal.t, p): all K weighted least squares in
+    one weighted_least_squares call, and the K residual variances from one
+    (K, n) residual array. Both are computed on the values shifted by x_0,
+    which T's constant column absorbs, so an offset in x costs no precision
+    and a constant x is fitted exactly."""
+    mass = tau.sum(axis=1)
+    starved = mass < _STARVATION_TOL
+    if np.any(starved):
+        raise EmptyComponentError(int(np.argmax(starved)) + 1, iteration)
+    y = signal.x - signal.x[0]
+    betas = weighted_least_squares(T, y, tau)
+    sse = np.sum(tau * (y - betas @ T.T) ** 2, axis=1)
+    betas[:, 0] += signal.x[0]
+    sigma2s = np.maximum(sse / mass, signal.variance_floor)
+    return tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
 
 
 def m_step_regression(
@@ -187,16 +214,8 @@ def m_step_regression(
     residual under the new beta_k (floored at signal.variance_floor). Each
     column of tau is read as a contiguous row of its (K, n) transpose, so the
     result does not depend on the memory layout of tau."""
-    T = design_matrix(signal.t, p)
-    comps = []
-    for k, wk in enumerate(np.ascontiguousarray(tau.T)):
-        mass = wk.sum()
-        if mass < _STARVATION_TOL:
-            raise EmptyComponentError(k + 1, iteration)
-        beta = weighted_least_squares(T, signal.x, wk)
-        sse = float(wk @ (signal.x - T @ beta) ** 2)
-        comps.append(GaussianComponent(beta, max(sse / mass, signal.variance_floor)))
-    return tuple(comps)
+    tau = np.ascontiguousarray(tau.T)
+    return _m_step_regression(tau, signal, design_matrix(signal.t, p), iteration)
 
 
 # --- IRLS (exact-Hessian Newton) for the logistic coefficients -------------
@@ -260,21 +279,15 @@ def irls_hessian(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _hessian_v(pi, _outer_rows(V))
 
 
-def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Maximize Q1 for n x K responsibilities tau by at most _IRLS_MAX_ITER
-    Newton steps with the exact Hessian, until a step raises Q1 by at most
-    _IRLS_TOL. A full step that decreases Q1 is halved (up to
-    _IRLS_MAX_HALVINGS times). An exactly singular Hessian ends the solve at
-    the current w: on separated responsibilities the maximum lies at |w| ->
-    infinity, where the proportions are already hard. Q1 never decreases
-    across accepted iterations."""
-    t = np.asarray(t, dtype=float)
+def _irls_solve(
+    w_init: np.ndarray, tau: np.ndarray, V: np.ndarray, VV: np.ndarray
+) -> np.ndarray:
+    """irls_solve for (K, n) responsibilities tau against the logistic design
+    matrix V = design_matrix(t, q) and its row outer products VV =
+    _outer_rows(V)."""
     K, q1 = w_init.shape
     if K == 1:
         return w_init.copy()
-    tau = np.ascontiguousarray(tau.T)  # (K, n), like the proportions
-    V = design_matrix(t, q1 - 1)
-    VV = _outer_rows(V)
     w = w_init.copy()
     logpi = _log_proportions(w, V)
     q_old = float(np.sum(tau * logpi))
@@ -305,6 +318,19 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
             return w_new
         w, q_old = w_new, q_new
     return w
+
+
+def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Maximize Q1 for n x K responsibilities tau by at most _IRLS_MAX_ITER
+    Newton steps with the exact Hessian, until a step raises Q1 by at most
+    _IRLS_TOL. A full step that decreases Q1 is halved (up to
+    _IRLS_MAX_HALVINGS times). An exactly singular Hessian ends the solve at
+    the current w: on separated responsibilities the maximum lies at |w| ->
+    infinity, where the proportions are already hard. Q1 never decreases
+    across accepted iterations."""
+    V = design_matrix(np.asarray(t, dtype=float), w_init.shape[1] - 1)
+    # tau is read as (K, n), like the proportions
+    return _irls_solve(w_init, np.ascontiguousarray(tau.T), V, _outer_rows(V))
 
 
 # --- EM driver --------------------------------------------------------------
@@ -379,16 +405,21 @@ def _em_once(
     init: RhlpParams,
     epsilon: float,
     max_iter: int,
+    designs: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[RhlpParams, list[float], bool]:
-    """One EM run from init with the SQUAREM step described in em_fit.
-    Numerical errors at an extrapolated point reject it; on plain EM steps
-    they propagate."""
+    """One EM run from init with the SQUAREM step described in em_fit, on the
+    fit's designs (T, V, VV) = (design_matrix(t, p), design_matrix(t, q),
+    _outer_rows(V)). Numerical errors at an extrapolated point reject it; on
+    plain EM steps they propagate."""
     K, p, q = init.K, init.p, init.q
+    T, V, VV = designs
+
+    def posterior(params):
+        return _posterior(params, signal.x, T, V)
 
     def m_step(params, tau, iteration):
-        # tau is (K, n); its transposed view is the public n x K layout
-        comps = m_step_regression(tau.T, signal, p, iteration=iteration)
-        w = irls_solve(params.logistic.w, tau.T, signal.t)
+        comps = _m_step_regression(tau, signal, T, iteration)
+        w = _irls_solve(params.logistic.w, tau, V, VV)
         return RhlpParams(LogisticProcess(w), comps)
 
     def speculate(theta, ll_floor, iteration):
@@ -396,7 +427,7 @@ def _em_once(
         if not np.all(np.isfinite(theta)):
             return None
         cand = _unpack(theta, K, p, q, signal.variance_floor)
-        tau, ll = _posterior(cand, signal)
+        tau, ll = posterior(cand)
         if not (np.isfinite(ll) and ll >= ll_floor):
             return None
         try:
@@ -404,7 +435,7 @@ def _em_once(
         except _SPECULATIVE_ERRORS:
             return None
 
-    tau, ll = _posterior(init, signal)
+    tau, ll = posterior(init)
     trace = [ll]
     # point is the last trace entry; nxt = F(point) is not evaluated yet
     point, nxt = init, m_step(init, tau, 0)
@@ -412,7 +443,7 @@ def _em_once(
     evals = 0
     converged = False
     while evals < max_iter:
-        tau, ll = _posterior(nxt, signal)
+        tau, ll = posterior(nxt)
         evals += 1
         trace.append(ll)
         prev, point = point, nxt
@@ -463,10 +494,21 @@ def em_fit(
     the fit continues from theta2, so log_likelihood_trace never decreases.
     max_iter bounds the log-likelihood evaluations after the initial one,
     rejected extrapolations included; em_iterations counts the accepted
-    steps, len(log_likelihood_trace) - 1."""
+    steps, len(log_likelihood_trace) - 1. ValueError unless n_restarts >= 0
+    and max_iter >= 1.
+
+    The design matrices of the fit-time signal are built once and shared by
+    every E step, M step and IRLS solve of every run."""
     if K < 1 or p < 0 or q < 0:
         raise ValueError("require K >= 1, p >= 0, q >= 0")
+    if n_restarts < 0 or max_iter < 1:
+        raise ValueError(
+            f"require n_restarts >= 0 and max_iter >= 1, got n_restarts={n_restarts}, "
+            f"max_iter={max_iter}"
+        )
     signal, time_map = to_fit_time(signal)
+    T, V = design_matrix(signal.t, p), design_matrix(signal.t, q)
+    designs = (T, V, _outer_rows(V))
     inits = [_uniform_segment_init(signal, K, p, q)]
     rng = np.random.default_rng(seed)
     for _ in range(n_restarts):
@@ -475,7 +517,7 @@ def em_fit(
         )
     best = None
     for init in inits:
-        result = _em_once(signal, init, epsilon, max_iter)
+        result = _em_once(signal, init, epsilon, max_iter, designs)
         if best is None or result[1][-1] > best[1][-1]:
             best = result
     params, trace, converged = best

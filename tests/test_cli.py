@@ -1,7 +1,7 @@
 import csv
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -162,6 +162,27 @@ class TestReportRoundTrip:
         np.testing.assert_array_equal(np.asarray(doc.w), report.params.logistic.w)
         assert doc.bic == report.bic
         assert doc.labels == list(report.labels)
+
+    @pytest.mark.parametrize("fitter", ["em_fit", "multi_start_iterative"])
+    def test_numpy_integer_seed_round_trips(self, tmp_path, fitter):
+        sig, _ = simulate_piecewise(SITUATION_1, 120, seed=4)
+        seed = np.int64(4)
+        if fitter == "em_fit":
+            fit = em_fit(sig, K=3, p=2, q=1, seed=seed)
+        else:
+            fit = multi_start_iterative(sig, 3, 2, n_random_starts=2, seed=seed)
+        path = tmp_path / "r.json"
+        save_fit_report(fit, path)
+        doc = load_fit_report(path)
+        assert type(doc.seed) is int and doc.seed == 4
+
+    def test_unencodable_document_leaves_no_file(self, tmp_path):
+        sig, _ = simulate_piecewise(SITUATION_1, 120, seed=3)
+        doc = report_document(em_fit(sig, K=2, p=1, q=1, seed=3))
+        path = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            save_fit_report(replace(doc, runtime_seconds=np.float32(0.5)), path)
+        assert not path.exists()
 
     def test_unknown_model_tag_rejected(self, tmp_path):
         sig, _ = simulate_piecewise(SITUATION_1, 120, seed=3)

@@ -462,6 +462,14 @@ class TestMultiStart:
         fits = [iterative_fisher(sig, 3, 1, init=init) for init in starts]
         assert best.criterion_j == min(f.criterion_j for f in fits)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_random_starts": -1}, {"max_iter": 0}, {"n_random_starts": -3, "max_iter": -1},
+    ], ids=["starts-1", "max-iter-0", "both"])
+    def test_counts_below_their_minimum_raise(self, kwargs):
+        sig = random_signal(np.random.default_rng(4), 30)
+        with pytest.raises(ValueError, match="n_random_starts >= 0 and max_iter >= 1"):
+            multi_start_iterative(sig, 2, 1, seed=0, **kwargs)
+
 
 def uniform_cut_draw(rng, n, K):
     """K - 1 distinct cuts drawn uniformly from 1..n-1, as a rejection

@@ -14,7 +14,10 @@ from rhlpseg.errors import NonFiniteValueError, NonMonotonicTimeError, RankDefic
 
 
 def normal_equations_wls(T, x, w):
-    """Independent oracle: solve (T^T W T) beta = T^T W x directly."""
+    """Independent oracle: solve (T^T W T) beta = T^T W x directly, row by
+    row for a (K, n) stack of weights."""
+    if w.ndim == 2:
+        return np.stack([normal_equations_wls(T, x, wk) for wk in w])
     W = np.diag(w)
     return np.linalg.solve(T.T @ W @ T, T.T @ W @ x)
 
@@ -73,11 +76,25 @@ class TestWeightedLeastSquares:
         rng = np.random.default_rng(7)
         t = np.sort(rng.uniform(0, 5, 10))
         x = rng.normal(size=10)
-        w = rng.uniform(0.1, 2.0, 10)
         T = design_matrix(t, 2)
-        beta = weighted_least_squares(T, x, w)
-        oracle = normal_equations_wls(T, x, w)
-        np.testing.assert_allclose(beta, oracle, rtol=1e-9)
+        for shape in [(10,), (3, 10)]:  # one weight vector, and a stack
+            w = rng.uniform(0.1, 2.0, shape)
+            beta = weighted_least_squares(T, x, w)
+            assert beta.shape == shape[:-1] + (3,)
+            np.testing.assert_allclose(beta, normal_equations_wls(T, x, w), rtol=1e-9)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_stack_equals_one_call_per_row(self, K, p):
+        rng = np.random.default_rng(10 * K + p)
+        t = np.sort(rng.uniform(0, 5, 40))
+        x = rng.normal(size=40)
+        w = rng.dirichlet(np.ones(K), size=40).T  # (K, n), like EM responsibilities
+        T = design_matrix(t, p)
+        stacked = weighted_least_squares(T, x, w)
+        rows = np.stack([weighted_least_squares(T, x, wk) for wk in w])
+        assert stacked.shape == (K, p + 1)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -107,14 +124,35 @@ class TestWeightedLeastSquares:
         np.testing.assert_allclose(b1, b2, rtol=1e-12, atol=1e-14)
 
     def test_rank_deficient_raises(self):
-        T = design_matrix([1.0, 1.0, 1.0], 1)  # constant column + degenerate times
-        with pytest.raises(RankDeficientError):
-            weighted_least_squares(T, np.array([1.0, 2.0, 3.0]), np.ones(3))
+        for t, p, rank in [
+            ([1.0, 1.0, 1.0], 1, 1),  # constant column + degenerate times
+            ([0.0, 1.0, 2.0], 3, 3),  # fewer samples than coefficients: R is not square
+        ]:
+            T = design_matrix(t, p)
+            with pytest.raises(RankDeficientError,
+                               match=f"weighted design has rank {rank} < {p + 1} coefficients"):
+                weighted_least_squares(T, np.array([1.0, 2.0, 3.0]), np.ones(3))
+
+    def test_one_rank_deficient_row_of_a_stack_raises(self):
+        t = np.linspace(0, 1, 6)
+        w = np.ones((3, 6))
+        w[1, 1:] = 0.0  # one sample cannot determine a line
+        with pytest.raises(RankDeficientError, match="rank 1 < 2"):
+            weighted_least_squares(design_matrix(t, 1), np.arange(6.0), w)
 
     def test_zero_weight_sum_rejected(self):
         T = design_matrix([0.0, 1.0], 0)
         with pytest.raises(ValueError):
             weighted_least_squares(T, np.array([1.0, 2.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("w", [
+        np.array([1.0, -0.5]), np.array([[1.0, 1.0], [0.0, 0.0]]),
+        np.array([[1.0, 1.0], [2.0, -1e-300]]),
+    ], ids=["negative", "zero-row", "negative-in-stack"])
+    def test_invalid_weights_rejected(self, w):
+        T = design_matrix([0.0, 1.0], 0)
+        with pytest.raises(ValueError, match="weights must"):
+            weighted_least_squares(T, np.array([1.0, 2.0]), w)
 
 
 class TestGaussianLogDensity:

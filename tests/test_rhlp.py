@@ -420,6 +420,24 @@ class TestComponentMajorLayout:
         for a, b in zip(by_rows, by_view):
             assert np.array_equal(a.beta, b.beta) and a.sigma2 == b.sigma2
 
+    @LAYOUT_CASES
+    def test_public_steps_equal_the_cores(self, K, q, scale):
+        # em_fit runs the cores on matrices built once per fit; the public
+        # steps build them per call and must give the same bits
+        w, betas, sigma2s, sig = self.instance(K, q, scale)
+        params = make_params(w, betas, sigma2s)
+        T, V = design_matrix(sig.t, 2), design_matrix(sig.t, q)
+        tau, ll = rhlp._posterior(params, sig.x, T, V)
+        assert np.array_equal(e_step(params, sig), tau.T)
+        assert mixture_log_likelihood(params, sig) == ll
+        # the posterior can starve a component here; the steps take any tau
+        tau = np.ascontiguousarray(np.random.default_rng(K).dirichlet(np.ones(K), sig.n).T)
+        comps = m_step_regression(tau.T, sig, p=2, iteration=3)
+        for a, b in zip(comps, rhlp._m_step_regression(tau, sig, T, 3)):
+            assert np.array_equal(a.beta, b.beta) and a.sigma2 == b.sigma2
+        core_w = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V))
+        assert np.array_equal(irls_solve(w, tau.T, sig.t), core_w)
+
 
 class TestEmFit:
     def test_k1_equals_ols(self):
@@ -484,6 +502,34 @@ class TestEmFit:
         assert not report.converged
         assert report.em_iterations <= 7
         assert report.em_iterations == len(report.log_likelihood_trace) - 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_restarts": -1}, {"max_iter": 0}, {"n_restarts": -2, "max_iter": -5},
+    ], ids=["restarts-1", "max-iter-0", "both"])
+    def test_counts_below_their_minimum_raise(self, kwargs):
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(ValueError, match="n_restarts >= 0 and max_iter >= 1"):
+            em_fit(sig, K=2, p=1, q=1, seed=0, **kwargs)
+
+    def test_design_matrices_are_built_once_per_fit(self, monkeypatch):
+        # two for the fit's designs, three for the final denoise and labels;
+        # none per EM step, run or restart
+        built = []
+
+        def counting(t, p):
+            built.append(p)
+            return design_matrix(t, p)
+
+        monkeypatch.setattr(rhlp, "design_matrix", counting)
+        sig, _ = simulate_piecewise(SITUATION_1, 200, seed=2)
+        iterations = set()
+        for max_iter, n_restarts in itertools.product([1, 4, 1000], [0, 2]):
+            built.clear()
+            report = em_fit(sig, K=3, p=2, q=1, max_iter=max_iter, n_restarts=n_restarts,
+                            seed=0)
+            iterations.add(report.em_iterations)
+            assert sorted(built) == [1, 1, 1, 2, 2], (max_iter, n_restarts)
+        assert max(iterations) > 4
 
     def test_labels_contiguous_with_q1(self):
         sig, _ = simulate_piecewise(SITUATION_1, 400, seed=3)
@@ -636,7 +682,7 @@ class TestSelectModel:
         def broken(*args, **kwargs):
             raise TypeError("not a fit failure")
 
-        monkeypatch.setattr(rhlp, "irls_solve", broken)
+        monkeypatch.setattr(rhlp, "_irls_solve", broken)
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
         with pytest.raises(TypeError):
             select_model(sig, K_range=[1, 2], p_range=[2], q=1, seed=0)
