@@ -10,6 +10,7 @@ BIC-driven model-selection sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -150,47 +151,48 @@ def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
     return np.exp(_log_proportions(logistic.w, design_matrix(t, logistic.q))).T
 
 
-def _log_joint(
-    params: RhlpParams, x: np.ndarray, T: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)], a (K, n) array, against
-    the design matrices T = design_matrix(t, p) and V = design_matrix(t, q)."""
-    logdens = gaussian_log_density(x, params.betas @ T.T, params.sigma2s[:, None])
-    return _log_proportions(params.logistic.w, V) + logdens
-
-
 def _posterior(
-    params: RhlpParams, x: np.ndarray, T: np.ndarray, V: np.ndarray
+    logpi: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray, x: np.ndarray,
+    T: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """(K, n) responsibilities tau_ki and the observed-data log-likelihood,
-    from one log-joint evaluation against T and V (see _log_joint)."""
-    lj = _log_joint(params, x, T, V)
+    from the log-joint log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)] of the
+    log-proportions logpi = _log_proportions(w, V), the (K, p+1) betas, the
+    K variances and the design matrix T = design_matrix(t, p)."""
+    logdens = gaussian_log_density(x, betas @ T.T, sigma2s[:, None])
+    lj = logpi + logdens
     per_sample = _logsumexp_rows(lj)
     return np.exp(lj - per_sample), float(per_sample.sum())
 
 
+def _params_posterior(params: RhlpParams, signal: Signal) -> tuple[np.ndarray, float]:
+    """_posterior of params at the samples of signal, designs built here."""
+    T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
+    logpi = _log_proportions(params.logistic.w, V)
+    return _posterior(logpi, params.betas, params.sigma2s, signal.x, T)
+
+
 def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
     """Observed-data log-likelihood: per-sample log-sum-exp over components."""
-    T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
-    return float(np.sum(_logsumexp_rows(_log_joint(params, signal.x, T, V))))
+    return _params_posterior(params, signal)[1]
 
 
 def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
     """Posterior responsibilities tau_ik, an n x K matrix, normalized in log
     space."""
-    T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
-    return _posterior(params, signal.x, T, V)[0].T
+    return _params_posterior(params, signal)[0].T
 
 
 def _m_step_regression(
     tau: np.ndarray, signal: Signal, T: np.ndarray, iteration: int
-) -> tuple[GaussianComponent, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """m_step_regression for (K, n) responsibilities tau against the design
-    matrix T = design_matrix(signal.t, p): all K weighted least squares in
-    one weighted_least_squares call, and the K residual variances from one
-    (K, n) residual array. Both are computed on the values shifted by x_0,
-    which T's constant column absorbs, so an offset in x costs no precision
-    and a constant x is fitted exactly."""
+    matrix T = design_matrix(signal.t, p), as a (K, p+1) betas array and K
+    variances: all K weighted least squares in one weighted_least_squares
+    call, and the K residual variances from one (K, n) residual array. Both
+    are computed on the values shifted by x_0, which T's constant column
+    absorbs, so an offset in x costs no precision and a constant x is fitted
+    exactly."""
     mass = tau.sum(axis=1)
     starved = mass < _STARVATION_TOL
     if np.any(starved):
@@ -199,8 +201,7 @@ def _m_step_regression(
     betas = weighted_least_squares(T, y, tau)
     sse = np.sum(tau * (y - betas @ T.T) ** 2, axis=1)
     betas[:, 0] += signal.x[0]
-    sigma2s = np.maximum(sse / mass, signal.variance_floor)
-    return tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
+    return betas, np.maximum(sse / mass, signal.variance_floor)
 
 
 def m_step_regression(
@@ -215,7 +216,8 @@ def m_step_regression(
     column of tau is read as a contiguous row of its (K, n) transpose, so the
     result does not depend on the memory layout of tau."""
     tau = np.ascontiguousarray(tau.T)
-    return _m_step_regression(tau, signal, design_matrix(signal.t, p), iteration)
+    betas, sigma2s = _m_step_regression(tau, signal, design_matrix(signal.t, p), iteration)
+    return tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
 
 
 # --- IRLS (exact-Hessian Newton) for the logistic coefficients -------------
@@ -280,16 +282,18 @@ def irls_hessian(w: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _irls_solve(
-    w_init: np.ndarray, tau: np.ndarray, V: np.ndarray, VV: np.ndarray
-) -> np.ndarray:
+    w_init: np.ndarray, tau: np.ndarray, V: np.ndarray, VV: np.ndarray,
+    logpi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """irls_solve for (K, n) responsibilities tau against the logistic design
     matrix V = design_matrix(t, q) and its row outer products VV =
-    _outer_rows(V)."""
+    _outer_rows(V), from w_init with logpi = _log_proportions(w_init, V).
+    Returns the final w and its log-proportions, the ones the line search
+    evaluated when it accepted that w."""
     K, q1 = w_init.shape
     if K == 1:
-        return w_init.copy()
+        return w_init.copy(), logpi
     w = w_init.copy()
-    logpi = _log_proportions(w, V)
     q_old = float(np.sum(tau * logpi))
     for _ in range(_IRLS_MAX_ITER):
         pi = np.exp(logpi)
@@ -298,7 +302,7 @@ def _irls_solve(
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            return w
+            return w, logpi
         flat = _stack(w)
         alpha = 1.0
         w_new = w
@@ -315,9 +319,9 @@ def _irls_solve(
                     break
                 alpha *= 0.5
         if q_new - q_old <= _IRLS_TOL:
-            return w_new
+            return w_new, logpi
         w, q_old = w_new, q_new
-    return w
+    return w, logpi
 
 
 def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -330,7 +334,9 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
     across accepted iterations."""
     V = design_matrix(np.asarray(t, dtype=float), w_init.shape[1] - 1)
     # tau is read as (K, n), like the proportions
-    return _irls_solve(w_init, np.ascontiguousarray(tau.T), V, _outer_rows(V))
+    tau = np.ascontiguousarray(tau.T)
+    logpi = _log_proportions(w_init, V)
+    return _irls_solve(w_init, tau, V, _outer_rows(V), logpi)[0]
 
 
 # --- EM driver --------------------------------------------------------------
@@ -338,16 +344,16 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
 
 def _uniform_segment_init(
     signal: Signal, K: int, p: int, q: int, cuts: np.ndarray | None = None
-) -> RhlpParams:
-    """Paper-style initialization: zero logistic coefficients, unit variances,
-    and per-segment OLS coefficients on a uniform (or supplied) partition."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paper-style initialization as (w, betas, sigma2s): zero logistic
+    coefficients, unit variances, and per-segment OLS coefficients on a
+    uniform (or supplied) partition."""
     if cuts is None:
         cuts = uniform_partition(signal.n, K).gamma
-    comps = tuple(
-        GaussianComponent(segment_cost(signal, a, b, p)[1].beta, 1.0)
-        for a, b in zip(cuts[:-1], cuts[1:])
+    betas = np.stack(
+        [segment_cost(signal, a, b, p)[1].beta for a, b in zip(cuts[:-1], cuts[1:])]
     )
-    return RhlpParams(LogisticProcess(np.zeros((K, q + 1))), comps)
+    return np.zeros((K, q + 1)), betas, np.ones(K)
 
 
 def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
@@ -371,30 +377,52 @@ _STEP_GROWTH = 4.0
 _SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError)
 
 
-def _pack(params: RhlpParams) -> np.ndarray:
+def _pack(w: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
     """Free parameters as one vector: logistic coefficients, betas, log sigma2."""
-    return np.concatenate(
-        [_stack(params.logistic.w), params.betas.ravel(), np.log(params.sigma2s)]
-    )
+    return np.concatenate([_stack(w), betas.ravel(), np.log(sigma2s)])
 
 
-def _unpack(theta: np.ndarray, K: int, p: int, q: int, floor: float) -> RhlpParams:
-    """Inverse of _pack, with the variances floored at floor."""
+def _unpack(
+    theta: np.ndarray, K: int, p: int, q: int, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of _pack as (w, betas, sigma2s), with the variances floored at
+    floor."""
     nw, nb = (K - 1) * (q + 1), K * (p + 1)
     betas = theta[nw:nw + nb].reshape(K, p + 1)
     sigma2s = np.maximum(np.exp(theta[nw + nb:]), floor)
-    comps = tuple(GaussianComponent(b, s) for b, s in zip(betas, sigma2s))
-    return RhlpParams(LogisticProcess(_unstack(theta[:nw], K, q)), comps)
+    return _unstack(theta[:nw], K, q), betas, sigma2s
+
+
+@dataclass(eq=False)
+class _Iterate:
+    """One EM iterate as arrays: logistic coefficients w, (K, p+1) betas, K
+    variances, and logpi = _log_proportions(w, V), which the E step and the
+    IRLS solve of the next M step share."""
+
+    w: np.ndarray
+    betas: np.ndarray
+    sigma2s: np.ndarray
+    logpi: np.ndarray
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """_pack of the iterate, packed on first use: SQUAREM reads each
+        iterate in up to three consecutive steps."""
+        return _pack(self.w, self.betas, self.sigma2s)
+
+    def params(self) -> RhlpParams:
+        """The iterate as validated parameters, built once per fit."""
+        comps = tuple(GaussianComponent(b, float(s)) for b, s in zip(self.betas, self.sigma2s))
+        return RhlpParams(LogisticProcess(self.w), comps)
 
 
 def _squarem_point(
-    prev: RhlpParams, point: RhlpParams, nxt: RhlpParams, step_max: float
+    theta0: np.ndarray, theta1: np.ndarray, theta2: np.ndarray, step_max: float
 ) -> tuple[np.ndarray, float]:
-    """The SQUAREM point of em_fit from theta0 = prev, theta1 = point and
-    theta2 = nxt, packed, with its step length s (s = 1 gives theta2)."""
-    theta0 = _pack(prev)
-    r = _pack(point) - theta0
-    v = _pack(nxt) - theta0 - 2.0 * r
+    """The SQUAREM point of em_fit from the packed iterates theta0, theta1 and
+    theta2, with its step length s (s = 1 gives theta2)."""
+    r = theta1 - theta0
+    v = theta2 - theta0 - 2.0 * r
     norm_v = np.linalg.norm(v)
     s = step_max if norm_v == 0 else min(max(np.linalg.norm(r) / norm_v, 1.0), step_max)
     return theta0 + 2.0 * s * r + s * s * v, s
@@ -402,31 +430,37 @@ def _squarem_point(
 
 def _em_once(
     signal: Signal,
-    init: RhlpParams,
+    init: tuple[np.ndarray, np.ndarray, np.ndarray],
     epsilon: float,
     max_iter: int,
     designs: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[RhlpParams, list[float], bool]:
-    """One EM run from init with the SQUAREM step described in em_fit, on the
-    fit's designs (T, V, VV) = (design_matrix(t, p), design_matrix(t, q),
-    _outer_rows(V)). Numerical errors at an extrapolated point reject it; on
-    plain EM steps they propagate."""
-    K, p, q = init.K, init.p, init.q
+) -> tuple[_Iterate, list[float], bool]:
+    """One EM run from init = (w, betas, sigma2s) with the SQUAREM step
+    described in em_fit, on the fit's designs (T, V, VV) = (design_matrix(t,
+    p), design_matrix(t, q), _outer_rows(V)). Returns the final iterate, the
+    log-likelihood trace and whether the run converged. Log-proportions are
+    computed here only for the start and for each extrapolated point; every
+    other iterate takes them from its IRLS solve. Numerical errors at an
+    extrapolated point reject it; on plain EM steps they propagate."""
     T, V, VV = designs
+    K, p, q = len(init[2]), T.shape[1] - 1, V.shape[1] - 1
 
-    def posterior(params):
-        return _posterior(params, signal.x, T, V)
+    def start(w, betas, sigma2s):
+        return _Iterate(w, betas, sigma2s, _log_proportions(w, V))
 
-    def m_step(params, tau, iteration):
-        comps = _m_step_regression(tau, signal, T, iteration)
-        w = _irls_solve(params.logistic.w, tau, V, VV)
-        return RhlpParams(LogisticProcess(w), comps)
+    def posterior(it):
+        return _posterior(it.logpi, it.betas, it.sigma2s, signal.x, T)
+
+    def m_step(it, tau, iteration):
+        betas, sigma2s = _m_step_regression(tau, signal, T, iteration)
+        w, logpi = _irls_solve(it.w, tau, V, VV, it.logpi)
+        return _Iterate(w, betas, sigma2s, logpi)
 
     def speculate(theta, ll_floor, iteration):
-        """(params, log-likelihood, EM step) at theta, or None if rejected."""
+        """(iterate, log-likelihood, EM step) at theta, or None if rejected."""
         if not np.all(np.isfinite(theta)):
             return None
-        cand = _unpack(theta, K, p, q, signal.variance_floor)
+        cand = start(*_unpack(theta, K, p, q, signal.variance_floor))
         tau, ll = posterior(cand)
         if not (np.isfinite(ll) and ll >= ll_floor):
             return None
@@ -435,10 +469,11 @@ def _em_once(
         except _SPECULATIVE_ERRORS:
             return None
 
-    tau, ll = posterior(init)
+    point = start(*init)
+    tau, ll = posterior(point)
     trace = [ll]
     # point is the last trace entry; nxt = F(point) is not evaluated yet
-    point, nxt = init, m_step(init, tau, 0)
+    nxt = m_step(point, tau, 0)
     step_max = _STEP_MAX0
     evals = 0
     converged = False
@@ -456,7 +491,7 @@ def _em_once(
         evals += 1
         # a wild extrapolation is rejected, so its overflow warnings are noise
         with np.errstate(all="ignore"):
-            theta, s = _squarem_point(prev, point, nxt, step_max)
+            theta, s = _squarem_point(prev.theta, point.theta, nxt.theta, step_max)
             accepted = speculate(theta, ll, len(trace))
         if accepted is not None:
             if s == step_max:
@@ -498,7 +533,9 @@ def em_fit(
     and max_iter >= 1.
 
     The design matrices of the fit-time signal are built once and shared by
-    every E step, M step and IRLS solve of every run."""
+    every E step, M step and IRLS solve of every run. Each iterate carries
+    its log-proportions from the IRLS solve that made it to the next E step
+    and IRLS solve, and the final one gives labels and denoised."""
     if K < 1 or p < 0 or q < 0:
         raise ValueError("require K >= 1, p >= 0, q >= 0")
     if n_restarts < 0 or max_iter < 1:
@@ -520,31 +557,43 @@ def em_fit(
         result = _em_once(signal, init, epsilon, max_iter, designs)
         if best is None or result[1][-1] > best[1][-1]:
             best = result
-    params, trace, converged = best
-
-    denoised = denoise(params, signal.t)
+    final, trace, converged = best
+    params = final.params()
+    pi = np.exp(final.logpi)
     return FitReport(
         params=params,
         log_likelihood_trace=tuple(trace),
         bic=bic(params, trace[-1], signal.n),
-        labels=hard_labels(params, signal.t),
-        denoised=denoised,
+        labels=_hard_labels(pi),
+        denoised=_denoise(pi, final.betas, T),
         converged=converged,
         time_map=time_map,
         seed=seed,
     )
 
 
+def _denoise(pi: np.ndarray, betas: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """denoise from the (K, n) proportions pi and the design matrix T =
+    design_matrix(t, p)."""
+    means = betas @ T.T
+    return np.sum(pi * means, axis=0)
+
+
+def _hard_labels(pi: np.ndarray) -> np.ndarray:
+    """hard_labels from the (K, n) proportions pi."""
+    # np.argmax takes the first maximum, i.e. ties go to the smallest k
+    return np.argmax(pi, axis=0) + 1
+
+
 def denoise(params: RhlpParams, t) -> np.ndarray:
     """Model mean curve: x_hat_i = sum_k pi_ik beta_k^T r_i."""
-    means = params.betas @ design_matrix(t, params.p).T
-    return np.sum(logistic_proportions(params.logistic, t).T * means, axis=0)
+    pi = logistic_proportions(params.logistic, t).T
+    return _denoise(pi, params.betas, design_matrix(t, params.p))
 
 
 def hard_labels(params: RhlpParams, t) -> np.ndarray:
     """Per-sample argmax of the proportions, labels in 1..K."""
-    # np.argmax takes the first maximum, i.e. ties go to the smallest k
-    return np.argmax(logistic_proportions(params.logistic, t).T, axis=0) + 1
+    return _hard_labels(logistic_proportions(params.logistic, t).T)
 
 
 def n_free_parameters(K: int, p: int, q: int) -> int:

@@ -427,16 +427,24 @@ class TestComponentMajorLayout:
         w, betas, sigma2s, sig = self.instance(K, q, scale)
         params = make_params(w, betas, sigma2s)
         T, V = design_matrix(sig.t, 2), design_matrix(sig.t, q)
-        tau, ll = rhlp._posterior(params, sig.x, T, V)
+        logpi = rhlp._log_proportions(w, V)
+        tau, ll = rhlp._posterior(logpi, betas, sigma2s, sig.x, T)
         assert np.array_equal(e_step(params, sig), tau.T)
         assert mixture_log_likelihood(params, sig) == ll
         # the posterior can starve a component here; the steps take any tau
         tau = np.ascontiguousarray(np.random.default_rng(K).dirichlet(np.ones(K), sig.n).T)
         comps = m_step_regression(tau.T, sig, p=2, iteration=3)
-        for a, b in zip(comps, rhlp._m_step_regression(tau, sig, T, 3)):
-            assert np.array_equal(a.beta, b.beta) and a.sigma2 == b.sigma2
-        core_w = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V))
+        core_betas, core_sigma2s = rhlp._m_step_regression(tau, sig, T, 3)
+        for a, b, s in zip(comps, core_betas, core_sigma2s):
+            assert np.array_equal(a.beta, b) and a.sigma2 == s
+        core_w, core_logpi = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V), logpi)
         assert np.array_equal(irls_solve(w, tau.T, sig.t), core_w)
+        # the solve hands back the log-proportions of the w it returns
+        assert np.array_equal(core_logpi, rhlp._log_proportions(core_w, V))
+        pi = np.exp(core_logpi)
+        fitted = make_params(core_w, core_betas, core_sigma2s)
+        assert np.array_equal(denoise(fitted, sig.t), rhlp._denoise(pi, core_betas, T))
+        assert np.array_equal(hard_labels(fitted, sig.t), rhlp._hard_labels(pi))
 
 
 class TestEmFit:
@@ -512,7 +520,7 @@ class TestEmFit:
             em_fit(sig, K=2, p=1, q=1, seed=0, **kwargs)
 
     def test_design_matrices_are_built_once_per_fit(self, monkeypatch):
-        # two for the fit's designs, three for the final denoise and labels;
+        # the fit's two designs, which the final denoise and labels reuse;
         # none per EM step, run or restart
         built = []
 
@@ -528,8 +536,55 @@ class TestEmFit:
             report = em_fit(sig, K=3, p=2, q=1, max_iter=max_iter, n_restarts=n_restarts,
                             seed=0)
             iterations.add(report.em_iterations)
-            assert sorted(built) == [1, 1, 1, 2, 2], (max_iter, n_restarts)
+            assert sorted(built) == [1, 2], (max_iter, n_restarts)
         assert max(iterations) > 4
+
+    def test_log_proportions_are_computed_once_per_iterate(self, monkeypatch):
+        # outside the IRLS line search, log pi is computed only for each run's
+        # start and for each finite SQUAREM point; every other E step and IRLS
+        # solve takes the one its iterate carries
+        calls = {"outside": 0, "squarem": 0}
+        depth = [0]
+        log_proportions, irls, squarem = (
+            rhlp._log_proportions, rhlp._irls_solve, rhlp._squarem_point)
+
+        def counting_log_proportions(w, V):
+            calls["outside"] += depth[0] == 0
+            return log_proportions(w, V)
+
+        def nested_irls(*args):
+            depth[0] += 1
+            try:
+                return irls(*args)
+            finally:
+                depth[0] -= 1
+
+        def counting_squarem(*args):
+            theta, s = squarem(*args)
+            calls["squarem"] += bool(np.all(np.isfinite(theta)))
+            return theta, s
+
+        monkeypatch.setattr(rhlp, "_log_proportions", counting_log_proportions)
+        monkeypatch.setattr(rhlp, "_irls_solve", nested_irls)
+        monkeypatch.setattr(rhlp, "_squarem_point", counting_squarem)
+        sig, _ = simulate_piecewise(SITUATION_2, 200, seed=5)
+        for K, n_restarts in itertools.product([1, 3, 5], [0, 2]):
+            calls.update(outside=0, squarem=0)
+            report = em_fit(sig, K=K, p=2, q=1, n_restarts=n_restarts, seed=0)
+            assert report.em_iterations > 2
+            assert calls["outside"] == 1 + n_restarts + calls["squarem"], (K, n_restarts)
+
+    @SCENARIOS
+    @pytest.mark.parametrize("K, q, n_restarts", list(
+        itertools.product([1, 2, 3, 5], [0, 1, 2], [0, 2])))
+    def test_final_likelihood_is_that_of_the_fitted_params(self, scenario, K, q,
+                                                           n_restarts):
+        # a carried log pi that belonged to another w would move the trace
+        # away from the likelihood of the parameters the report holds
+        sig, _ = simulate_piecewise(scenario, 300, seed=K + q)
+        report = em_fit(sig, K=K, p=2, q=q, n_restarts=n_restarts, seed=1)
+        fit_signal = Signal(report.time_map(sig.t), sig.x)
+        assert report.log_likelihood == mixture_log_likelihood(report.params, fit_signal)
 
     def test_labels_contiguous_with_q1(self):
         sig, _ = simulate_piecewise(SITUATION_1, 400, seed=3)
