@@ -128,12 +128,14 @@ def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, Gaussia
     get lstsq's minimum-norm fit. ValueError unless 0 <= a < b <= n."""
     if not 0 <= a < b <= signal.n:
         raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
-    t = signal.t[a:b]
-    x = signal.x[a:b]
-    T = design_matrix(t, p)
+    return _ols_cost(design_matrix(signal.t[a:b], p), signal.x[a:b], signal)
+
+
+def _ols_cost(T: np.ndarray, x: np.ndarray, signal: Signal) -> tuple[float, GaussianComponent]:
+    """OLS fit of the values x on the segment design T and its floored cost."""
     beta, _, _, _ = np.linalg.lstsq(T, x, rcond=None)
     sse = float(np.sum((x - T @ beta) ** 2))
-    cost, s2 = _floored_cost(sse, b - a, signal)
+    cost, s2 = _floored_cost(sse, len(x), signal)
     return cost, GaussianComponent(beta, s2)
 
 
@@ -156,8 +158,16 @@ def build_cost_matrix(
     on m alone (Welford's running-mean update) and come from vectors built
     once per call; the pivot itself is never read, so it is not stored. A
     later rotation i stores its pivot r = hypot(R_ii, v_i) and rotates only
-    the columns right of it, because it zeroes v_i. Where r = 0 (a start
-    with fewer than i + 1 rows) it is the identity rotation.
+    the columns right of it, because it zeroes v_i. Where r = 0 it is the
+    identity rotation: powers of tiny time gaps can underflow, and an entry
+    can cancel to exactly zero.
+
+    A start with m rows keeps rows m.. of its factor zero: rotation m - 1
+    meets R_{m-1,m-1} = 0, so it swaps the rest of the row into R and leaves
+    v = 0. Rotation i > m - 1 is then the identity on that start, so it runs
+    only on the starts with more than i rows. The exception is a start whose
+    rotation m - 1 met r = 0 and so left v nonzero: from then on that start
+    and every older one run every rotation.
     """
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
@@ -176,6 +186,7 @@ def build_cost_matrix(
     v_all[0] = 1.0  # the all-ones column, base of the powers of t_j - t_a
     sR_all = np.empty((d, n))
     sv_all = np.empty((d, n))
+    deficient = -1  # the newest start whose rotation m - 1 met r = 0
     with np.errstate(invalid="ignore"):  # 0/0 where r = 0, replaced below
         for j in range(n):
             k0 = n - 1 - j  # column j's offset into the vectors indexed by m
@@ -186,21 +197,28 @@ def build_cost_matrix(
                 np.multiply(v[k - 1], dt, out=v[k])
             np.subtract(x[j], x[: j + 1], out=v[d])
             for i in range(d):
+                starts = max(j + 1 - i, deficient + 1)  # starts 0..starts-1
+                if starts <= 0:
+                    break
                 if i == 0:
                     c, s = c0[k0:], s0[k0:]
                 else:
-                    r = np.hypot(Rj[i, i], v[i])
-                    c = Rj[i, i] / r
-                    s = v[i] / r
-                    zero = r == 0
-                    c[zero] = 1.0
-                    s[zero] = 0.0
-                    Rj[i, i] = r
+                    Rii, vii = Rj[i, i, :starts], v[i, :starts]
+                    r = np.hypot(Rii, vii)
+                    c = Rii / r
+                    s = vii / r
+                    if not r.all():
+                        zero = r == 0
+                        c[zero] = 1.0
+                        s[zero] = 0.0
+                        if j >= i and zero[j - i]:  # start j - i has m = i + 1 rows
+                            deficient = max(deficient, j - i)
+                    Rii[...] = r
                 # the rotation zeroes v[i]: only the columns right of the
                 # pivot change
-                Ri, vi = Rj[i, i + 1 :], v[i + 1 :]
-                sR = np.multiply(Ri, s, out=sR_all[: d - i, : j + 1])
-                sv = np.multiply(vi, s, out=sv_all[: d - i, : j + 1])
+                Ri, vi = Rj[i, i + 1 :, :starts], v[i + 1 :, :starts]
+                sR = np.multiply(Ri, s, out=sR_all[: d - i, :starts])
+                sv = np.multiply(vi, s, out=sv_all[: d - i, :starts])
                 Ri *= c
                 Ri += sv
                 vi *= c
@@ -214,19 +232,31 @@ def build_cost_matrix(
     return out
 
 
+_DP_BLOCK = 32  # columns per candidate block: an (n + 1) x 32 temporary
+
+
 def _dp_tables(cost: np.ndarray, K: int, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal costs C[k, b] for splitting samples (0, b] into k segments,
-    and argmin split indices H[k, b] (start of the last segment)."""
+    and argmin split indices H[k, b] (start of the last segment).
+
+    C[k, b] = min over h <= b - min_len of C[k-1, h] + cost[h, b], and
+    argmin takes the first minimum, so ties go to the smallest split. Each
+    level takes _DP_BLOCK columns b0..b1-1 at once, over the rows h below
+    b1 - min_len; a row past column b's own last split h = b - min_len holds
+    cost[h, b] = +inf, as build_cost_matrix leaves every range shorter than
+    min_len, so it never wins."""
     n = cost.shape[0] - 1
     C = np.full((K + 1, n + 1), np.inf)
     H = np.zeros((K + 1, n + 1), dtype=int)
     C[1, :] = cost[0, :]
     for k in range(2, K + 1):
-        for b in range(k * min_len, n + 1):
-            cand = C[k - 1, : b - min_len + 1] + cost[: b - min_len + 1, b]
-            h = int(np.argmin(cand))
-            C[k, b] = cand[h]
-            H[k, b] = h
+        for b0 in range(k * min_len, n + 1, _DP_BLOCK):
+            b1 = min(b0 + _DP_BLOCK, n + 1)
+            top = b1 - min_len
+            cand = C[k - 1, :top, None] + cost[:top, b0:b1]
+            h = cand.argmin(axis=0)
+            C[k, b0:b1] = cand[h, np.arange(b1 - b0)]
+            H[k, b0:b1] = h
     return C, H
 
 
@@ -240,14 +270,16 @@ def _backtrack(H: np.ndarray, K: int, n: int) -> Partition:
 
 
 def _refit(
-    signal: Signal, partition: Partition, p: int
+    signal: Signal, T: np.ndarray, partition: Partition
 ) -> tuple[tuple[GaussianComponent, ...], float]:
-    """Per-segment OLS on a partition; returns components and total cost J."""
+    """Per-segment OLS on a partition; returns components and total cost J.
+    T = design_matrix(signal.t, p): a segment's design is its rows, which
+    equal design_matrix of the segment's times bit for bit."""
     comps = []
     j = 0.0
     g = partition.gamma
-    for k in range(partition.K):
-        cost, comp = segment_cost(signal, g[k], g[k + 1], p)
+    for a, b in zip(g[:-1], g[1:]):
+        cost, comp = _ols_cost(T[a:b], signal.x[a:b], signal)
         comps.append(comp)
         j += cost
     return tuple(comps), j
@@ -268,17 +300,20 @@ def fisher_dp(
     cost = build_cost_matrix(signal, p, min_segment_length)
     C, H = _dp_tables(cost, K, min_segment_length)
     partition = _backtrack(H, K, n)
-    components, _ = _refit(signal, partition, p)
+    components, _ = _refit(signal, design_matrix(signal.t, p), partition)
     return PiecewiseFit(partition, components, float(C[K, n]), time_map, "piecewise_dp")
 
 
 def _fixed_param_segmentation(
     signal: Signal,
+    T: np.ndarray,
     components: tuple[GaussianComponent, ...],
     min_len: int,
 ) -> tuple[Partition, float]:
     """Optimal partition with component parameters held fixed: segment k must
-    use component k. O(K n) in numpy, one pass per k.
+    use component k. O(K n) in numpy, one pass per k. T is a design matrix
+    of signal.t with at least as many columns as any component's beta; a
+    component's mean is T[:, :len(beta)] @ beta.
 
     With cum[k-1] the prefix sums of the per-sample costs under component k,
     D[k, b] = min over splits h <= b - min_len of D[k-1, h] - cum[k-1, h],
@@ -292,7 +327,7 @@ def _fixed_param_segmentation(
     # per-point cost under each component, prefix-summed
     cum = np.zeros((K, n + 1))
     for k, comp in enumerate(components):
-        resid = signal.x - comp.mean(signal.t)
+        resid = signal.x - T[:, : len(comp.beta)] @ comp.beta
         cum[k, 1:] = np.cumsum(np.log(comp.sigma2) + resid**2 / comp.sigma2)
 
     D = np.full((K + 1, n + 1), np.inf)
@@ -324,19 +359,21 @@ def iterative_fisher(
 ) -> PiecewiseFit:
     """Local minimization of J: alternate per-segment OLS (regression step)
     with dynamic-programming re-segmentation at fixed parameters
-    (segmentation step). J is non-increasing across iterations."""
+    (segmentation step). J is non-increasing across iterations. Both steps
+    read the one design matrix of the fit-time signal built per call."""
     n = signal.n
     min_segment_length = _check_request(n, K, min_segment_length, p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_segment_length):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
     signal, time_map = to_fit_time(signal)
+    T = design_matrix(signal.t, p)
     partition = init
-    components, j = _refit(signal, partition, p)
+    components, j = _refit(signal, T, partition)
     trace = [j]
     for _ in range(max_iter):
-        partition_new, _ = _fixed_param_segmentation(signal, components, min_segment_length)
-        components_new, j_new = _refit(signal, partition_new, p)
+        partition_new, _ = _fixed_param_segmentation(signal, T, components, min_segment_length)
+        components_new, j_new = _refit(signal, T, partition_new)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
         partition, components = partition_new, components_new

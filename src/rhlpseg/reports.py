@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +171,11 @@ def report_document(fit, runtime_seconds=None) -> ReportDocument:
 def save_fit_report(fit, path, runtime_seconds=None) -> None:
     """Write a fit, or a ReportDocument built from one, as report JSON. The
     document is serialized before the file is opened, so one that JSON
-    cannot encode raises and leaves no file behind."""
+    cannot encode raises and leaves no file behind. It serializes the
+    document's own field dict, in field order; asdict would deep-copy the
+    label and denoised lists first."""
     doc = fit if isinstance(fit, ReportDocument) else report_document(fit, runtime_seconds)
-    text = json.dumps(asdict(doc), indent=1) + "\n"
+    text = json.dumps(vars(doc), indent=1) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -176,6 +176,18 @@ class TestReportRoundTrip:
         doc = load_fit_report(path)
         assert type(doc.seed) is int and doc.seed == 4
 
+    @pytest.mark.parametrize("fitter", [
+        lambda sig: em_fit(sig, K=3, p=2, q=1, seed=1),
+        lambda sig: fisher_dp(sig, 3, 2),
+        lambda sig: multi_start_iterative(sig, 3, 2, n_random_starts=2, seed=1),
+    ], ids=["em_fit", "fisher_dp", "multi_start_iterative"])
+    def test_report_bytes_are_the_dataclass_json(self, tmp_path, fitter):
+        fit = fitter(simulate_piecewise(SITUATION_1, 150, seed=2)[0])
+        doc = report_document(fit, runtime_seconds=0.25)
+        path = tmp_path / "r.json"
+        save_fit_report(fit, path, runtime_seconds=0.25)
+        assert path.read_text() == json.dumps(asdict(doc), indent=1) + "\n"
+
     def test_unencodable_document_leaves_no_file(self, tmp_path):
         sig, _ = simulate_piecewise(SITUATION_1, 120, seed=3)
         doc = report_document(em_fit(sig, K=2, p=1, q=1, seed=3))

@@ -8,11 +8,13 @@ from scipy.stats import chisquare
 
 from rhlpseg.core import GaussianComponent, Signal, design_matrix, to_fit_time
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
+from rhlpseg import core, piecewise
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
     _dp_tables,
     _fixed_param_segmentation,
+    _floored_cost,
     build_cost_matrix,
     default_min_segment_length,
     fisher_dp,
@@ -34,6 +36,89 @@ def oracle_segment_cost(signal, a, b, p):
     sse = np.sum((x - T @ beta) ** 2)
     s2 = max(sse / (b - a), signal.variance_floor)
     return (b - a) * np.log(s2) + sse / s2
+
+
+def _dp_tables_loop(cost, K, min_len):
+    """Reference recursion: one argmin per (k, b), which the blocked
+    _dp_tables must reproduce bit for bit."""
+    n = cost.shape[0] - 1
+    C = np.full((K + 1, n + 1), np.inf)
+    H = np.zeros((K + 1, n + 1), dtype=int)
+    C[1, :] = cost[0, :]
+    for k in range(2, K + 1):
+        for b in range(k * min_len, n + 1):
+            cand = C[k - 1, : b - min_len + 1] + cost[: b - min_len + 1, b]
+            h = int(np.argmin(cand))
+            C[k, b] = cand[h]
+            H[k, b] = h
+    return C, H
+
+
+def scalar_givens_costs(signal, p, min_len):
+    """Reference cost matrix: each start's rows rotated in one at a time by
+    scalar Givens rotations, all p + 1 of them on every row, in the kernel's
+    operand order, with the kernel's closed-form rotation 0 and its
+    _floored_cost per column. Also returns the (rows, i) of every rotation
+    i >= 1 that met r = 0 on a start with more than i rows."""
+    n, d = signal.n, p + 1
+    t, x = signal.t, signal.x
+    m = np.arange(n, 0, -1, dtype=float)
+    c0, s0 = np.sqrt((m - 1) / m), 1.0 / np.sqrt(m)
+    sse = np.zeros((n, n))  # sse[j, a]: of the rows a..j
+    zero_pivots = []
+    for a in range(n):
+        R = np.zeros((d, d + 1))
+        acc = np.float64(0.0)
+        for j in range(a, n):
+            rows = j + 1 - a
+            dt = t[j] - t[a]
+            v = np.empty(d + 1)
+            v[0] = 1.0
+            for k in range(1, d):
+                v[k] = v[k - 1] * dt
+            v[d] = x[j] - x[a]
+            for i in range(d):
+                if i == 0:
+                    c, s = c0[n - rows], s0[n - rows]
+                else:
+                    r = np.hypot(R[i, i], v[i])
+                    if r == 0:
+                        c, s = np.float64(1.0), np.float64(0.0)
+                        if rows > i:
+                            zero_pivots.append((rows, i))
+                    else:
+                        c, s = R[i, i] / r, v[i] / r
+                    R[i, i] = r
+                for k in range(i + 1, d + 1):
+                    Rk, vk = R[i, k], v[k]
+                    R[i, k] = Rk * c + vk * s
+                    v[k] = vk * c - Rk * s
+            acc = acc + v[d] * v[d]
+            sse[j, a] = acc
+    out = np.full((n + 1, n + 1), np.inf)
+    for j in range(n):
+        feasible = j + 2 - min_len
+        if feasible > 0:
+            out[:feasible, j + 1] = _floored_cost(
+                sse[j, :feasible], m[n - 1 - j : n - 1 - j + feasible], signal
+            )[0]
+    return out, zero_pivots
+
+
+def tiny_gap_signal():
+    """Twelve samples 1e-200 apart, then 28 spaced by 0.1: the square of a
+    leading gap underflows to zero."""
+    t = np.concatenate((np.arange(12) * 1e-200, 1.0 + np.arange(28) * 0.1))
+    return Signal(t, np.random.default_rng(0).normal(size=40))
+
+
+def near_duplicate_signal():
+    """Eight uneven times, every third followed by the next larger double:
+    on some starts a row's entry cancels to exactly zero."""
+    rng = np.random.default_rng(22)
+    base = np.cumsum(rng.uniform(0.5, 2, 8))
+    t = np.sort(np.concatenate((base, np.nextafter(base[::3], np.inf))))
+    return Signal(t, rng.normal(size=len(t)))
 
 
 def _fixed_param_segmentation_loop(signal, components, min_len):
@@ -160,6 +245,35 @@ class TestCostMatrix:
                 s2 = max(sse / (b - a), sig.variance_floor)
                 assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
 
+    @pytest.mark.parametrize("make, p, min_len, rows_at_zero", [
+        # a start with 3 or more rows meets r = 0 at rotation 2
+        (tiny_gap_signal, 2, 4, lambda rows, i: rows > i + 1),
+        # rotation m - 1 meets r = 0 on a start with m rows, which then runs
+        # every later rotation; only segments of at most 5 samples differ
+        # if it does not
+        (near_duplicate_signal, 4, 1, lambda rows, i: rows == i + 1),
+    ], ids=["tiny-gaps", "near-duplicates"])
+    def test_zero_pivots_match_scalar_givens(self, make, p, min_len, rows_at_zero):
+        sig = make()
+        ref, zero_pivots = scalar_givens_costs(sig, p, min_len)
+        assert any(rows_at_zero(rows, i) for rows, i in zero_pivots)
+        assert np.array_equal(build_cost_matrix(sig, p, min_len), ref)
+
+    @given(
+        p=st.integers(0, 3),
+        tight=st.booleans(),
+        gaps=st.lists(st.floats(0.01, 1e3), min_size=1, max_size=24),
+        t0=st.sampled_from([0.0, 1e3, 1.7e9]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_uneven_and_epoch_times_match_scalar_givens(self, p, tight, gaps, t0, seed):
+        min_len = 1 if tight else p + 2
+        t = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        sig = Signal(t, np.random.default_rng(seed).normal(size=len(t)))
+        ref, _ = scalar_givens_costs(sig, p, min_len)
+        assert np.array_equal(build_cost_matrix(sig, p, min_segment_length=min_len), ref)
+
     @given(
         p=st.integers(0, 3),
         tight=st.booleans(),
@@ -284,6 +398,32 @@ class TestFisherDp:
                 )
                 assert C[k, b] == pytest.approx(expected, abs=1e-12)
 
+    @given(
+        K=st.integers(1, 5),
+        min_len=st.integers(1, 4),
+        extra=st.integers(0, 80),
+        levels=st.sampled_from([1, 3, 1000]),
+        inf_frac=st.sampled_from([0.0, 0.2, 0.9]),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**16),
+    )
+    @example(K=2, min_len=1, extra=30, levels=3, inf_frac=0.2, order="F", seed=0)  # one block
+    @settings(max_examples=80, deadline=None)
+    def test_blocked_recursion_matches_loop(self, K, min_len, extra, levels, inf_frac,
+                                            order, seed):
+        # n from the tightest request to about three blocks; costs drawn from
+        # `levels` integers tie exactly, some entries are +inf, and, as in
+        # build_cost_matrix, so is every range shorter than min_len
+        n = K * min_len + extra
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
+        cost[rng.random(cost.shape) < inf_frac] = np.inf
+        cost[np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) > -min_len] = np.inf
+        cost = np.asarray(cost, order=order)
+        C, H = _dp_tables(cost, K, min_len)
+        C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
+        assert np.array_equal(C, C_ref) and np.array_equal(H, H_ref)
+
     def test_epoch_times_give_the_same_optimum(self):
         sig = simulate_piecewise(SITUATION_1, 500, seed=3)[0]
         fit = fisher_dp(sig, K=3, p=2)
@@ -352,6 +492,28 @@ class TestIterativeFisher:
             iterative_fisher(sig, 3, 1, init=Partition([0, 1, 6, 12]))
 
 
+    def test_one_design_matrix_per_fit(self, monkeypatch):
+        # the fit-time design, which every regression step and re-segmentation
+        # slices; none per round
+        built = []
+
+        def counting(t, p):
+            built.append(p)
+            return design_matrix(t, p)
+
+        monkeypatch.setattr(piecewise, "design_matrix", counting)
+        monkeypatch.setattr(core, "design_matrix", counting)
+        sig = simulate_piecewise(SCENARIOS["situation2"], 300, seed=1)[0]
+        init = random_partition(np.random.default_rng(5), 300, 3, 4)  # 20 rounds
+        rounds = []
+        for max_iter in (1, 5, 100):
+            built.clear()
+            fit = iterative_fisher(sig, 3, 2, init, max_iter=max_iter)
+            rounds.append(len(fit.j_trace) - 1)
+            assert built == [2], max_iter
+        assert rounds[0] == 1 and rounds[-1] > 5
+
+
 class TestMeanCurve:
     def test_labels_and_curve_follow_the_partition(self):
         part = Partition([0, 2, 5])
@@ -373,8 +535,12 @@ class TestFixedParamSegmentation:
     """The vectorized re-segmentation against the per-sample loop."""
 
     @staticmethod
-    def assert_matches_loop(sig, comps, min_len):
-        part, j = _fixed_param_segmentation(sig, comps, min_len)
+    def design(sig, comps):
+        return design_matrix(sig.t, max(len(c.beta) for c in comps) - 1)
+
+    @classmethod
+    def assert_matches_loop(cls, sig, comps, min_len):
+        part, j = _fixed_param_segmentation(sig, cls.design(sig, comps), comps, min_len)
         ref_part, ref_j = _fixed_param_segmentation_loop(sig, comps, min_len)
         assert np.array_equal(part.gamma, ref_part.gamma)
         assert j == ref_j
@@ -406,7 +572,8 @@ class TestFixedParamSegmentation:
 
     def test_all_ties_pick_the_earliest_splits(self):
         sig = Signal(np.arange(12.0), np.zeros(12))
-        part, j = _fixed_param_segmentation(sig, (GaussianComponent([0.0], 1.0),) * 3, 2)
+        comps = (GaussianComponent([0.0], 1.0),) * 3
+        part, j = _fixed_param_segmentation(sig, self.design(sig, comps), comps, 2)
         np.testing.assert_array_equal(part.gamma, [0, 2, 4, 12])
         assert j == 0.0
 
@@ -422,14 +589,14 @@ class TestFixedParamSegmentation:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             self.assert_matches_loop(sig, comps, 3)
-            assert np.isfinite(_fixed_param_segmentation(sig, comps, 3)[1])
+            assert np.isfinite(_fixed_param_segmentation(sig, self.design(sig, comps), comps, 3)[1])
 
     @pytest.mark.parametrize("K, min_len, n", [(2, 3, 5), (3, 2, 5), (4, 1, 3)])
     def test_too_short_raises(self, K, min_len, n):
         sig = Signal(np.arange(float(n)), np.zeros(n))
         comps = (GaussianComponent([0.0], 1.0),) * K
         with pytest.raises(InfeasibleError):
-            _fixed_param_segmentation(sig, comps, min_len)
+            _fixed_param_segmentation(sig, self.design(sig, comps), comps, min_len)
         with pytest.raises(InfeasibleError):
             _fixed_param_segmentation_loop(sig, comps, min_len)
 
