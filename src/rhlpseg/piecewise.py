@@ -166,8 +166,8 @@ def build_cost_matrix(
     meets R_{m-1,m-1} = 0, so it swaps the rest of the row into R and leaves
     v = 0. Rotation i > m - 1 is then the identity on that start, so it runs
     only on the starts with more than i rows. The exception is a start whose
-    rotation m - 1 met r = 0 and so left v nonzero: from then on that start
-    and every older one run every rotation.
+    rotation m - 1 met r = 0, which may leave v nonzero: from then on that
+    start and every older one run every rotation.
     """
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
@@ -197,7 +197,8 @@ def build_cost_matrix(
                 np.multiply(v[k - 1], dt, out=v[k])
             np.subtract(x[j], x[: j + 1], out=v[d])
             for i in range(d):
-                starts = max(j + 1 - i, deficient + 1)  # starts 0..starts-1
+                # rotation i changes only the starts a < starts
+                starts = max(j + 1 - i, deficient + 1)
                 if starts <= 0:
                     break
                 if i == 0:

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from rhlpseg import core, piecewise
 from rhlpseg.core import GaussianComponent, Signal, design_matrix, to_fit_time
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
-from rhlpseg import core, piecewise
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
@@ -491,7 +491,6 @@ class TestIterativeFisher:
         with pytest.raises(InfeasibleError):
             iterative_fisher(sig, 3, 1, init=Partition([0, 1, 6, 12]))
 
-
     def test_one_design_matrix_per_fit(self, monkeypatch):
         # the fit-time design, which every regression step and re-segmentation
         # slices; none per round
@@ -589,7 +588,8 @@ class TestFixedParamSegmentation:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             self.assert_matches_loop(sig, comps, 3)
-            assert np.isfinite(_fixed_param_segmentation(sig, self.design(sig, comps), comps, 3)[1])
+            _, j = _fixed_param_segmentation(sig, self.design(sig, comps), comps, 3)
+            assert np.isfinite(j)
 
     @pytest.mark.parametrize("K, min_len, n", [(2, 3, 5), (3, 2, 5), (4, 1, 3)])
     def test_too_short_raises(self, K, min_len, n):
