@@ -1,5 +1,5 @@
-"""Shared numerical primitives: signals and their fit-time map, polynomial
-bases, (weighted) least squares, Gaussian log-densities.
+"""Shared numerical primitives: signals and their fit-time and fit-value
+maps, polynomial bases, (weighted) least squares, Gaussian log-densities.
 
 All functions here are pure; every fitting algorithm in the package is built
 on top of them.
@@ -105,11 +105,57 @@ class TimeMap:
         return (np.asarray(t, dtype=float) - self.t0) * self.factor
 
 
-def to_fit_time(signal: Signal) -> tuple[Signal, TimeMap]:
-    """The signal on fit time u, and the map from its times to u. Values are
-    not mapped: the variance floor is relative to var(x) already."""
-    time_map = TimeMap.of(signal.t)
-    return Signal(time_map(signal.t), signal.x), time_map
+@dataclass(frozen=True)
+class ValueMap:
+    """Affine map from a signal's values x to fit values y = (x - x0) * 2^-e.
+
+    Every fitter maps its signal's values once with ValueMap.of, fits on y
+    and maps its coefficients, variances and likelihoods back to x with
+    beta, variance and log_jacobian, so its result is in the units of x. The
+    factor is a power of two, so scaling is exact: x * 2^k gives the same y
+    bit for bit."""
+
+    x0: float
+    e: int
+
+    @classmethod
+    def of(cls, x) -> "ValueMap":
+        """The map taking x[0] to 0 with e the binary exponent of std(x), so
+        std(y) lies in [0.5, 1); e = 0 for a constant x, whose np.std is
+        roundoff (1.8e134 for 60 copies of 1e150), not 0."""
+        x = np.asarray(x, dtype=float)
+        e = 0 if np.ptp(x) == 0 else int(np.frexp(np.std(x))[1])
+        return cls(float(x[0]), e)
+
+    def __call__(self, x) -> np.ndarray:
+        """Fit values y of the values x."""
+        return np.ldexp(np.asarray(x, dtype=float) - self.x0, -self.e)
+
+    def beta(self, beta) -> np.ndarray:
+        """Polynomial coefficients fitted to y, last axis from the constant
+        term up, as coefficients of the same polynomials in x: all scale by
+        2^e and the constant term gains x0."""
+        beta = np.ldexp(np.asarray(beta, dtype=float), self.e)
+        beta[..., 0] += self.x0
+        return beta
+
+    def variance(self, sigma2):
+        """Variances fitted to y in the units of x: times 4^e."""
+        return np.ldexp(sigma2, 2 * self.e)
+
+    def log_jacobian(self, n: int) -> float:
+        """log |dx/dy|^n = n e log 2: n samples' log-likelihood on x is the
+        one on y minus this, and their criterion J is the one on y plus
+        twice this."""
+        return n * self.e * float(np.log(2.0))
+
+
+def to_fit_time(signal: Signal) -> tuple[Signal, TimeMap, ValueMap]:
+    """The signal on fit time u and fit values y, the map from its times to
+    u and the map from its values to y. An offset or a huge constant x costs
+    no precision on y, which is 0 for a constant x."""
+    time_map, value_map = TimeMap.of(signal.t), ValueMap.of(signal.x)
+    return Signal(time_map(signal.t), value_map(signal.x)), time_map, value_map
 
 
 @dataclass(frozen=True)

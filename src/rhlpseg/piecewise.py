@@ -4,9 +4,12 @@ Exact global minimization of the segmentation criterion
 J = sum_k sum_{i in segment k} [log sigma_k^2 + (x_i - beta_k^T r_i)^2 / sigma_k^2]
 by dynamic programming, plus a faster iterative variant that alternates
 per-segment regression with a fixed-parameter re-segmentation. Each fitter
-maps the signal's times once to fit time u = time_map(t), time_map =
-TimeMap.of(signal.t), fits in u and keeps the map on its PiecewiseFit, which
-also names the fitter that made it.
+maps the signal once with to_fit_time: its times to fit time u =
+time_map(t), time_map = TimeMap.of(signal.t), and its values to y =
+value_map(x), value_map = ValueMap.of(signal.x). All least squares, costs
+and re-segmentations run on (u, y). The PiecewiseFit keeps the time map,
+names the fitter that made it, and holds components and J mapped back to
+the units of x.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from .core import (
     GaussianComponent,
     Signal,
     TimeMap,
+    ValueMap,
     design_matrix,
     to_fit_time,
 )
@@ -297,12 +301,22 @@ def fisher_dp(
     to the smallest index."""
     n = signal.n
     min_segment_length = _check_request(n, K, min_segment_length, p)
-    signal, time_map = to_fit_time(signal)
+    signal, time_map, value_map = to_fit_time(signal)
     cost = build_cost_matrix(signal, p, min_segment_length)
     C, H = _dp_tables(cost, K, min_segment_length)
     partition = _backtrack(H, K, n)
     components, _ = _refit(signal, design_matrix(signal.t, p), partition)
-    return PiecewiseFit(partition, components, float(C[K, n]), time_map, "piecewise_dp")
+    j = float(C[K, n]) + 2.0 * value_map.log_jacobian(n)
+    return PiecewiseFit(partition, _components_to_x(components, value_map), j, time_map,
+                        "piecewise_dp")
+
+
+def _components_to_x(
+    components: tuple[GaussianComponent, ...], value_map: ValueMap
+) -> tuple[GaussianComponent, ...]:
+    """Components fitted on the fit values y, in the units of x."""
+    return tuple(GaussianComponent(value_map.beta(c.beta), value_map.variance(c.sigma2))
+                 for c in components)
 
 
 def _fixed_param_segmentation(
@@ -361,13 +375,15 @@ def iterative_fisher(
     """Local minimization of J: alternate per-segment OLS (regression step)
     with dynamic-programming re-segmentation at fixed parameters
     (segmentation step). J is non-increasing across iterations. Both steps
-    read the one design matrix of the fit-time signal built per call."""
+    read the one design matrix of the fit-time signal built per call, and
+    run on its fit values; tol applies to J there, which differs from J in
+    the units of x by a constant."""
     n = signal.n
     min_segment_length = _check_request(n, K, min_segment_length, p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_segment_length):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
-    signal, time_map = to_fit_time(signal)
+    signal, time_map, value_map = to_fit_time(signal)
     T = design_matrix(signal.t, p)
     partition = init
     components, j = _refit(signal, T, partition)
@@ -383,7 +399,9 @@ def iterative_fisher(
         trace.append(j)
         if converged:
             break
-    return PiecewiseFit(partition, components, j, time_map, "piecewise_iterative", tuple(trace))
+    shift = 2.0 * value_map.log_jacobian(n)
+    return PiecewiseFit(partition, _components_to_x(components, value_map), j + shift,
+                        time_map, "piecewise_iterative", tuple(jk + shift for jk in trace))
 
 
 def uniform_partition(n: int, K: int, min_len: int = 1) -> Partition:
@@ -422,9 +440,9 @@ def multi_start_iterative(
 ) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts
     partitions from random_partition; returns the fit with smallest J, which
-    keeps the seed. Deterministic given the seed. Every start maps the times
-    to the same fit time. ValueError unless n_random_starts >= 0 and
-    max_iter >= 1."""
+    keeps the seed. Deterministic given the seed. Every start maps the signal
+    to the same fit times and values. ValueError unless n_random_starts >= 0
+    and max_iter >= 1."""
     min_segment_length = _check_request(signal.n, K, min_segment_length, p)
     if n_random_starts < 0 or max_iter < 1:
         raise ValueError(

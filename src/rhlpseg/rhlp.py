@@ -19,6 +19,7 @@ from .core import (
     GaussianComponent,
     Signal,
     TimeMap,
+    ValueMap,
     design_matrix,
     gaussian_log_density,
     to_fit_time,
@@ -189,18 +190,15 @@ def _m_step_regression(
     """m_step_regression for (K, n) responsibilities tau against the design
     matrix T = design_matrix(signal.t, p), as a (K, p+1) betas array and K
     variances: all K weighted least squares in one weighted_least_squares
-    call, and the K residual variances from one (K, n) residual array. Both
-    are computed on the values shifted by x_0, which T's constant column
-    absorbs, so an offset in x costs no precision and a constant x is fitted
-    exactly."""
+    call, and the K residual variances from one (K, n) residual array. The
+    values are fitted as given; em_fit gives it the fit values y of
+    to_fit_time, on which an offset or a constant x costs no precision."""
     mass = tau.sum(axis=1)
     starved = mass < _STARVATION_TOL
     if np.any(starved):
         raise EmptyComponentError(int(np.argmax(starved)) + 1, iteration)
-    y = signal.x - signal.x[0]
-    betas = weighted_least_squares(T, y, tau)
-    sse = np.sum(tau * (y - betas @ T.T) ** 2, axis=1)
-    betas[:, 0] += signal.x[0]
+    betas = weighted_least_squares(T, signal.x, tau)
+    sse = np.sum(tau * (signal.x - betas @ T.T) ** 2, axis=1)
     return betas, np.maximum(sse / mass, signal.variance_floor)
 
 
@@ -343,17 +341,17 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 def _uniform_segment_init(
-    signal: Signal, K: int, p: int, q: int, cuts: np.ndarray | None = None
+    signal: Signal, K: int, p: int, q: int, sigma2: float, cuts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Paper-style initialization as (w, betas, sigma2s): zero logistic
-    coefficients, unit variances, and per-segment OLS coefficients on a
-    uniform (or supplied) partition."""
+    coefficients, every variance sigma2, and per-segment OLS coefficients on
+    a uniform (or supplied) partition."""
     if cuts is None:
         cuts = uniform_partition(signal.n, K).gamma
     betas = np.stack(
         [segment_cost(signal, a, b, p)[1].beta for a, b in zip(cuts[:-1], cuts[1:])]
     )
-    return np.zeros((K, q + 1)), betas, np.ones(K)
+    return np.zeros((K, q + 1)), betas, np.full(K, sigma2)
 
 
 def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
@@ -375,6 +373,8 @@ _STEP_GROWTH = 4.0
 # Numerical failures that reject a speculative (extrapolated) point instead of
 # aborting the fit.
 _SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError)
+# Failures that drop one EM run of em_fit, and one candidate of select_model.
+_FIT_ERRORS = (RhlpSegError, np.linalg.LinAlgError)
 
 
 def _pack(w: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
@@ -410,9 +410,11 @@ class _Iterate:
         iterate in up to three consecutive steps."""
         return _pack(self.w, self.betas, self.sigma2s)
 
-    def params(self) -> RhlpParams:
-        """The iterate as validated parameters, built once per fit."""
-        comps = tuple(GaussianComponent(b, float(s)) for b, s in zip(self.betas, self.sigma2s))
+    def params(self, value_map: ValueMap) -> RhlpParams:
+        """The iterate, fitted on the fit values of value_map, as validated
+        parameters in the units of x, built once per fit."""
+        betas, sigma2s = value_map.beta(self.betas), value_map.variance(self.sigma2s)
+        comps = tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
         return RhlpParams(LogisticProcess(self.w), comps)
 
 
@@ -515,9 +517,16 @@ def em_fit(
     step drops below epsilon. The first run starts from the standard recipe
     (uniform segments, zero logistic coefficients, unit variances);
     n_restarts extra runs start from jittered uniform cuts, and the best
-    final likelihood wins. Deterministic given the seed. The fit runs in
-    fit time u = time_map(t), time_map = TimeMap.of(signal.t), which the
-    report keeps; its parameters are in u.
+    final likelihood wins. A run that fails with a package error or
+    LinAlgError is dropped; the first run's error is raised only when every
+    run fails. Deterministic given the seed.
+
+    The fit runs on the signal that to_fit_time maps to fit time u =
+    time_map(t), which the report keeps, and to fit values y = value_map(x).
+    The report's parameters are polynomials in u in the units of x: the
+    betas and variances are mapped back from y, the log-likelihood trace is
+    shifted by value_map.log_jacobian(n), and its last entry, the BIC and
+    denoised come from the mapped-back parameters on x.
 
     EM is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J. Stat.):
     after two EM steps theta0 -> theta1 -> theta2 the parameters (free
@@ -543,29 +552,36 @@ def em_fit(
             f"require n_restarts >= 0 and max_iter >= 1, got n_restarts={n_restarts}, "
             f"max_iter={max_iter}"
         )
-    signal, time_map = to_fit_time(signal)
+    x = signal.x
+    signal, time_map, value_map = to_fit_time(signal)
     T, V = design_matrix(signal.t, p), design_matrix(signal.t, q)
     designs = (T, V, _outer_rows(V))
-    inits = [_uniform_segment_init(signal, K, p, q)]
     rng = np.random.default_rng(seed)
-    for _ in range(n_restarts):
-        inits.append(
-            _uniform_segment_init(signal, K, p, q, _perturbed_cuts(rng, signal.n, K))
-        )
-    best = None
-    for init in inits:
-        result = _em_once(signal, init, epsilon, max_iter, designs)
+    cuts = [None] + [_perturbed_cuts(rng, signal.n, K) for _ in range(n_restarts)]
+    sigma2 = np.ldexp(1.0, -2 * value_map.e)  # 1 in the units of x
+    best = error = None
+    for run_cuts in cuts:
+        try:
+            init = _uniform_segment_init(signal, K, p, q, sigma2, run_cuts)
+            result = _em_once(signal, init, epsilon, max_iter, designs)
+        except _FIT_ERRORS as exc:
+            error = error or exc
+            continue
         if best is None or result[1][-1] > best[1][-1]:
             best = result
+    if best is None:
+        raise error
     final, trace, converged = best
-    params = final.params()
+    params = final.params(value_map)
+    ll = _posterior(final.logpi, params.betas, params.sigma2s, x, T)[1]
+    shift = value_map.log_jacobian(signal.n)
     pi = np.exp(final.logpi)
     return FitReport(
         params=params,
-        log_likelihood_trace=tuple(trace),
-        bic=bic(params, trace[-1], signal.n),
+        log_likelihood_trace=tuple(v - shift for v in trace[:-1]) + (ll,),
+        bic=bic(params, ll, signal.n),
         labels=_hard_labels(pi),
-        denoised=_denoise(pi, final.betas, T),
+        denoised=_denoise(pi, params.betas, T),
         converged=converged,
         time_map=time_map,
         seed=seed,
@@ -644,7 +660,7 @@ def select_model(
         for p in p_range:
             try:
                 report = em_fit(signal, K, p, q, **fit_kwargs)
-            except (RhlpSegError, np.linalg.LinAlgError) as exc:  # record and continue
+            except _FIT_ERRORS as exc:  # record and continue
                 table.append(SelectionEntry(K, p, q, None, None, None, str(exc)))
                 continue
             table.append(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rhlpseg import core, piecewise
-from rhlpseg.core import GaussianComponent, Signal, design_matrix, to_fit_time
+from rhlpseg.core import GaussianComponent, Signal, design_matrix
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import (
     Partition,
@@ -349,8 +349,9 @@ class TestFisherDp:
         rng = np.random.default_rng(1)
         sig = random_signal(rng, 30)
         fit = fisher_dp(sig, K=1, p=1)
-        # the components are in fit time: compare with OLS on the mapped signal
-        cost, comp = segment_cost(to_fit_time(sig)[0], 0, 30, p=1)
+        # the components are in fit time and in the units of x: compare with
+        # OLS on the values at the fit times
+        cost, comp = segment_cost(Signal(fit.time_map(sig.t), sig.x), 0, 30, p=1)
         assert fit.criterion_j == pytest.approx(cost)
         np.testing.assert_allclose(fit.components[0].beta, comp.beta, rtol=1e-9)
         np.testing.assert_array_equal(fit.partition.gamma, [0, 30])

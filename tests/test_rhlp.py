@@ -504,6 +504,27 @@ class TestEmFit:
         with pytest.raises(RankDeficientError):
             em_fit(sig, K=1, p=3, q=1, seed=0)
 
+    def test_failed_restart_is_dropped(self):
+        # restart 1 hits a rank-deficient weighted design on a plain EM step;
+        # the runs that finish still give the fit
+        sig, _ = simulate_piecewise(SITUATION_1, 150, seed=7)
+        lls = [em_fit(sig, K=5, p=2, q=2, n_restarts=n_restarts, seed=1).log_likelihood
+               for n_restarts in (0, 1, 2)]
+        assert min(lls[1:]) >= lls[0]
+
+    def test_every_run_failing_raises_the_first_error(self, monkeypatch):
+        runs = []
+
+        def failing(*args):
+            runs.append(len(runs))
+            raise RankDeficientError(f"run {runs[-1]}")
+
+        monkeypatch.setattr(rhlp, "_em_once", failing)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(RankDeficientError, match="^run 0$"):
+            em_fit(sig, K=2, p=1, q=1, n_restarts=2, seed=0)
+        assert runs == [0, 1, 2]
+
     def test_max_iter_bounds_evaluations(self):
         sig, _ = simulate_piecewise(SITUATION_1, 300, seed=2)
         report = em_fit(sig, K=5, p=2, q=1, max_iter=7)

@@ -1,8 +1,10 @@
-"""The fit-time map: every fitter maps its times t once to u = (t - t0) *
-factor, fits in u and keeps the map, so a fit does not depend on where the
-clock starts or how fast it runs. Values are not mapped; the variance floor
-is relative to var(x), so the piecewise fits do not depend on their offset
-or scale either, across the whole value range a Signal accepts."""
+"""The fit-time and fit-value maps: every fitter maps its times t once to
+u = (t - t0) * factor, fits in u and keeps the map, so a fit does not depend
+on where the clock starts or how fast it runs. It maps its values x once to
+y = (x - x0) * 2^-e, fits on y and maps its result back to x, and the
+variance floor is relative to var(x), so the piecewise fits do not depend on
+the values' offset or scale either, across the whole value range a Signal
+accepts."""
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rhlpseg.core import RELATIVE_VARIANCE_FLOOR, Signal, TimeMap, to_fit_time
+from rhlpseg.core import RELATIVE_VARIANCE_FLOOR, Signal, TimeMap, ValueMap, to_fit_time
 from rhlpseg.errors import DataError
 from rhlpseg.piecewise import fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit
@@ -40,10 +42,47 @@ class TestTimeMap:
 
     def test_single_sample_has_factor_one(self):
         assert TimeMap.of([EPOCH]) == TimeMap(EPOCH, 1.0)
-        signal, time_map = to_fit_time(Signal([EPOCH], [3.0]))
+        signal, time_map, value_map = to_fit_time(Signal([EPOCH], [3.0]))
         assert time_map(EPOCH + 2.0) == 2.0
         np.testing.assert_array_equal(signal.t, [0.0])
-        np.testing.assert_array_equal(signal.x, [3.0])
+        assert value_map == ValueMap(3.0, 0)
+        np.testing.assert_array_equal(signal.x, [0.0])
+
+
+class TestValueMap:
+    @pytest.fixture(scope="class")
+    def x(self):
+        return simulate_piecewise(SITUATION_1, 500, seed=3)[0].x + 1e3
+
+    @pytest.mark.parametrize("k", [-10, 7, -300])
+    def test_power_of_two_scaling_gives_the_same_fit_values(self, x, k):
+        scaled = ValueMap.of(np.ldexp(x, k))
+        assert scaled == ValueMap(np.ldexp(x[0], k), ValueMap.of(x).e + k)
+        np.testing.assert_array_equal(scaled(np.ldexp(x, k)), ValueMap.of(x)(x))
+
+    @pytest.mark.parametrize("value", [0.0, -3.0, 1e150, 2.0**600])
+    def test_constant_maps_to_zero(self, value):
+        # np.std of 60 copies of 1e150 is 1.8e134, not 0
+        x = np.full(60, value)
+        value_map = ValueMap.of(x)
+        assert value_map == ValueMap(value, 0)
+        np.testing.assert_array_equal(value_map(x), 0.0)
+
+    def test_fit_values_have_unit_order_spread(self, x):
+        assert 0.5 <= np.std(ValueMap.of(x)(x)) < 1.0
+
+    def test_results_map_back_to_x(self, x):
+        # a polynomial fitted to y, mapped back, is the same curve on x, with
+        # its variance and log-likelihood moved as the change of variables
+        value_map = ValueMap.of(x)
+        T = np.vander(np.linspace(0.0, 5.0, len(x)), 3, increasing=True)
+        beta_y = np.array([0.5, -0.25, 0.125])
+        np.testing.assert_allclose(T @ value_map.beta(beta_y),
+                                   np.ldexp(T @ beta_y, value_map.e) + value_map.x0,
+                                   rtol=1e-15)
+        assert value_map.variance(0.25) == 0.25 * 4.0**value_map.e
+        assert value_map.log_jacobian(len(x)) == pytest.approx(
+            len(x) * np.log(2.0**value_map.e), rel=1e-15)
 
 
 @given(
@@ -149,15 +188,18 @@ def test_values_out_of_range_raise_data_error(scenario, n, seed, scale):
         Signal(np.arange(float(n)), x * scale)
 
 
-@pytest.mark.parametrize("value", [0.0, -3.0, 0.1, 1e-300, 1e150])
+@pytest.mark.parametrize("value", [0.0, -3.0, 0.1, 1e-300, 1e12, 1e150, 2.0**600])
 def test_constant_values_fit(value):
     # np.var of 60 copies of 0.1 or 1e150 is not 0 but roundoff (1.7e-33 and
-    # 3.3e268), which must not set the floor of a constant signal
-    sig = Signal(np.linspace(0.0, 5.0, 60), np.full(60, value))
+    # 3.3e268), which must not set the floor or the value map of a constant
+    # signal. Every constant maps to y = 0, so every fit equals that of x = 1.
+    t = np.linspace(0.0, 5.0, 60)
+    sig = Signal(t, np.full(60, value))
     assert sig.variance_floor == RELATIVE_VARIANCE_FLOOR
-    for fit in (em_fit(sig, 3, 2, 1, seed=0), fisher_dp(sig, 3, 2),
-                multi_start_iterative(sig, 3, 2, seed=0)):
-        assert np.isfinite(fit.log_likelihood)
+    one = Signal(t, np.ones(60))
+    for fitter in (lambda s: em_fit(s, 3, 2, 1, seed=0), lambda s: fisher_dp(s, 3, 2),
+                   lambda s: multi_start_iterative(s, 3, 2, seed=0)):
+        assert fitter(sig).log_likelihood == fitter(one).log_likelihood
 
 
 class TestEpochSignal:
