@@ -90,8 +90,9 @@ def piecewise_mean(partition: Partition, components, t) -> np.ndarray:
 @dataclass(frozen=True)
 class PiecewiseFit:
     """Result of a piecewise regression fit; the components are polynomials
-    in fit time u = time_map(t). model is the fitter's tag, "piecewise_dp"
-    or "piecewise_iterative"; seed is multi_start_iterative's."""
+    in fit time u = time_map(t), in the units of x. model is the fitter's
+    tag, "piecewise_dp" or "piecewise_iterative"; seed is
+    multi_start_iterative's."""
 
     partition: Partition
     components: tuple[GaussianComponent, ...]

@@ -101,9 +101,9 @@ class RhlpParams:
 @dataclass(frozen=True)
 class FitReport:
     """Everything produced by one EM fit. params are in fit time u =
-    time_map(t); labels and denoised are at the signal's samples. Every
-    FitReport is an RHLP fit, so its model tag is a class constant; seed is
-    em_fit's."""
+    time_map(t) and in the units of x; labels and denoised are at the
+    signal's samples. Every FitReport is an RHLP fit, so its model tag is a
+    class constant; seed is em_fit's."""
 
     model: ClassVar[str] = "rhlp"
     params: RhlpParams
