@@ -129,11 +129,17 @@ def _floored_cost(sse, m, signal: Signal):
 
 def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, GaussianComponent]:
     """OLS fit of samples in the index range (a, b] (0-based: a..b-1) and its
-    segmentation cost sum_i [log s2 + resid^2/s2]. Fewer than p + 1 samples
-    get lstsq's minimum-norm fit. ValueError unless 0 <= a < b <= n."""
+    segmentation cost sum_i [log s2 + resid^2/s2]. The values are fitted
+    shifted to x[a], which is added back to beta_0, as build_cost_matrix
+    shifts each start, so offset and constant values lose no precision.
+    Fewer than p + 1 samples get lstsq's minimum-norm fit. ValueError unless
+    0 <= a < b <= n."""
     if not 0 <= a < b <= signal.n:
         raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
-    return _ols_cost(design_matrix(signal.t[a:b], p), signal.x[a:b], signal)
+    x0 = signal.x[a]
+    cost, comp = _ols_cost(design_matrix(signal.t[a:b], p), signal.x[a:b] - x0, signal)
+    comp.beta[0] += x0
+    return cost, comp
 
 
 def _ols_cost(T: np.ndarray, x: np.ndarray, signal: Signal) -> tuple[float, GaussianComponent]:
@@ -150,29 +156,36 @@ def build_cost_matrix(
     """(n+1) x (n+1) matrix of one-segment costs; entry (a, b) is the cost of
     fitting samples (a, b]. Infeasible ranges (b - a < min length) hold +inf.
 
-    Built column by column with Givens QR updates. Every start a keeps the
-    triangular factor of its segment's data [T | x], with times shifted to
-    t_a and values to x_a, so epoch timestamps and large offsets lose no
-    precision. Sample j's row [(t_j - t_a)^0..p | x_j - x_a] is rotated into
-    the factors of all starts a <= j at once; what is left in the x column
-    after the p+1 rotations, squared, adds to that start's exact residual
-    sum of squares. There is no normal-equations step and no fallback.
+    Built column by column with square-root-free Givens QR updates
+    (Gentleman 1973). Every start a keeps the factor of its segment's data
+    [T | x] as weights D_i = R_ii^2 and a unit upper-triangular row Rbar_i,
+    with times shifted to t_a and values to x_a, so epoch timestamps and
+    large offsets lose no precision. Sample j's row v = [(t_j - t_a)^0..p |
+    x_j - x_a] enters with weight w = 1 into the factors of all starts
+    a <= j at once; after the p+1 rotations, w * v_d^2 adds to that start's
+    exact residual sum of squares. The pass takes no square root, and there
+    is no normal-equations step and no fallback.
 
-    Rotation 0 is against the all-ones column. After m = j - a + 1 rows its
-    pivot is sqrt(m), so its cosine sqrt((m-1)/m) and sine 1/sqrt(m) depend
-    on m alone (Welford's running-mean update) and come from vectors built
-    once per call; the pivot itself is never read, so it is not stored. A
-    later rotation i stores its pivot r = hypot(R_ii, v_i) and rotates only
-    the columns right of it, because it zeroes v_i. Where r = 0 it is the
-    identity rotation: powers of tiny time gaps can underflow, and an entry
-    can cancel to exactly zero.
+    Rotation 0 is against the all-ones column, whose weight is D_0 = m - 1
+    before row m = j - a + 1: it is the running mean, v_k <- v_k - Rbar_0k,
+    then Rbar_0k <- Rbar_0k + v_k (1 / m), and leaves w = (m - 1) / m. A later
+    rotation i takes e = D_i + w v_i^2, cbar = D_i / e and sbar = w v_i / e,
+    then, for each k > i and from the old values, Rbar_ik <- cbar Rbar_ik +
+    sbar v_k and v_k <- v_k - v_i Rbar_ik, and last D_i <- e and w <- w cbar.
+    This is the update order of Miller's AS 274 (1992). The shorter
+    Rbar_ik <- Rbar_ik + sbar v_k with the new v_k saves a multiply, but on
+    times one ulp apart it misses exact least squares by up to 0.5. Where
+    e = 0 the rotation is the identity. The pivots are squared: a power of
+    a tiny time gap whose square underflows acts as a zero pivot, as
+    lstsq's rank cutoff drops such a column. fisher_dp runs on fit time
+    |u| <= 5, far from overflow.
 
-    A start with m rows keeps rows m.. of its factor zero: rotation m - 1
-    meets R_{m-1,m-1} = 0, so it swaps the rest of the row into R and leaves
-    v = 0. Rotation i > m - 1 is then the identity on that start, so it runs
-    only on the starts with more than i rows. The exception is a start whose
-    rotation m - 1 met r = 0, which may leave v nonzero: from then on that
-    start and every older one run every rotation.
+    A start with m rows has weights D_0..D_{m-1} and no others: rotation
+    m - 1 meets D_{m-1} = 0, so cbar = 0 and w = 0, and rotation i > m - 1
+    is then the identity on that start, so it runs only on the starts with
+    more than i rows. The exception is a start whose rotation m - 1 met
+    e = 0 with w != 0: from then on that start and every older one run
+    every rotation.
     """
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
@@ -180,56 +193,68 @@ def build_cost_matrix(
     t, x = signal.t, signal.x
     d = p + 1
     out = np.full((n + 1, n + 1), np.inf, order="F")  # the DP reads columns
-    R = np.zeros((d, d + 1, n))  # R[:, :, a]: upper-triangular factor of start a
+    # R[:, :, a]: the factor of start a, D_i on the diagonal and Rbar_i right
+    # of it; D_0 is never read, so it is not stored
+    R = np.zeros((d, d + 1, n))
     sse = np.zeros(n)
     # start a of column j holds m = j + 1 - a rows; the vectors indexed by m
     # run from m = n down to 1, so column j reads their last j + 1 entries
     m = np.arange(n, 0, -1, dtype=float)
-    c0 = np.sqrt((m - 1) / m)  # rotation 0, against the all-ones column
-    s0 = 1.0 / np.sqrt(m)
+    inv_m = 1.0 / m
+    w_m = (m - 1) / m  # the weight after rotation 0
     v_all = np.empty((d + 1, n))  # the incoming row of every start
     v_all[0] = 1.0  # the all-ones column, base of the powers of t_j - t_a
-    sR_all = np.empty((d, n))
+    w_all = np.empty(n)  # and its weight
+    wv_all, e_all, c_all, s_all = np.empty((4, n))
     sv_all = np.empty((d, n))
-    deficient = -1  # the newest start whose rotation m - 1 met r = 0
-    with np.errstate(invalid="ignore"):  # 0/0 where r = 0, replaced below
+    vR_all = np.empty((d, n))
+    deficient = -1  # the newest start whose rotation m - 1 met e = 0, w != 0
+    # x/0 where e = 0, replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n):
             k0 = n - 1 - j  # column j's offset into the vectors indexed by m
             Rj = R[:, :, : j + 1]
             v = v_all[:, : j + 1]
+            w = w_all[: j + 1]
             dt = t[j] - t[: j + 1]
             for k in range(1, d):
                 np.multiply(v[k - 1], dt, out=v[k])
             np.subtract(x[j], x[: j + 1], out=v[d])
-            for i in range(d):
+            # rotation 0: the running mean of every column right of the ones
+            R0, v0 = Rj[0, 1:], v[1:]
+            v0 -= R0
+            R0 += np.multiply(v0, inv_m[k0:], out=sv_all[:d, : j + 1])
+            w[...] = w_m[k0:]
+            for i in range(1, d):
                 # rotation i changes only the starts a < starts
                 starts = max(j + 1 - i, deficient + 1)
                 if starts <= 0:
                     break
-                if i == 0:
-                    c, s = c0[k0:], s0[k0:]
-                else:
-                    Rii, vii = Rj[i, i, :starts], v[i, :starts]
-                    r = np.hypot(Rii, vii)
-                    c = Rii / r
-                    s = vii / r
-                    if not r.all():
-                        zero = r == 0
-                        c[zero] = 1.0
-                        s[zero] = 0.0
-                        if j >= i and zero[j - i]:  # start j - i has m = i + 1 rows
-                            deficient = max(deficient, j - i)
-                    Rii[...] = r
-                # the rotation zeroes v[i]: only the columns right of the
-                # pivot change
+                Dii, vii, wi = Rj[i, i, :starts], v[i, :starts], w[:starts]
+                wv = np.multiply(wi, vii, out=wv_all[:starts])
+                e = np.multiply(wv, vii, out=e_all[:starts])
+                e += Dii
+                c = np.divide(Dii, e, out=c_all[:starts])
+                s = np.divide(wv, e, out=s_all[:starts])
+                if not e.all():
+                    zero = e == 0
+                    c[zero] = 1.0
+                    s[zero] = 0.0
+                    # start j - i has m = i + 1 rows
+                    if j >= i and zero[j - i] and wi[j - i] != 0:
+                        deficient = max(deficient, j - i)
+                Dii[...] = e
+                wi *= c
+                # Miller's order: both updates read the old Rbar_ik and v_k
                 Ri, vi = Rj[i, i + 1 :, :starts], v[i + 1 :, :starts]
-                sR = np.multiply(Ri, s, out=sR_all[: d - i, :starts])
                 sv = np.multiply(vi, s, out=sv_all[: d - i, :starts])
+                vR = np.multiply(Ri, vii, out=vR_all[: d - i, :starts])
+                vi -= vR
                 Ri *= c
                 Ri += sv
-                vi *= c
-                vi -= sR
-            sse[: j + 1] += v[d] ** 2
+            vd2 = np.multiply(v[d], v[d], out=wv_all[: j + 1])
+            vd2 *= w
+            sse[: j + 1] += vd2
             feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
             if feasible > 0:
                 out[:feasible, j + 1] = _floored_cost(

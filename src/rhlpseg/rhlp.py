@@ -26,7 +26,7 @@ from .core import (
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
-from .piecewise import segment_cost, uniform_partition
+from .piecewise import _ols_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
 # IRLS limits of every M-step: Newton steps, halvings per Newton step, and
@@ -341,15 +341,17 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 def _uniform_segment_init(
-    signal: Signal, K: int, p: int, q: int, sigma2: float, cuts: np.ndarray | None = None
+    signal: Signal, T: np.ndarray, K: int, q: int, sigma2: float,
+    cuts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Paper-style initialization as (w, betas, sigma2s): zero logistic
     coefficients, every variance sigma2, and per-segment OLS coefficients on
-    a uniform (or supplied) partition."""
+    a uniform (or supplied) partition, each fitted on its rows of the design
+    matrix T = design_matrix(signal.t, p)."""
     if cuts is None:
         cuts = uniform_partition(signal.n, K).gamma
     betas = np.stack(
-        [segment_cost(signal, a, b, p)[1].beta for a, b in zip(cuts[:-1], cuts[1:])]
+        [_ols_cost(T[a:b], signal.x[a:b], signal)[1].beta for a, b in zip(cuts[:-1], cuts[1:])]
     )
     return np.zeros((K, q + 1)), betas, np.full(K, sigma2)
 
@@ -562,7 +564,7 @@ def em_fit(
     best = error = None
     for run_cuts in cuts:
         try:
-            init = _uniform_segment_init(signal, K, p, q, sigma2, run_cuts)
+            init = _uniform_segment_init(signal, T, K, q, sigma2, run_cuts)
             result = _em_once(signal, init, epsilon, max_iter, designs)
         except _FIT_ERRORS as exc:
             error = error or exc

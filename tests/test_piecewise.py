@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,18 +57,19 @@ def _dp_tables_loop(cost, K, min_len):
 
 def scalar_givens_costs(signal, p, min_len):
     """Reference cost matrix: each start's rows rotated in one at a time by
-    scalar Givens rotations, all p + 1 of them on every row, in the kernel's
-    operand order, with the kernel's closed-form rotation 0 and its
-    _floored_cost per column. Also returns the (rows, i) of every rotation
-    i >= 1 that met r = 0 on a start with more than i rows."""
+    scalar square-root-free Givens rotations, all p + 1 of them on every
+    row, in the kernel's operand order, with the kernel's closed-form
+    rotation 0 and its _floored_cost per column; e = 0 is the identity.
+    Also returns the (rows, i) of every rotation i >= 1 that met e = 0 with
+    w != 0 on a start with more than i rows."""
     n, d = signal.n, p + 1
     t, x = signal.t, signal.x
     m = np.arange(n, 0, -1, dtype=float)
-    c0, s0 = np.sqrt((m - 1) / m), 1.0 / np.sqrt(m)
+    inv_m, w_m = 1.0 / m, (m - 1) / m
     sse = np.zeros((n, n))  # sse[j, a]: of the rows a..j
     zero_pivots = []
     for a in range(n):
-        R = np.zeros((d, d + 1))
+        R = np.zeros((d, d + 1))  # D_i on the diagonal, Rbar_i right of it
         acc = np.float64(0.0)
         for j in range(a, n):
             rows = j + 1 - a
@@ -77,23 +79,26 @@ def scalar_givens_costs(signal, p, min_len):
             for k in range(1, d):
                 v[k] = v[k - 1] * dt
             v[d] = x[j] - x[a]
-            for i in range(d):
-                if i == 0:
-                    c, s = c0[n - rows], s0[n - rows]
+            for k in range(1, d + 1):
+                v[k] = v[k] - R[0, k]
+                R[0, k] = R[0, k] + v[k] * inv_m[n - rows]
+            w = w_m[n - rows]
+            for i in range(1, d):
+                wv = w * v[i]
+                e = wv * v[i] + R[i, i]
+                if e == 0:
+                    c, s = np.float64(1.0), np.float64(0.0)
+                    if rows > i and w != 0:
+                        zero_pivots.append((rows, i))
                 else:
-                    r = np.hypot(R[i, i], v[i])
-                    if r == 0:
-                        c, s = np.float64(1.0), np.float64(0.0)
-                        if rows > i:
-                            zero_pivots.append((rows, i))
-                    else:
-                        c, s = R[i, i] / r, v[i] / r
-                    R[i, i] = r
+                    c, s = R[i, i] / e, wv / e
+                R[i, i] = e
+                w = w * c
                 for k in range(i + 1, d + 1):
                     Rk, vk = R[i, k], v[k]
+                    v[k] = vk - Rk * v[i]
                     R[i, k] = Rk * c + vk * s
-                    v[k] = vk * c - Rk * s
-            acc = acc + v[d] * v[d]
+            acc = acc + v[d] * v[d] * w
             sse[j, a] = acc
     out = np.full((n + 1, n + 1), np.inf)
     for j in range(n):
@@ -112,13 +117,31 @@ def tiny_gap_signal():
     return Signal(t, np.random.default_rng(0).normal(size=40))
 
 
-def near_duplicate_signal():
+def near_duplicate_signal(seed=37):
     """Eight uneven times, every third followed by the next larger double:
-    on some starts a row's entry cancels to exactly zero."""
-    rng = np.random.default_rng(22)
+    on some starts a row's entry cancels to exactly zero (with seed 37, at
+    the rotation that would make a start's last pivot)."""
+    rng = np.random.default_rng(seed)
     base = np.cumsum(rng.uniform(0.5, 2, 8))
     t = np.sort(np.concatenate((base, np.nextafter(base[::3], np.inf))))
     return Signal(t, rng.normal(size=len(t)))
+
+
+def exact_sse(columns, y):
+    """Residual sum of squares of y on the span of columns, all lists of
+    Fractions, by exact Gram-Schmidt; a column in the span of the earlier
+    ones leaves a zero vector and is skipped."""
+    def dot(a, b):
+        return sum(ai * bi for ai, bi in zip(a, b))
+
+    basis = []
+    for col in columns:
+        for q, qq in basis:
+            f = dot(col, q) / qq
+            col = [ci - f * qi for ci, qi in zip(col, q)]
+        if any(col):
+            basis.append((col, dot(col, col)))
+    return dot(y, y) - sum(dot(y, q) ** 2 / qq for q, qq in basis)
 
 
 def _fixed_param_segmentation_loop(signal, components, min_len):
@@ -199,6 +222,15 @@ class TestSegmentCost:
         cost, _ = segment_cost(sig, 0, 12, p=1)
         assert cost == pytest.approx(oracle_segment_cost(sig, 0, 12, 1), rel=1e-8)
 
+    @pytest.mark.parametrize("value", [1.0, 1e12, 2.0**600])
+    def test_constant_values(self, value):
+        # fitted shifted to x[a], every constant has zero residuals and the
+        # floored cost 60 log(1e-12) = -1657.86
+        sig = Signal(np.linspace(0.0, 5.0, 60), np.full(60, value))
+        cost, comp = segment_cost(sig, 0, 60, p=2)
+        assert cost == 60 * np.log(core.RELATIVE_VARIANCE_FLOOR)
+        np.testing.assert_array_equal(comp.beta, [value, 0.0, 0.0])
+
     def test_too_short_raises(self):
         sig = Signal([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         for a, b in [(1, 1), (2, 1), (-1, 2), (0, 4)]:  # empty or out of range
@@ -246,11 +278,12 @@ class TestCostMatrix:
                 assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
 
     @pytest.mark.parametrize("make, p, min_len, rows_at_zero", [
-        # a start with 3 or more rows meets r = 0 at rotation 2
+        # the squared leading gaps underflow: a start with 3 or more rows
+        # meets e = 0 at rotation 1
         (tiny_gap_signal, 2, 4, lambda rows, i: rows > i + 1),
-        # rotation m - 1 meets r = 0 on a start with m rows, which then runs
-        # every later rotation; only segments of at most 5 samples differ
-        # if it does not
+        # rotation m - 1 meets e = 0 with w != 0 on a start with m rows,
+        # which then runs every later rotation; five segments of start 2
+        # differ if it does not
         (near_duplicate_signal, 4, 1, lambda rows, i: rows == i + 1),
     ], ids=["tiny-gaps", "near-duplicates"])
     def test_zero_pivots_match_scalar_givens(self, make, p, min_len, rows_at_zero):
@@ -258,6 +291,24 @@ class TestCostMatrix:
         ref, zero_pivots = scalar_givens_costs(sig, p, min_len)
         assert any(rows_at_zero(rows, i) for rows, i in zero_pivots)
         assert np.array_equal(build_cost_matrix(sig, p, min_len), ref)
+
+    @pytest.mark.parametrize("seed", [22, 37])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("tight", [True, False])
+    def test_near_duplicates_match_exact_least_squares(self, seed, p, tight):
+        # times one ulp apart make the pivots nearly cancel; the reference
+        # SSE is exact, from rational Gram-Schmidt on times and values
+        # shifted to the segment's first sample
+        sig = near_duplicate_signal(seed)
+        min_len = 1 if tight else p + 2
+        C = build_cost_matrix(sig, p, min_len)
+        for a in range(sig.n):
+            for b in range(a + min_len, sig.n + 1):
+                u = [Fraction(tj) - Fraction(sig.t[a]) for tj in sig.t[a:b]]
+                y = [Fraction(xj) - Fraction(sig.x[a]) for xj in sig.x[a:b]]
+                sse = exact_sse([[uj**k for uj in u] for k in range(p + 1)], y)
+                ref = _floored_cost(float(sse), b - a, sig)[0]
+                assert abs(C[a, b] - ref) <= 1e-12 * max(abs(C[a, b]), b - a)
 
     @given(
         p=st.integers(0, 3),
