@@ -33,14 +33,19 @@ def default_min_segment_length(p: int) -> int:
     return p + 2
 
 
+def _check_orders(K: int, p: int, min_len: int) -> None:
+    """ValueError for K < 1, p < 0 or min_len < 1."""
+    if K < 1 or p < 0 or min_len < 1:
+        raise ValueError(f"require K >= 1, p >= 0, min length >= 1; got {K}, {p}, {min_len}")
+
+
 def _check_request(n: int, K: int, min_len: int | None, p: int = 0) -> int:
     """The one entry check for K segments of at least min_len samples each
     (default p + 2) over n samples; returns min_len. ValueError for K < 1,
     p < 0 or min_len < 1, InfeasibleError for n < K * min_len."""
     if min_len is None:
         min_len = default_min_segment_length(p)
-    if K < 1 or p < 0 or min_len < 1:
-        raise ValueError(f"require K >= 1, p >= 0, min length >= 1; got {K}, {p}, {min_len}")
+    _check_orders(K, p, min_len)
     if n < K * min_len:
         raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
     return min_len
@@ -120,11 +125,11 @@ class PiecewiseFit:
         return piecewise_mean(self.partition, self.components, self.time_map(t))
 
 
-def _floored_cost(sse, m, signal: Signal):
+def _floored_cost(sse, m, signal: Signal, out=None):
     """Cost m*log(s2) + sse/s2 with s2 = max(sse/m, signal.variance_floor),
-    elementwise. Returns (cost, s2)."""
+    elementwise, written to out if given. Returns (cost, s2)."""
     s2 = np.maximum(sse / m, signal.variance_floor)
-    return m * np.log(s2) + sse / s2, s2
+    return np.add(m * np.log(s2), sse / s2, out=out), s2
 
 
 def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, GaussianComponent]:
@@ -133,9 +138,10 @@ def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, Gaussia
     shifted to x[a], which is added back to beta_0, as build_cost_matrix
     shifts each start, so offset and constant values lose no precision.
     Fewer than p + 1 samples get lstsq's minimum-norm fit. ValueError unless
-    0 <= a < b <= n."""
+    0 <= a < b <= n and p >= 0."""
     if not 0 <= a < b <= signal.n:
         raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
+    _check_orders(1, p, 1)
     x0 = signal.x[a]
     cost, comp = _ols_cost(design_matrix(signal.t[a:b], p), signal.x[a:b] - x0, signal)
     comp.beta[0] += x0
@@ -155,6 +161,7 @@ def build_cost_matrix(
 ) -> np.ndarray:
     """(n+1) x (n+1) matrix of one-segment costs; entry (a, b) is the cost of
     fitting samples (a, b]. Infeasible ranges (b - a < min length) hold +inf.
+    ValueError for p < 0 or a minimum length below 1.
 
     Built column by column with square-root-free Givens QR updates
     (Gentleman 1973). Every start a keeps the factor of its segment's data
@@ -177,8 +184,12 @@ def build_cost_matrix(
     times one ulp apart it misses exact least squares by up to 0.5. Where
     e = 0 the rotation is the identity. The pivots are squared: a power of
     a tiny time gap whose square underflows acts as a zero pivot, as
-    lstsq's rank cutoff drops such a column. fisher_dp runs on fit time
-    |u| <= 5, far from overflow.
+    lstsq's rank cutoff drops such a column. The pass runs on the times
+    scaled by the power of two 2^(3 - e), e the binary exponent of
+    t[-1] - t[0], so that their span lies in [4, 8): every intermediate then
+    scales by an exact power of two, the costs are those of the unscaled
+    times bit for bit, and no power of a gap overflows however large the
+    raw times are. fisher_dp's fit time u has span 5 and gets factor 1.
 
     A start with m rows has weights D_0..D_{m-1} and no others: rotation
     m - 1 meets D_{m-1} = 0, so cbar = 0 and w = 0, and rotation i > m - 1
@@ -189,8 +200,10 @@ def build_cost_matrix(
     """
     if min_segment_length is None:
         min_segment_length = default_min_segment_length(p)
+    _check_orders(1, p, min_segment_length)
     n = signal.n
-    t, x = signal.t, signal.x
+    t = np.ldexp(signal.t, 3 - np.frexp(signal.t[-1] - signal.t[0])[1])
+    x = signal.x
     d = p + 1
     out = np.full((n + 1, n + 1), np.inf, order="F")  # the DP reads columns
     # R[:, :, a]: the factor of start a, D_i on the diagonal and Rbar_i right
@@ -202,8 +215,9 @@ def build_cost_matrix(
     m = np.arange(n, 0, -1, dtype=float)
     inv_m = 1.0 / m
     w_m = (m - 1) / m  # the weight after rotation 0
-    v_all = np.empty((d + 1, n))  # the incoming row of every start
-    v_all[0] = 1.0  # the all-ones column, base of the powers of t_j - t_a
+    # the incoming row of every start; row 0, the all-ones column, is never
+    # read, since rotation 0 against it is in closed form
+    v_all = np.empty((d + 1, n))
     w_all = np.empty(n)  # and its weight
     wv_all, e_all, c_all, s_all = np.empty((4, n))
     sv_all = np.empty((d, n))
@@ -216,9 +230,10 @@ def build_cost_matrix(
             Rj = R[:, :, : j + 1]
             v = v_all[:, : j + 1]
             w = w_all[: j + 1]
-            dt = t[j] - t[: j + 1]
-            for k in range(1, d):
-                np.multiply(v[k - 1], dt, out=v[k])
+            if d > 1:
+                dt = np.subtract(t[j], t[: j + 1], out=v[1])
+                for k in range(2, d):
+                    np.multiply(v[k - 1], dt, out=v[k])
             np.subtract(x[j], x[: j + 1], out=v[d])
             # rotation 0: the running mean of every column right of the ones
             R0, v0 = Rj[0, 1:], v[1:]
@@ -236,7 +251,7 @@ def build_cost_matrix(
                 e += Dii
                 c = np.divide(Dii, e, out=c_all[:starts])
                 s = np.divide(wv, e, out=s_all[:starts])
-                if not e.all():
+                if np.count_nonzero(e) != starts:
                     zero = e == 0
                     c[zero] = 1.0
                     s[zero] = 0.0
@@ -257,9 +272,8 @@ def build_cost_matrix(
             sse[: j + 1] += vd2
             feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
             if feasible > 0:
-                out[:feasible, j + 1] = _floored_cost(
-                    sse[:feasible], m[k0 : k0 + feasible], signal
-                )[0]
+                _floored_cost(sse[:feasible], m[k0 : k0 + feasible], signal,
+                              out=out[:feasible, j + 1])
     return out
 
 
@@ -300,6 +314,23 @@ def _backtrack(H: np.ndarray, K: int, n: int) -> Partition:
     return Partition(gamma)
 
 
+def _dp_partition(cost: np.ndarray, K: int, min_len: int) -> tuple[float, Partition]:
+    """The optimal cost C[K, n] and partition of samples (0, n] into K
+    segments, equal bit for bit to _dp_tables(cost, K, min_len) and its
+    backtrack. Levels 1..K-1 come from _dp_tables; level K is needed at
+    b = n only, so it is one candidate vector C[K-1, h] + cost[h, n] over
+    h <= n - min_len and its first argmin, the blocked level's candidates
+    and tie rule for that column."""
+    n = cost.shape[0] - 1
+    if K == 1:
+        return float(cost[0, n]), Partition([0, n])
+    C, H = _dp_tables(cost, K - 1, min_len)
+    top = n + 1 - min_len
+    cand = C[K - 1, :top] + cost[:top, n]
+    h = int(cand.argmin())
+    return float(cand[h]), Partition(np.append(_backtrack(H, K - 1, h).gamma, n))
+
+
 def _refit(
     signal: Signal, T: np.ndarray, partition: Partition
 ) -> tuple[tuple[GaussianComponent, ...], float]:
@@ -324,15 +355,16 @@ def fisher_dp(
 ) -> PiecewiseFit:
     """Globally optimal piecewise polynomial fit with K segments, by dynamic
     programming over the one-segment cost matrix. Ties in the split argmin go
-    to the smallest index."""
+    to the smallest index. The recursion fills levels 1..K-1 for every
+    sample count b; the last level is needed at b = n only, so it is one
+    argmin over the splits of the whole signal (none for K = 1)."""
     n = signal.n
     min_segment_length = _check_request(n, K, min_segment_length, p)
     signal, time_map, value_map = to_fit_time(signal)
     cost = build_cost_matrix(signal, p, min_segment_length)
-    C, H = _dp_tables(cost, K, min_segment_length)
-    partition = _backtrack(H, K, n)
+    j, partition = _dp_partition(cost, K, min_segment_length)
     components, _ = _refit(signal, design_matrix(signal.t, p), partition)
-    j = float(C[K, n]) + 2.0 * value_map.log_jacobian(n)
+    j += 2.0 * value_map.log_jacobian(n)
     return PiecewiseFit(partition, _components_to_x(components, value_map), j, time_map,
                         "piecewise_dp")
 
@@ -376,14 +408,14 @@ def _fixed_param_segmentation(
     D[0, 0] = 0.0
     for k in range(1, K + 1):
         b0 = k * min_len
-        h = np.arange(b0 - min_len, n - min_len + 1)  # split eligible at b = h + min_len
-        cand = D[k - 1, h] - cum[k - 1, h]
+        h0, h1 = b0 - min_len, n - min_len + 1  # split h is eligible at b = h + min_len
+        cand = D[k - 1, h0:h1] - cum[k - 1, h0:h1]
         cand[np.isnan(cand)] = np.inf
         best = np.minimum.accumulate(cand)
         # a split takes over only when strictly below every earlier candidate
         improves = cand < np.concatenate(([np.inf], best[:-1]))
         D[k, b0:] = best + cum[k - 1, b0:]
-        H[k, b0:] = np.maximum.accumulate(np.where(improves, h, 0))
+        H[k, b0:] = np.maximum.accumulate(np.where(improves, np.arange(h0, h1), 0))
     if not np.isfinite(D[K, n]):
         raise NumericalError(f"re-segmentation cost {D[K, n]} is not finite")
     return _backtrack(H, K, n), float(D[K, n])
@@ -403,7 +435,10 @@ def iterative_fisher(
     (segmentation step). J is non-increasing across iterations. Both steps
     read the one design matrix of the fit-time signal built per call, and
     run on its fit values; tol applies to J there, which differs from J in
-    the units of x by a constant."""
+    the units of x by a constant. A segmentation step that returns the
+    current partition skips the regression step, which would return the
+    same components and J: J repeats, and for tol > 0 the fit stops as
+    converged."""
     n = signal.n
     min_segment_length = _check_request(n, K, min_segment_length, p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_segment_length):
@@ -416,7 +451,10 @@ def iterative_fisher(
     trace = [j]
     for _ in range(max_iter):
         partition_new, _ = _fixed_param_segmentation(signal, T, components, min_segment_length)
-        components_new, j_new = _refit(signal, T, partition_new)
+        if np.array_equal(partition_new.gamma, partition.gamma):
+            components_new, j_new = components, j
+        else:
+            components_new, j_new = _refit(signal, T, partition_new)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
         partition, components = partition_new, components_new

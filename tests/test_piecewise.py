@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rhlpseg import core, piecewise
-from rhlpseg.core import GaussianComponent, Signal, design_matrix
+from rhlpseg.core import GaussianComponent, Signal, design_matrix, to_fit_time
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
+    _components_to_x,
+    _dp_partition,
     _dp_tables,
     _fixed_param_segmentation,
     _floored_cost,
+    _refit,
     build_cost_matrix,
     default_min_segment_length,
     fisher_dp,
@@ -172,6 +175,32 @@ def _fixed_param_segmentation_loop(signal, components, min_len):
     return _backtrack(H, K, n), float(D[K, n])
 
 
+def iterative_fisher_always_refit(signal, p, init, max_iter, tol):
+    """Reference iterative fit: a regression step after every segmentation
+    step, also when the partition did not change. Returns the partition,
+    the components in the units of x, J and the J trace."""
+    min_len = default_min_segment_length(p)
+    signal, _, value_map = to_fit_time(signal)
+    T = design_matrix(signal.t, p)
+    partition = init
+    components, j = _refit(signal, T, partition)
+    trace = [j]
+    for _ in range(max_iter):
+        partition_new, _ = _fixed_param_segmentation(signal, T, components, min_len)
+        components_new, j_new = _refit(signal, T, partition_new)
+        if j_new > j:
+            break
+        partition, components = partition_new, components_new
+        converged = j - j_new < tol
+        j = j_new
+        trace.append(j)
+        if converged:
+            break
+    shift = 2.0 * value_map.log_jacobian(signal.n)
+    return (partition, _components_to_x(components, value_map), j + shift,
+            tuple(jk + shift for jk in trace))
+
+
 def exhaustive_best_j(signal, K, p, min_len):
     """Brute force over every feasible partition."""
     n = signal.n
@@ -238,6 +267,18 @@ class TestSegmentCost:
                 segment_cost(sig, a, b, p=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sig: build_cost_matrix(sig, -1),
+    lambda sig: build_cost_matrix(sig, 2, 0),
+    lambda sig: build_cost_matrix(sig, -2, -1),
+    lambda sig: segment_cost(sig, 0, 5, -1),
+], ids=["matrix-p-1", "matrix-min-length-0", "matrix-both", "segment-p-1"])
+def test_invalid_order_or_min_length_raises_the_entry_checks_error(call):
+    sig = Signal(np.linspace(0, 5, 10), np.random.default_rng(3).normal(size=10))
+    with pytest.raises(ValueError, match="require K >= 1, p >= 0, min length >= 1"):
+        call(sig)
+
+
 class TestCostMatrix:
     def test_small_enumeration(self):
         sig = Signal([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
@@ -276,6 +317,17 @@ class TestCostMatrix:
                 sse = np.sum((sig.x[a:b] - T @ beta) ** 2)
                 s2 = max(sse / (b - a), sig.variance_floor)
                 assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
+
+    def test_huge_times_stay_finite(self):
+        # each gap is 1e60, so its sixth power, squared, would overflow on
+        # the raw times; the pass runs on times scaled to a span in [4, 8)
+        t = np.arange(12) * 1e60
+        sig = Signal(t, np.random.default_rng(4).normal(size=12))
+        C = build_cost_matrix(sig, p=3, min_segment_length=5)
+        feasible = np.subtract.outer(np.arange(13), np.arange(13)) <= -5
+        assert feasible.sum() == 36 and np.all(np.isfinite(C[feasible]))
+        twin = Signal(np.ldexp(t, -200), sig.x)
+        assert np.array_equal(build_cost_matrix(twin, p=3, min_segment_length=5), C)
 
     @pytest.mark.parametrize("make, p, min_len, rows_at_zero", [
         # the squared leading gaps underflow: a start with 3 or more rows
@@ -476,6 +528,38 @@ class TestFisherDp:
         C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
         assert np.array_equal(C, C_ref) and np.array_equal(H, H_ref)
 
+    @given(
+        K=st.integers(1, 5),
+        min_len=st.integers(1, 4),
+        extra=st.integers(0, 80),
+        levels=st.sampled_from([1, 3, 1000]),
+        inf_frac=st.sampled_from([0.0, 0.2, 0.9]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(K=3, min_len=2, extra=40, levels=1, inf_frac=0.0, seed=0)  # all ties
+    @settings(max_examples=80, deadline=None)
+    def test_last_level_at_n_matches_the_tables(self, K, min_len, extra, levels, inf_frac,
+                                                seed):
+        # costs as in test_blocked_recursion_matches_loop; where no finite
+        # path exists both backtracks give an invalid partition
+        n = K * min_len + extra
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
+        cost[rng.random(cost.shape) < inf_frac] = np.inf
+        cost[np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) > -min_len] = np.inf
+        cost = np.asarray(cost, order="F")
+        C, H = _dp_tables(cost, K, min_len)
+        try:
+            expected = _backtrack(H, K, n)
+        except ValueError:
+            assert not np.isfinite(C[K, n])
+            with pytest.raises(ValueError, match="invalid partition"):
+                _dp_partition(cost, K, min_len)
+            return
+        j, partition = _dp_partition(cost, K, min_len)
+        assert j == C[K, n] and type(j) is float
+        np.testing.assert_array_equal(partition.gamma, expected.gamma)
+
     def test_epoch_times_give_the_same_optimum(self):
         sig = simulate_piecewise(SITUATION_1, 500, seed=3)[0]
         fit = fisher_dp(sig, K=3, p=2)
@@ -513,6 +597,44 @@ class TestIterativeFisher:
         it = iterative_fisher(sig, 3, 1, init=dp.partition)
         assert it.criterion_j == pytest.approx(dp.criterion_j, abs=1e-9)
         assert len(it.j_trace) <= 3
+
+    def test_dp_optimum_takes_one_regression_step(self, monkeypatch):
+        # the first segmentation step returns the optimum, so the only
+        # regression step is the one of the initial partition
+        sig = simulate_piecewise(SITUATION_1, 200, seed=4)[0]
+        dp = fisher_dp(sig, K=3, p=2)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2].gamma)
+            return _refit(*args)
+
+        monkeypatch.setattr(piecewise, "_refit", counting)
+        it = iterative_fisher(sig, 3, 2, init=dp.partition)
+        assert len(calls) == 1 and len(it.j_trace) == 2
+        assert it.j_trace[0] == it.j_trace[1] == it.criterion_j
+        np.testing.assert_array_equal(it.partition.gamma, dp.partition.gamma)
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    @pytest.mark.parametrize("scenario, seed, n, K, p", [
+        ("situation1", 0, 120, 3, 2), ("situation2", 1, 300, 3, 1),
+        ("situation2", 2, 150, 5, 0), ("situation1", 3, 200, 2, 1),
+    ])
+    def test_skipped_regression_steps_change_nothing(self, scenario, seed, n, K, p, tol):
+        # the fit equals the reference that refits an unchanged partition;
+        # with tol = 0 the reference repeats the fixed point until max_iter
+        sig = simulate_piecewise(SCENARIOS[scenario], n, seed=seed)[0]
+        min_len = default_min_segment_length(p)
+        rng = np.random.default_rng(seed)
+        inits = [uniform_partition(n, K, min_len)]
+        inits += [random_partition(rng, n, K, min_len) for _ in range(3)]
+        for init in inits:
+            fit = iterative_fisher(sig, K, p, init, max_iter=30, tol=tol)
+            partition, comps, j, trace = iterative_fisher_always_refit(sig, p, init, 30, tol)
+            np.testing.assert_array_equal(fit.partition.gamma, partition.gamma)
+            assert fit.j_trace == trace and fit.criterion_j == j
+            for c, ref in zip(fit.components, comps, strict=True):
+                assert np.array_equal(c.beta, ref.beta) and c.sigma2 == ref.sigma2
 
     def test_uniform_init_step_signal(self):
         sig = step_signal()
@@ -680,6 +802,21 @@ class TestMultiStart:
         starts += [random_partition(rng, 40, 3, 3) for _ in range(5)]
         fits = [iterative_fisher(sig, 3, 1, init=init) for init in starts]
         assert best.criterion_j == min(f.criterion_j for f in fits)
+
+    def test_one_iterative_fit_per_start(self, monkeypatch):
+        # every start runs through the public iterative_fisher, so each has
+        # its own call (and its own span when traced)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3].gamma)
+            return iterative_fisher(*args, **kwargs)
+
+        monkeypatch.setattr(piecewise, "iterative_fisher", counting)
+        sig = random_signal(np.random.default_rng(6), 40)
+        multi_start_iterative(sig, 3, 1, n_random_starts=4, seed=2)
+        assert len(calls) == 5
+        np.testing.assert_array_equal(calls[0], uniform_partition(40, 3, 3).gamma)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_random_starts": -1}, {"max_iter": 0}, {"n_random_starts": -3, "max_iter": -1},
