@@ -111,8 +111,7 @@ def _fit_dp(signal: Signal, args):
 def _fit_dp_iter(signal: Signal, args):
     return multi_start_iterative(
         signal, args.k, args.p,
-        n_random_starts=args.restarts, seed=args.seed,
-        max_iter=args.max_iter, tol=args.epsilon,
+        n_random_starts=args.restarts, seed=args.seed, max_iter=args.max_iter,
     )
 
 
@@ -258,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _add_fit_parser(sub, "fit-dp-iter", "iterative piecewise fit with multi-start",
                          _fit_dp_iter, q=0)
-    sp.add_argument("--epsilon", type=float, default=1e-6,
-                    help="criterion-J decrease threshold")
     sp.add_argument("--max-iter", type=_at_least(1), default=100)
     sp.add_argument("--restarts", type=_at_least(0), default=10,
                     help="random initial partitions besides the uniform one")

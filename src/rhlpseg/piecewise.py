@@ -39,12 +39,10 @@ def _check_orders(K: int, p: int, min_len: int) -> None:
         raise ValueError(f"require K >= 1, p >= 0, min length >= 1; got {K}, {p}, {min_len}")
 
 
-def _check_request(n: int, K: int, min_len: int | None, p: int = 0) -> int:
+def _check_request(n: int, K: int, min_len: int, p: int = 0) -> int:
     """The one entry check for K segments of at least min_len samples each
-    (default p + 2) over n samples; returns min_len. ValueError for K < 1,
-    p < 0 or min_len < 1, InfeasibleError for n < K * min_len."""
-    if min_len is None:
-        min_len = default_min_segment_length(p)
+    over n samples; returns min_len. ValueError for K < 1, p < 0 or
+    min_len < 1, InfeasibleError for n < K * min_len."""
     _check_orders(K, p, min_len)
     if n < K * min_len:
         raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
@@ -189,7 +187,10 @@ def build_cost_matrix(
     t[-1] - t[0], so that their span lies in [4, 8): every intermediate then
     scales by an exact power of two, the costs are those of the unscaled
     times bit for bit, and no power of a gap overflows however large the
-    raw times are. fisher_dp's fit time u has span 5 and gets factor 1.
+    raw times are. e is one more than the exponent of the half span
+    t[-1] / 2 - t[0] / 2, which is finite for any finite times, also where
+    the span itself overflows. fisher_dp's fit time u has span 5 and gets
+    factor 1.
 
     A start with m rows has weights D_0..D_{m-1} and no others: rotation
     m - 1 meets D_{m-1} = 0, so cbar = 0 and w = 0, and rotation i > m - 1
@@ -202,7 +203,7 @@ def build_cost_matrix(
         min_segment_length = default_min_segment_length(p)
     _check_orders(1, p, min_segment_length)
     n = signal.n
-    t = np.ldexp(signal.t, 3 - np.frexp(signal.t[-1] - signal.t[0])[1])
+    t = np.ldexp(signal.t, 2 - np.frexp(signal.t[-1] / 2 - signal.t[0] / 2)[1])
     x = signal.x
     d = p + 1
     out = np.full((n + 1, n + 1), np.inf, order="F")  # the DP reads columns
@@ -347,22 +348,19 @@ def _refit(
     return tuple(comps), j
 
 
-def fisher_dp(
-    signal: Signal,
-    K: int,
-    p: int,
-    min_segment_length: int | None = None,
-) -> PiecewiseFit:
-    """Globally optimal piecewise polynomial fit with K segments, by dynamic
+def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
+    """Globally optimal piecewise polynomial fit with K segments of at least
+    default_min_segment_length(p) = p + 2 samples each, by dynamic
     programming over the one-segment cost matrix. Ties in the split argmin go
     to the smallest index. The recursion fills levels 1..K-1 for every
     sample count b; the last level is needed at b = n only, so it is one
-    argmin over the splits of the whole signal (none for K = 1)."""
+    argmin over the splits of the whole signal (none for K = 1). ValueError
+    for K < 1 or p < 0, InfeasibleError for n < K (p + 2)."""
     n = signal.n
-    min_segment_length = _check_request(n, K, min_segment_length, p)
+    min_len = _check_request(n, K, default_min_segment_length(p), p)
     signal, time_map, value_map = to_fit_time(signal)
-    cost = build_cost_matrix(signal, p, min_segment_length)
-    j, partition = _dp_partition(cost, K, min_segment_length)
+    cost = build_cost_matrix(signal, p, min_len)
+    j, partition = _dp_partition(cost, K, min_len)
     components, _ = _refit(signal, design_matrix(signal.t, p), partition)
     j += 2.0 * value_map.log_jacobian(n)
     return PiecewiseFit(partition, _components_to_x(components, value_map), j, time_map,
@@ -422,26 +420,24 @@ def _fixed_param_segmentation(
 
 
 def iterative_fisher(
-    signal: Signal,
-    K: int,
-    p: int,
-    init: Partition,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    min_segment_length: int | None = None,
+    signal: Signal, K: int, p: int, init: Partition, max_iter: int = 100
 ) -> PiecewiseFit:
-    """Local minimization of J: alternate per-segment OLS (regression step)
-    with dynamic-programming re-segmentation at fixed parameters
-    (segmentation step). J is non-increasing across iterations. Both steps
-    read the one design matrix of the fit-time signal built per call, and
-    run on its fit values; tol applies to J there, which differs from J in
-    the units of x by a constant. A segmentation step that returns the
-    current partition skips the regression step, which would return the
-    same components and J: J repeats, and for tol > 0 the fit stops as
-    converged."""
+    """Local minimization of J over partitions into K segments of at least
+    p + 2 samples: alternate per-segment OLS (regression step) with
+    dynamic-programming re-segmentation at fixed parameters (segmentation
+    step), both on the one design matrix of the fit-time signal built per
+    call and on its fit values. The fit stops at the first round that leaves
+    J where it was, or after max_iter rounds; a round that raises J ends it
+    unkept. A segmentation step that returns the current partition skips
+    the regression step, which would return the same components and J, and
+    j_trace ends with J repeated. ValueError for K < 1, p < 0 or
+    max_iter < 1, InfeasibleError for n < K (p + 2) or an init that is not
+    such a partition."""
     n = signal.n
-    min_segment_length = _check_request(n, K, min_segment_length, p)
-    if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_segment_length):
+    min_len = _check_request(n, K, default_min_segment_length(p), p)
+    if max_iter < 1:
+        raise ValueError(f"require max_iter >= 1, got max_iter={max_iter}")
+    if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_len):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
     signal, time_map, value_map = to_fit_time(signal)
@@ -450,7 +446,7 @@ def iterative_fisher(
     components, j = _refit(signal, T, partition)
     trace = [j]
     for _ in range(max_iter):
-        partition_new, _ = _fixed_param_segmentation(signal, T, components, min_segment_length)
+        partition_new, _ = _fixed_param_segmentation(signal, T, components, min_len)
         if np.array_equal(partition_new.gamma, partition.gamma):
             components_new, j_new = components, j
         else:
@@ -458,7 +454,7 @@ def iterative_fisher(
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
         partition, components = partition_new, components_new
-        converged = j - j_new < tol
+        converged = j_new == j
         j = j_new
         trace.append(j)
         if converged:
@@ -499,26 +495,19 @@ def multi_start_iterative(
     n_random_starts: int = 10,
     seed: int | None = None,
     max_iter: int = 100,
-    tol: float = 1e-6,
-    min_segment_length: int | None = None,
 ) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts
-    partitions from random_partition; returns the fit with smallest J, which
-    keeps the seed. Deterministic given the seed. Every start maps the signal
-    to the same fit times and values. ValueError unless n_random_starts >= 0
-    and max_iter >= 1."""
-    min_segment_length = _check_request(signal.n, K, min_segment_length, p)
-    if n_random_starts < 0 or max_iter < 1:
-        raise ValueError(
-            f"require n_random_starts >= 0 and max_iter >= 1, got "
-            f"n_random_starts={n_random_starts}, max_iter={max_iter}"
-        )
+    partitions from random_partition, all with segments of at least p + 2
+    samples; returns the fit with smallest J, which keeps the seed.
+    Deterministic given the seed. Every start maps the signal to the same
+    fit times and values. ValueError unless n_random_starts >= 0, and
+    iterative_fisher's for max_iter < 1."""
+    min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
+    if n_random_starts < 0:
+        raise ValueError(f"require n_random_starts >= 0, got n_random_starts={n_random_starts}")
     rng = np.random.default_rng(seed)
-    starts = [uniform_partition(signal.n, K, min_segment_length)]
+    starts = [uniform_partition(signal.n, K, min_len)]
     for _ in range(n_random_starts):
-        starts.append(random_partition(rng, signal.n, K, min_segment_length))
-    fits = [
-        iterative_fisher(signal, K, p, init, max_iter, tol, min_segment_length)
-        for init in starts
-    ]
+        starts.append(random_partition(rng, signal.n, K, min_len))
+    fits = [iterative_fisher(signal, K, p, init, max_iter) for init in starts]
     return replace(min(fits, key=lambda f: f.criterion_j), seed=seed)

@@ -596,6 +596,19 @@ def test_argument_error_exits_one(tmp_path, signal_csv, capsys, command, args):
     assert not out.exists()
 
 
+def test_removed_iterative_epsilon_exits_one(tmp_path, signal_csv, capsys):
+    # the iterative fit stops where J stops falling, so fit-dp-iter's
+    # --epsilon is an unknown flag; fit-rhlp's --epsilon, EM's threshold, stays
+    out = tmp_path / "out"
+    common = ["--k", "2", "--seed", "0", "--epsilon", "1e-6", "--input", str(signal_csv),
+              "--output", str(out)]
+    assert main(["fit-dp-iter", *common]) == 1
+    assert_one_error_line(capsys, "DataError")
+    assert not out.exists()
+    assert main(["fit-rhlp", *common]) == 0
+    assert out.exists()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit-dp", "--help"])

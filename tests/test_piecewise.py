@@ -175,10 +175,11 @@ def _fixed_param_segmentation_loop(signal, components, min_len):
     return _backtrack(H, K, n), float(D[K, n])
 
 
-def iterative_fisher_always_refit(signal, p, init, max_iter, tol):
+def iterative_fisher_always_refit(signal, p, init, max_iter):
     """Reference iterative fit: a regression step after every segmentation
-    step, also when the partition did not change. Returns the partition,
-    the components in the units of x, J and the J trace."""
+    step, also when the partition did not change, and a stop once a round
+    lowers J by less than 1e-6. Returns the partition, the components in the
+    units of x, J and the J trace."""
     min_len = default_min_segment_length(p)
     signal, _, value_map = to_fit_time(signal)
     T = design_matrix(signal.t, p)
@@ -191,7 +192,7 @@ def iterative_fisher_always_refit(signal, p, init, max_iter, tol):
         if j_new > j:
             break
         partition, components = partition_new, components_new
-        converged = j - j_new < tol
+        converged = j - j_new < 1e-6
         j = j_new
         trace.append(j)
         if converged:
@@ -319,15 +320,22 @@ class TestCostMatrix:
                 assert C[a, b] == pytest.approx((b - a) * np.log(s2) + sse / s2, rel=1e-9)
 
     def test_huge_times_stay_finite(self):
-        # each gap is 1e60, so its sixth power, squared, would overflow on
-        # the raw times; the pass runs on times scaled to a span in [4, 8)
-        t = np.arange(12) * 1e60
-        sig = Signal(t, np.random.default_rng(4).normal(size=12))
-        C = build_cost_matrix(sig, p=3, min_segment_length=5)
-        feasible = np.subtract.outer(np.arange(13), np.arange(13)) <= -5
-        assert feasible.sum() == 36 and np.all(np.isfinite(C[feasible]))
-        twin = Signal(np.ldexp(t, -200), sig.x)
-        assert np.array_equal(build_cost_matrix(twin, p=3, min_segment_length=5), C)
+        # gaps of 1e60, whose sixth power, squared, would overflow on the raw
+        # times; and times whose span t[-1] - t[0] itself overflows, where
+        # the scale comes from the half span. The pass runs on times scaled
+        # to a span in [4, 8), as it does for the twin t * 2^shift
+        for t, p, min_len, n_feasible, shift in [
+            (np.arange(12) * 1e60, 3, 5, 36, -200),
+            (np.array([-1e308, -7e307, -3e307, 0, 1e306, 5e307, 1.2e308, 1.75e308]),
+             1, 3, 21, -600),
+        ]:
+            sig = Signal(t, np.random.default_rng(4).normal(size=len(t)))
+            C = build_cost_matrix(sig, p, min_segment_length=min_len)
+            rows = np.arange(len(t) + 1)
+            feasible = np.subtract.outer(rows, rows) <= -min_len
+            assert feasible.sum() == n_feasible and np.all(np.isfinite(C[feasible]))
+            twin = Signal(np.ldexp(t, shift), sig.x)
+            assert np.array_equal(build_cost_matrix(twin, p, min_segment_length=min_len), C)
 
     @pytest.mark.parametrize("make, p, min_len, rows_at_zero", [
         # the squared leading gaps underflow: a start with 3 or more rows
@@ -615,22 +623,22 @@ class TestIterativeFisher:
         assert it.j_trace[0] == it.j_trace[1] == it.criterion_j
         np.testing.assert_array_equal(it.partition.gamma, dp.partition.gamma)
 
-    @pytest.mark.parametrize("tol", [1e-6, 0.0])
     @pytest.mark.parametrize("scenario, seed, n, K, p", [
         ("situation1", 0, 120, 3, 2), ("situation2", 1, 300, 3, 1),
         ("situation2", 2, 150, 5, 0), ("situation1", 3, 200, 2, 1),
     ])
-    def test_skipped_regression_steps_change_nothing(self, scenario, seed, n, K, p, tol):
-        # the fit equals the reference that refits an unchanged partition;
-        # with tol = 0 the reference repeats the fixed point until max_iter
+    def test_skipped_regression_steps_change_nothing(self, scenario, seed, n, K, p):
+        # the fit, which stops where J stops falling, equals the reference
+        # that refits an unchanged partition and stops on a J decrease
+        # below 1e-6
         sig = simulate_piecewise(SCENARIOS[scenario], n, seed=seed)[0]
         min_len = default_min_segment_length(p)
         rng = np.random.default_rng(seed)
         inits = [uniform_partition(n, K, min_len)]
         inits += [random_partition(rng, n, K, min_len) for _ in range(3)]
         for init in inits:
-            fit = iterative_fisher(sig, K, p, init, max_iter=30, tol=tol)
-            partition, comps, j, trace = iterative_fisher_always_refit(sig, p, init, 30, tol)
+            fit = iterative_fisher(sig, K, p, init, max_iter=30)
+            partition, comps, j, trace = iterative_fisher_always_refit(sig, p, init, 30)
             np.testing.assert_array_equal(fit.partition.gamma, partition.gamma)
             assert fit.j_trace == trace and fit.criterion_j == j
             for c, ref in zip(fit.components, comps, strict=True):
@@ -659,6 +667,12 @@ class TestIterativeFisher:
         dp = fisher_dp(sig, K=2, p=1)
         it = iterative_fisher(sig, 2, 1, init=uniform_partition(30, 2, 3))
         assert dp.criterion_j <= it.criterion_j + 1e-9
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_raises(self, max_iter):
+        sig = random_signal(np.random.default_rng(3), 30)
+        with pytest.raises(ValueError, match=f"require max_iter >= 1, got max_iter={max_iter}"):
+            iterative_fisher(sig, 2, 1, init=uniform_partition(30, 2, 3), max_iter=max_iter)
 
     def test_infeasible_init_rejected(self):
         sig = Signal(np.arange(12.0), np.zeros(12))
@@ -818,12 +832,15 @@ class TestMultiStart:
         assert len(calls) == 5
         np.testing.assert_array_equal(calls[0], uniform_partition(40, 3, 3).gamma)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"n_random_starts": -1}, {"max_iter": 0}, {"n_random_starts": -3, "max_iter": -1},
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_random_starts": -1}, "require n_random_starts >= 0"),
+        ({"max_iter": 0}, "require max_iter >= 1"),
+        ({"n_random_starts": -3, "max_iter": -1}, "require n_random_starts >= 0"),
     ], ids=["starts-1", "max-iter-0", "both"])
-    def test_counts_below_their_minimum_raise(self, kwargs):
+    def test_counts_below_their_minimum_raise(self, kwargs, match):
+        # the start count is checked here, max_iter by iterative_fisher
         sig = random_signal(np.random.default_rng(4), 30)
-        with pytest.raises(ValueError, match="n_random_starts >= 0 and max_iter >= 1"):
+        with pytest.raises(ValueError, match=match):
             multi_start_iterative(sig, 2, 1, seed=0, **kwargs)
 
 
@@ -835,23 +852,22 @@ def uniform_cut_draw(rng, n, K):
 
 class TestFeasibleRequests:
     @given(
-        n=st.integers(1, 40),
         K=st.integers(1, 8),
         p=st.integers(0, 2),
-        extra=st.integers(0, 2),
+        slack=st.integers(-3, 8),
         seed=st.integers(0, 2**16),
     )
-    @example(n=40, K=8, p=2, extra=1, seed=0)  # 1000 rejections fail here
+    @example(K=8, p=2, slack=8, seed=0)  # 1000 rejections fail here
     @settings(max_examples=80, deadline=None)
-    def test_every_feasible_request_fits(self, n, K, p, extra, seed):
-        min_len = p + 1 + extra
+    def test_every_feasible_request_fits(self, K, p, slack, seed):
+        # n = K (p + 2) + slack: a negative slack is just short of feasible
+        min_len = p + 2
+        n = max(1, K * min_len + slack)
         rng = np.random.default_rng(seed)
         sig = Signal(np.arange(n) + rng.uniform(0.0, 0.5, n), rng.normal(size=n))
         fits = (
-            lambda: fisher_dp(sig, K, p, min_segment_length=min_len),
-            lambda: multi_start_iterative(
-                sig, K, p, n_random_starts=3, seed=seed, min_segment_length=min_len
-            ),
+            lambda: fisher_dp(sig, K, p),
+            lambda: multi_start_iterative(sig, K, p, n_random_starts=3, seed=seed),
         )
         if n < K * min_len:
             for fit in fits:
@@ -874,8 +890,8 @@ class TestFeasibleRequests:
         assert it.criterion_j >= dp.criterion_j - 1e-9 * max(1.0, abs(dp.criterion_j))
 
     @pytest.mark.parametrize("kwargs", [
-        {"K": 0, "p": 1}, {"K": 2, "p": -1}, {"K": 2, "p": 1, "min_segment_length": 0},
-    ], ids=["K0", "p-1", "min-length-0"])
+        {"K": 0, "p": 1}, {"K": 2, "p": -1},
+    ], ids=["K0", "p-1"])
     @pytest.mark.parametrize("fitter", ["fisher_dp", "iterative_fisher", "multi_start_iterative"])
     def test_invalid_request_raises_value_error(self, fitter, kwargs):
         sig = Signal(np.linspace(0, 5, 20), np.random.default_rng(1).normal(size=20))
