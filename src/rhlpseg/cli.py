@@ -36,7 +36,6 @@ from .rhlp import (
 )
 from .simulate import (
     DESK_N_GRID,
-    FULL_N_GRID,
     METHODS,
     SCENARIOS,
     BenchmarkRow,
@@ -76,9 +75,6 @@ def _at_least(minimum: int):
 def _add_em_flags(sp) -> None:
     """EM settings shared by fit-rhlp and select-model."""
     sp.add_argument("--q", type=int, default=1, help="logistic degree (default 1)")
-    sp.add_argument("--epsilon", type=float, default=1e-6,
-                    help="EM log-likelihood increment threshold")
-    sp.add_argument("--max-iter", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
 
 
@@ -97,11 +93,7 @@ def _add_fit_parser(sub, command: str, help_text: str, fitter, **defaults):
 
 
 def _fit_rhlp(signal: Signal, args):
-    return em_fit(
-        signal, args.k, args.p, args.q,
-        epsilon=args.epsilon, max_iter=args.max_iter,
-        n_restarts=args.restarts, seed=args.seed,
-    )
+    return em_fit(signal, args.k, args.p, args.q, n_restarts=args.restarts, seed=args.seed)
 
 
 def _fit_dp(signal: Signal, args):
@@ -110,8 +102,7 @@ def _fit_dp(signal: Signal, args):
 
 def _fit_dp_iter(signal: Signal, args):
     return multi_start_iterative(
-        signal, args.k, args.p,
-        n_random_starts=args.restarts, seed=args.seed, max_iter=args.max_iter,
+        signal, args.k, args.p, n_random_starts=args.restarts, seed=args.seed
     )
 
 
@@ -171,10 +162,7 @@ def _cmd_simulate(args) -> None:
 def _cmd_select_model(args) -> None:
     _check_model(args.k, args.p, args.q)
     signal, _ = load_signal_csv(args.input)
-    best, table = select_model(
-        signal, args.k, args.p, args.q,
-        epsilon=args.epsilon, max_iter=args.max_iter, seed=args.seed,
-    )
+    best, table = select_model(signal, args.k, args.p, args.q, seed=args.seed)
     write_csv(args.output, [f.name for f in fields(SelectionEntry)], map(astuple, table))
     if args.report_output:
         save_fit_report(best, args.report_output)
@@ -189,11 +177,10 @@ def _cmd_benchmark(args) -> None:
     for m in args.methods:
         if m not in METHODS:
             raise DataError(f"unknown method {m!r}; choose from {METHODS}")
-    n_grid = list(FULL_N_GRID) if args.full_grid else args.n
-    if min(n_grid, default=2) < 2:
-        raise DataError(f"--n must be at least 2, got {n_grid}")
+    if min(args.n, default=2) < 2:
+        raise DataError(f"--n must be at least 2, got {args.n}")
     rows = run_benchmark(
-        scenarios, n_grid, args.replicates, args.methods,
+        scenarios, args.n, args.replicates, args.methods,
         seed=args.seed, measure_time=not args.no_timing,
     )
     write_csv(args.output, [f.name for f in fields(BenchmarkRow)], map(astuple, rows))
@@ -257,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _add_fit_parser(sub, "fit-dp-iter", "iterative piecewise fit with multi-start",
                          _fit_dp_iter, q=0)
-    sp.add_argument("--max-iter", type=_at_least(1), default=100)
     sp.add_argument("--restarts", type=_at_least(0), default=10,
                     help="random initial partitions besides the uniform one")
     sp.add_argument("--seed", type=int, required=True)
@@ -284,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("benchmark", help="simulation study: criteria per (scenario, n, method)")
     sp.add_argument("--scenarios", type=_str_list, default=list(sorted(SCENARIOS)))
     sp.add_argument("--n", type=_int_list, default=list(DESK_N_GRID))
-    sp.add_argument("--full-grid", action="store_true",
-                    help="use the full n grid 100,200,...,1000")
     sp.add_argument("--replicates", type=_at_least(1), default=20)
     sp.add_argument("--methods", type=_str_list, default=list(METHODS))
     sp.add_argument("--seed", type=int, required=True)

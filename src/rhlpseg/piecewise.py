@@ -28,6 +28,10 @@ from .core import (
 from .errors import InfeasibleError, LengthMismatchError, NumericalError
 
 
+# Round limit of every iterative_fisher fit; fixed, with no option.
+_MAX_ROUNDS = 100
+
+
 def default_min_segment_length(p: int) -> int:
     # p+1 points interpolate exactly; one extra keeps the variance informative
     return p + 2
@@ -419,24 +423,20 @@ def _fixed_param_segmentation(
     return _backtrack(H, K, n), float(D[K, n])
 
 
-def iterative_fisher(
-    signal: Signal, K: int, p: int, init: Partition, max_iter: int = 100
-) -> PiecewiseFit:
+def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> PiecewiseFit:
     """Local minimization of J over partitions into K segments of at least
     p + 2 samples: alternate per-segment OLS (regression step) with
     dynamic-programming re-segmentation at fixed parameters (segmentation
     step), both on the one design matrix of the fit-time signal built per
     call and on its fit values. The fit stops at the first round that leaves
-    J where it was, or after max_iter rounds; a round that raises J ends it
-    unkept. A segmentation step that returns the current partition skips
-    the regression step, which would return the same components and J, and
-    j_trace ends with J repeated. ValueError for K < 1, p < 0 or
-    max_iter < 1, InfeasibleError for n < K (p + 2) or an init that is not
-    such a partition."""
+    J where it was, or after _MAX_ROUNDS = 100 rounds, fixed, with no
+    option; a round that raises J ends it unkept. A segmentation step that
+    returns the current partition skips the regression step, which would
+    return the same components and J, and j_trace ends with J repeated.
+    ValueError for K < 1 or p < 0, InfeasibleError for n < K (p + 2) or an
+    init that is not such a partition."""
     n = signal.n
     min_len = _check_request(n, K, default_min_segment_length(p), p)
-    if max_iter < 1:
-        raise ValueError(f"require max_iter >= 1, got max_iter={max_iter}")
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_len):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
@@ -445,7 +445,7 @@ def iterative_fisher(
     partition = init
     components, j = _refit(signal, T, partition)
     trace = [j]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROUNDS):
         partition_new, _ = _fixed_param_segmentation(signal, T, components, min_len)
         if np.array_equal(partition_new.gamma, partition.gamma):
             components_new, j_new = components, j
@@ -494,14 +494,14 @@ def multi_start_iterative(
     p: int,
     n_random_starts: int = 10,
     seed: int | None = None,
-    max_iter: int = 100,
 ) -> PiecewiseFit:
     """iterative_fisher from a uniform partition plus n_random_starts
     partitions from random_partition, all with segments of at least p + 2
     samples; returns the fit with smallest J, which keeps the seed.
     Deterministic given the seed. Every start maps the signal to the same
-    fit times and values. ValueError unless n_random_starts >= 0, and
-    iterative_fisher's for max_iter < 1."""
+    fit times and values, and each stops by iterative_fisher's rule, whose
+    100-round limit is fixed, with no option. ValueError unless
+    n_random_starts >= 0."""
     min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
     if n_random_starts < 0:
         raise ValueError(f"require n_random_starts >= 0, got n_random_starts={n_random_starts}")
@@ -509,5 +509,5 @@ def multi_start_iterative(
     starts = [uniform_partition(signal.n, K, min_len)]
     for _ in range(n_random_starts):
         starts.append(random_partition(rng, signal.n, K, min_len))
-    fits = [iterative_fisher(signal, K, p, init, max_iter) for init in starts]
+    fits = [iterative_fisher(signal, K, p, init) for init in starts]
     return replace(min(fits, key=lambda f: f.criterion_j), seed=seed)

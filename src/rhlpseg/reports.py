@@ -41,6 +41,15 @@ MODEL_TAGS = ("rhlp", "piecewise_dp", "piecewise_iterative")
 SCHEMA_VERSION = 2
 
 
+def _label(text: str) -> int:
+    """A label cell as an int: "2" and "2.0" parse; a value that is not
+    finite and integral, such as inf, nan or 1.7, is a ValueError."""
+    value = float(text)
+    if not value.is_integer():  # False for inf and nan
+        raise ValueError(f"label must be an integer, got {text.strip()!r}")
+    return int(value)
+
+
 def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
     """Read a signal CSV with header t,x (an optional third column, label, is
     returned when present). Signal rejects non-finite values and times that
@@ -63,7 +72,7 @@ def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
                 ts.append(float(row[0]))
                 xs.append(float(row[1]))
                 if has_labels:
-                    labels.append(int(float(row[2])))
+                    labels.append(_label(row[2]))
             except (ValueError, IndexError) as exc:
                 raise ParseError(str(exc), line=lineno) from None
     if not ts:

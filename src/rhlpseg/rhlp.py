@@ -34,6 +34,10 @@ _STARVATION_TOL = 1e-10
 _IRLS_MAX_ITER = 50
 _IRLS_MAX_HALVINGS = 30
 _IRLS_TOL = 1e-6
+# EM limits of every run: the plain-step log-likelihood increment below which
+# it stops, and the log-likelihood evaluations after the initial one.
+_EM_TOL = 1e-6
+_EM_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,8 @@ def _m_step_regression(
     matrix T = design_matrix(signal.t, p), as a (K, p+1) betas array and K
     variances: all K weighted least squares in one weighted_least_squares
     call, and the K residual variances from one (K, n) residual array. The
-    values are fitted as given; em_fit gives it the fit values y of
-    to_fit_time, on which an offset or a constant x costs no precision."""
+    values are fitted as given; its callers give it fit values y of a
+    ValueMap, on which an offset or a constant x costs no precision."""
     mass = tau.sum(axis=1)
     starved = mass < _STARVATION_TOL
     if np.any(starved):
@@ -210,11 +214,17 @@ def m_step_regression(
 ) -> tuple[GaussianComponent, ...]:
     """Component updates from the n x K responsibilities: beta_k by
     tau-weighted least squares, sigma2_k as the tau-weighted mean squared
-    residual under the new beta_k (floored at signal.variance_floor). Each
+    residual under the new beta_k (floored at the variance floor). Each
     column of tau is read as a contiguous row of its (K, n) transpose, so the
-    result does not depend on the memory layout of tau."""
+    result does not depend on the memory layout of tau. Like em_fit, it fits
+    the fit values y = value_map(x), value_map = ValueMap.of(signal.x), and
+    maps beta_k and sigma2_k back to the units of x; the times stay as
+    given."""
     tau = np.ascontiguousarray(tau.T)
-    betas, sigma2s = _m_step_regression(tau, signal, design_matrix(signal.t, p), iteration)
+    value_map = ValueMap.of(signal.x)
+    fit_signal = Signal(signal.t, value_map(signal.x))
+    betas, sigma2s = _m_step_regression(tau, fit_signal, design_matrix(signal.t, p), iteration)
+    betas, sigma2s = value_map.beta(betas), value_map.variance(sigma2s)
     return tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
 
 
@@ -435,8 +445,6 @@ def _squarem_point(
 def _em_once(
     signal: Signal,
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
-    epsilon: float,
-    max_iter: int,
     designs: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[_Iterate, list[float], bool]:
     """One EM run from init = (w, betas, sigma2s) with the SQUAREM step
@@ -481,15 +489,15 @@ def _em_once(
     step_max = _STEP_MAX0
     evals = 0
     converged = False
-    while evals < max_iter:
+    while evals < _EM_MAX_ITER:
         tau, ll = posterior(nxt)
         evals += 1
         trace.append(ll)
         prev, point = point, nxt
-        if ll - trace[-2] < epsilon:
+        if ll - trace[-2] < _EM_TOL:
             converged = True
             break
-        if evals == max_iter:
+        if evals == _EM_MAX_ITER:
             break
         nxt = m_step(point, tau, len(trace) - 1)
         evals += 1
@@ -510,18 +518,18 @@ def em_fit(
     K: int,
     p: int,
     q: int,
-    epsilon: float = 1e-6,
-    max_iter: int = 1000,
     n_restarts: int = 0,
     seed: int | None = None,
 ) -> FitReport:
     """Fit the model by EM until the log-likelihood increment of a plain EM
-    step drops below epsilon. The first run starts from the standard recipe
-    (uniform segments, zero logistic coefficients, unit variances);
-    n_restarts extra runs start from jittered uniform cuts, and the best
-    final likelihood wins. A run that fails with a package error or
-    LinAlgError is dropped; the first run's error is raised only when every
-    run fails. Deterministic given the seed.
+    step drops below _EM_TOL = 1e-6, or after _EM_MAX_ITER = 1000
+    log-likelihood evaluations; both limits are fixed, with no option. The
+    first run starts from the standard recipe (uniform segments, zero
+    logistic coefficients, unit variances); n_restarts extra runs start
+    from jittered uniform cuts, and the best final likelihood wins. A run
+    that fails with a package error or LinAlgError is dropped; the first
+    run's error is raised only when every run fails. Deterministic given
+    the seed.
 
     The fit runs on the signal that to_fit_time maps to fit time u =
     time_map(t), which the report keeps, and to fit values y = value_map(x).
@@ -538,10 +546,9 @@ def em_fit(
     each time an accepted step reaches it. The extrapolated point is kept
     only if its log-likelihood is finite and at least that of theta1, else
     the fit continues from theta2, so log_likelihood_trace never decreases.
-    max_iter bounds the log-likelihood evaluations after the initial one,
-    rejected extrapolations included; em_iterations counts the accepted
-    steps, len(log_likelihood_trace) - 1. ValueError unless n_restarts >= 0
-    and max_iter >= 1.
+    _EM_MAX_ITER bounds the log-likelihood evaluations after the initial
+    one, rejected extrapolations included; em_iterations counts the accepted
+    steps, len(log_likelihood_trace) - 1. ValueError unless n_restarts >= 0.
 
     The design matrices of the fit-time signal are built once and shared by
     every E step, M step and IRLS solve of every run. Each iterate carries
@@ -549,11 +556,8 @@ def em_fit(
     and IRLS solve, and the final one gives labels and denoised."""
     if K < 1 or p < 0 or q < 0:
         raise ValueError("require K >= 1, p >= 0, q >= 0")
-    if n_restarts < 0 or max_iter < 1:
-        raise ValueError(
-            f"require n_restarts >= 0 and max_iter >= 1, got n_restarts={n_restarts}, "
-            f"max_iter={max_iter}"
-        )
+    if n_restarts < 0:
+        raise ValueError(f"require n_restarts >= 0, got n_restarts={n_restarts}")
     x = signal.x
     signal, time_map, value_map = to_fit_time(signal)
     T, V = design_matrix(signal.t, p), design_matrix(signal.t, q)
@@ -565,7 +569,7 @@ def em_fit(
     for run_cuts in cuts:
         try:
             init = _uniform_segment_init(signal, T, K, q, sigma2, run_cuts)
-            result = _em_once(signal, init, epsilon, max_iter, designs)
+            result = _em_once(signal, init, designs)
         except _FIT_ERRORS as exc:
             error = error or exc
             continue
@@ -651,7 +655,8 @@ def select_model(
     entries instead of aborting the sweep; any other exception propagates.
     NumericalError when every candidate fails, and ValueError before any
     fit when K_range or p_range is empty. Ties break toward smaller (K, then
-    p)."""
+    p). fit_kwargs (n_restarts, seed) go to em_fit, whose TypeError for
+    any other keyword propagates."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")

@@ -155,7 +155,6 @@ def denoising_error(truth, estimate, t) -> float:
 
 METHODS = ("rhlp", "fisher_dp", "fisher_iterative")
 
-FULL_N_GRID = tuple(range(100, 1001, 100))
 DESK_N_GRID = (100, 500, 1000)
 
 

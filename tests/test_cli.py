@@ -255,6 +255,24 @@ class TestSignalCsvErrors:
         assert_one_error_line(capsys, "DataError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["inf", "nan", "1.7"])
+    def test_label_not_an_integer(self, tmp_path, capsys, label):
+        path, out = tmp_path / "bad.csv", tmp_path / "o.json"
+        path.write_text(f"t,x,label\n0.0,1.0,1\n1.0,2.0,{label}\n2.0,1.5,1\n")
+        rc = main(["fit-dp", "--input", str(path), "--output", str(out), "--k", "1",
+                   "--p", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:ParseError:") and err.count("\n") == 1, err
+        assert "line 3" in err and repr(label) in err
+        assert not out.exists()
+
+    def test_integral_labels_parse(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("t,x,label\n0.0,1.0,2\n1.0,2.0,2.0\n2.0,1.5, 1 \n")
+        _, labels = load_signal_csv(path)
+        assert labels.tolist() == [2, 2, 1]
+
     def test_unparsable_value_reports_line(self, tmp_path):
         from rhlpseg.errors import ParseError
 
@@ -545,12 +563,8 @@ def test_plot_data_on_epoch_times_is_the_paper_grid_fit(tmp_path, command):
     ["select-model", "--k", "0,2", "--p", "1"],
     ["fit-rhlp", "--k", "2", "--seed", "0", "--restarts", "-2"],
     ["fit-dp-iter", "--k", "2", "--seed", "0", "--restarts", "-2"],
-    ["fit-rhlp", "--k", "2", "--seed", "0", "--max-iter", "-5"],
-    ["fit-dp-iter", "--k", "2", "--seed", "0", "--max-iter", "-5"],
-    ["select-model", "--k", "2", "--p", "1", "--max-iter", "-5"],
 ], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0",
-        "rhlp-restarts-2", "dp-iter-restarts-2", "rhlp-max-iter-5", "dp-iter-max-iter-5",
-        "select-max-iter-5"])
+        "rhlp-restarts-2", "dp-iter-restarts-2"])
 def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     out = tmp_path / "out"
     rc = main([*argv, "--input", str(signal_csv), "--output", str(out)])
@@ -596,17 +610,24 @@ def test_argument_error_exits_one(tmp_path, signal_csv, capsys, command, args):
     assert not out.exists()
 
 
-def test_removed_iterative_epsilon_exits_one(tmp_path, signal_csv, capsys):
-    # the iterative fit stops where J stops falling, so fit-dp-iter's
-    # --epsilon is an unknown flag; fit-rhlp's --epsilon, EM's threshold, stays
+@pytest.mark.parametrize("argv", [
+    ["fit-dp-iter", "--k", "2", "--seed", "0", "--epsilon", "1e-6", "--input", None],
+    ["fit-dp-iter", "--k", "2", "--seed", "0", "--max-iter", "100", "--input", None],
+    ["fit-rhlp", "--k", "2", "--seed", "0", "--epsilon", "1e-6", "--input", None],
+    ["fit-rhlp", "--k", "2", "--seed", "0", "--max-iter", "1000", "--input", None],
+    ["select-model", "--k", "2", "--p", "1", "--epsilon", "1e-6", "--input", None],
+    ["select-model", "--k", "2", "--p", "1", "--max-iter", "1000", "--input", None],
+    ["benchmark", "--seed", "0", "--full-grid"],
+], ids=["dp-iter-epsilon", "dp-iter-max-iter", "rhlp-epsilon", "rhlp-max-iter",
+        "select-epsilon", "select-max-iter", "benchmark-full-grid"])
+def test_removed_flags_exit_one(tmp_path, signal_csv, capsys, argv):
+    # every fit stops by a fixed rule and benchmark takes its grid from --n,
+    # so a script that still passes one of these flags gets an argument error
     out = tmp_path / "out"
-    common = ["--k", "2", "--seed", "0", "--epsilon", "1e-6", "--input", str(signal_csv),
-              "--output", str(out)]
-    assert main(["fit-dp-iter", *common]) == 1
+    argv = [str(signal_csv) if a is None else a for a in argv]
+    assert main([*argv, "--output", str(out)]) == 1
     assert_one_error_line(capsys, "DataError")
     assert not out.exists()
-    assert main(["fit-rhlp", *common]) == 0
-    assert out.exists()
 
 
 def test_help_exits_zero(capsys):

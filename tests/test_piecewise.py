@@ -637,8 +637,9 @@ class TestIterativeFisher:
         inits = [uniform_partition(n, K, min_len)]
         inits += [random_partition(rng, n, K, min_len) for _ in range(3)]
         for init in inits:
-            fit = iterative_fisher(sig, K, p, init, max_iter=30)
-            partition, comps, j, trace = iterative_fisher_always_refit(sig, p, init, 30)
+            fit = iterative_fisher(sig, K, p, init)
+            partition, comps, j, trace = iterative_fisher_always_refit(
+                sig, p, init, piecewise._MAX_ROUNDS)
             np.testing.assert_array_equal(fit.partition.gamma, partition.gamma)
             assert fit.j_trace == trace and fit.criterion_j == j
             for c, ref in zip(fit.components, comps, strict=True):
@@ -668,12 +669,6 @@ class TestIterativeFisher:
         it = iterative_fisher(sig, 2, 1, init=uniform_partition(30, 2, 3))
         assert dp.criterion_j <= it.criterion_j + 1e-9
 
-    @pytest.mark.parametrize("max_iter", [0, -5])
-    def test_max_iter_below_one_raises(self, max_iter):
-        sig = random_signal(np.random.default_rng(3), 30)
-        with pytest.raises(ValueError, match=f"require max_iter >= 1, got max_iter={max_iter}"):
-            iterative_fisher(sig, 2, 1, init=uniform_partition(30, 2, 3), max_iter=max_iter)
-
     def test_infeasible_init_rejected(self):
         sig = Signal(np.arange(12.0), np.zeros(12))
         with pytest.raises(InfeasibleError):
@@ -693,11 +688,12 @@ class TestIterativeFisher:
         sig = simulate_piecewise(SCENARIOS["situation2"], 300, seed=1)[0]
         init = random_partition(np.random.default_rng(5), 300, 3, 4)  # 20 rounds
         rounds = []
-        for max_iter in (1, 5, 100):
+        for max_rounds in (1, 5, 100):
             built.clear()
-            fit = iterative_fisher(sig, 3, 2, init, max_iter=max_iter)
+            monkeypatch.setattr(piecewise, "_MAX_ROUNDS", max_rounds)
+            fit = iterative_fisher(sig, 3, 2, init)
             rounds.append(len(fit.j_trace) - 1)
-            assert built == [2], max_iter
+            assert built == [2], max_rounds
         assert rounds[0] == 1 and rounds[-1] > 5
 
 
@@ -834,14 +830,20 @@ class TestMultiStart:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_random_starts": -1}, "require n_random_starts >= 0"),
-        ({"max_iter": 0}, "require max_iter >= 1"),
-        ({"n_random_starts": -3, "max_iter": -1}, "require n_random_starts >= 0"),
-    ], ids=["starts-1", "max-iter-0", "both"])
+        ({"n_random_starts": -3}, "require n_random_starts >= 0"),
+    ], ids=["starts-1", "both"])
     def test_counts_below_their_minimum_raise(self, kwargs, match):
-        # the start count is checked here, max_iter by iterative_fisher
         sig = random_signal(np.random.default_rng(4), 30)
         with pytest.raises(ValueError, match=match):
             multi_start_iterative(sig, 2, 1, seed=0, **kwargs)
+
+    def test_round_limit_is_not_an_argument(self):
+        # every iterative fit stops by the fixed _MAX_ROUNDS
+        sig = random_signal(np.random.default_rng(4), 30)
+        with pytest.raises(TypeError, match="max_iter"):
+            iterative_fisher(sig, 2, 1, uniform_partition(30, 2, 3), max_iter=100)
+        with pytest.raises(TypeError, match="max_iter"):
+            multi_start_iterative(sig, 2, 1, seed=0, max_iter=100)
 
 
 def uniform_cut_draw(rng, n, K):

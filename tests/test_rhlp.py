@@ -1,10 +1,17 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from rhlpseg.core import Signal, GaussianComponent, design_matrix, gaussian_log_density
+from rhlpseg.core import (
+    GaussianComponent,
+    Signal,
+    ValueMap,
+    design_matrix,
+    gaussian_log_density,
+)
 from rhlpseg import rhlp
 from rhlpseg.errors import EmptyComponentError, NumericalError, RankDeficientError
 from rhlpseg.rhlp import (
@@ -199,6 +206,17 @@ class TestMStepRegression:
             np.testing.assert_allclose(comps[k].beta, beta, rtol=1e-9)
             s2 = tau[:, k] @ (x - T @ beta) ** 2 / tau[:, k].sum()
             assert comps[k].sigma2 == pytest.approx(s2, rel=1e-9)
+
+    def test_offset_values_give_the_floor(self):
+        # x + 2^600 rounds to the constant 2^600; fitted as given, its
+        # squared residuals overflow to sigma2 = inf
+        sig, _ = simulate_piecewise(SITUATION_1, 500, seed=3)
+        sig = Signal(sig.t, sig.x + 2.0 ** 600)
+        tau = np.random.default_rng(3).dirichlet(np.ones(3), size=sig.n)
+        comps = m_step_regression(tau, sig, p=2)
+        for c in comps:
+            assert c.sigma2 == sig.variance_floor
+            np.testing.assert_array_equal(c.beta, [2.0 ** 600, 0.0, 0.0])
 
     def test_starved_component_raises(self):
         sig = Signal(np.linspace(0, 1, 10), np.zeros(10))
@@ -433,9 +451,13 @@ class TestComponentMajorLayout:
         assert mixture_log_likelihood(params, sig) == ll
         # the posterior can starve a component here; the steps take any tau
         tau = np.ascontiguousarray(np.random.default_rng(K).dirichlet(np.ones(K), sig.n).T)
+        # the public M step fits the mapped values, as em_fit does
         comps = m_step_regression(tau.T, sig, p=2, iteration=3)
-        core_betas, core_sigma2s = rhlp._m_step_regression(tau, sig, T, 3)
-        for a, b, s in zip(comps, core_betas, core_sigma2s):
+        value_map = ValueMap.of(sig.x)
+        core_betas, core_sigma2s = rhlp._m_step_regression(
+            tau, Signal(sig.t, value_map(sig.x)), T, 3)
+        mapped = zip(value_map.beta(core_betas), value_map.variance(core_sigma2s))
+        for a, (b, s) in zip(comps, mapped, strict=True):
             assert np.array_equal(a.beta, b) and a.sigma2 == s
         core_w, core_logpi = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V), logpi)
         assert np.array_equal(irls_solve(w, tau.T, sig.t), core_w)
@@ -491,7 +513,7 @@ class TestEmFit:
         assert -1e-8 <= gain < 1e-4
 
     def test_misspecified_k_converges_before_max_iter(self):
-        # plain EM stops at max_iter = 1000 on this fit
+        # plain EM stops at its 1000-evaluation limit on this fit
         sig, _ = simulate_piecewise(SITUATION_1, 1000, seed=0)
         report = em_fit(sig, K=5, p=2, q=1, seed=0)
         assert report.converged
@@ -525,20 +547,31 @@ class TestEmFit:
             em_fit(sig, K=2, p=1, q=1, n_restarts=2, seed=0)
         assert runs == [0, 1, 2]
 
-    def test_max_iter_bounds_evaluations(self):
+    def test_max_iter_bounds_evaluations(self, monkeypatch):
+        monkeypatch.setattr(rhlp, "_EM_MAX_ITER", 7)
         sig, _ = simulate_piecewise(SITUATION_1, 300, seed=2)
-        report = em_fit(sig, K=5, p=2, q=1, max_iter=7)
+        report = em_fit(sig, K=5, p=2, q=1)
         assert not report.converged
         assert report.em_iterations <= 7
         assert report.em_iterations == len(report.log_likelihood_trace) - 1
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_restarts": -1}, {"max_iter": 0}, {"n_restarts": -2, "max_iter": -5},
-    ], ids=["restarts-1", "max-iter-0", "both"])
+        {"n_restarts": -1}, {"n_restarts": -2},
+    ], ids=["restarts-1", "both"])
     def test_counts_below_their_minimum_raise(self, kwargs):
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
-        with pytest.raises(ValueError, match="n_restarts >= 0 and max_iter >= 1"):
+        with pytest.raises(ValueError, match="n_restarts >= 0"):
             em_fit(sig, K=2, p=1, q=1, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"epsilon": 1e-6}, {"max_iter": 1000}],
+                             ids=["epsilon", "max_iter"])
+    def test_stopping_rule_is_not_an_argument(self, kwargs):
+        # EM stops by the fixed _EM_TOL and _EM_MAX_ITER
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            em_fit(sig, K=2, p=1, q=1, seed=0, **kwargs)
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            select_model(sig, [1, 2], [1], 1, seed=0, **kwargs)
 
     def test_design_matrices_are_built_once_per_fit(self, monkeypatch):
         # the fit's two designs, which the final denoise and labels reuse;
@@ -554,8 +587,8 @@ class TestEmFit:
         iterations = set()
         for max_iter, n_restarts in itertools.product([1, 4, 1000], [0, 2]):
             built.clear()
-            report = em_fit(sig, K=3, p=2, q=1, max_iter=max_iter, n_restarts=n_restarts,
-                            seed=0)
+            monkeypatch.setattr(rhlp, "_EM_MAX_ITER", max_iter)
+            report = em_fit(sig, K=3, p=2, q=1, n_restarts=n_restarts, seed=0)
             iterations.add(report.em_iterations)
             assert sorted(built) == [1, 2], (max_iter, n_restarts)
         assert max(iterations) > 4
@@ -733,8 +766,7 @@ class TestSelectModel:
     def test_failed_cells_recorded(self):
         sig = Signal(np.linspace(0, 5, 12), np.zeros(12))
         # K=6 on 12 points starves components instead of aborting the sweep
-        _, table = select_model(sig, K_range=[1, 6], p_range=[2], q=1, seed=0,
-                                max_iter=20)
+        _, table = select_model(sig, K_range=[1, 6], p_range=[2], q=1, seed=0)
         assert len(table) == 2
 
     def test_all_candidates_failing_raises_numerical_error(self):
@@ -771,9 +803,17 @@ class TestSelectModel:
         _, table = select_model(sig, K_range=range(1, 6), p_range=[2], q=1, seed=seed)
         assert all(e.error is None for e in table)
 
-    def test_tie_break_prefers_smaller_model(self):
-        from rhlpseg.rhlp import SelectionEntry  # noqa: F401  (documented rule)
-        # exercised through key ordering: equal BIC sorts by (K, p)
-        key_small = (-1.0, 2, 1)
-        key_large = (-1.0, 3, 1)
-        assert key_small < key_large
+    def test_tie_break_prefers_smaller_model(self, monkeypatch):
+        # (2, 2), (2, 3) and (3, 1) tie at the best BIC, and neither the
+        # first nor the last of them in sweep order is the smallest (K, p)
+        tied = {(2, 2), (2, 3), (3, 1)}
+
+        def stub(signal, K, p, q, **kwargs):
+            bic = -10.0 if (K, p) in tied else -20.0
+            return SimpleNamespace(K=K, p=p, bic=bic, log_likelihood=bic, converged=True)
+
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        best, table = select_model(sig, K_range=[3, 2], p_range=[2, 3, 1], q=1)
+        assert (best.K, best.p) == (2, 2)
+        assert [(e.K, e.p) for e in table if e.bic == -10.0] == [(3, 1), (2, 2), (2, 3)]
