@@ -1,5 +1,6 @@
-"""Shared numerical primitives: signals and their fit-time and fit-value
-maps, polynomial bases, (weighted) least squares, Gaussian log-densities.
+"""Shared numerical primitives: signals and their fit problems (fit-time and
+fit-value maps), polynomial bases, (weighted) least squares, Gaussian
+log-densities.
 
 All functions here are pure; every fitting algorithm in the package is built
 on top of them.
@@ -81,11 +82,8 @@ def _check_value_range(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class TimeMap:
-    """Affine map from a signal's times t to fit time u = (t - t0) * factor.
-
-    Every fitter maps its signal once with TimeMap.of, fits in u and keeps
-    the map on its result. Coefficients stay in u: mapping them back to
-    monomials in t cancels catastrophically at t0 ~ 1.7e9."""
+    """Affine map from a signal's times t to fit time u = (t - t0) * factor;
+    FitProblem describes how the fitters use it."""
 
     t0: float
     factor: float
@@ -95,10 +93,17 @@ class TimeMap:
         """The map taking t[0] to 0 and t[-1] to 5, the time span of the
         paper's simulations; factor 1 for a single sample. The factor is
         precomputed and multiplied, so t = linspace(0, 5, n) maps to itself
-        bit for bit."""
+        bit for bit. DataError unless the span t[-1] - t[0] and the factor
+        5 / span are both finite: an overflowing span gives factor 0."""
         t = np.asarray(t, dtype=float)
-        span = t[-1] - t[0]
-        return cls(float(t[0]), float(5.0 / span) if span > 0 else 1.0)
+        with np.errstate(over="ignore"):  # an overflow is the DataError below
+            factor = 5.0 / (t[-1] - t[0]) if len(t) > 1 else 1.0
+        if not 0 < factor < np.inf:
+            raise DataError(
+                f"times out of range: t[-1] - t[0] must lie in [{5.0 / _FLOAT.max:.3g}, "
+                f"{_FLOAT.max:.3g}], got times from {t[0]:.3g} to {t[-1]:.3g}"
+            )
+        return cls(float(t[0]), float(factor))
 
     def __call__(self, t) -> np.ndarray:
         """Fit times u of the times t."""
@@ -107,13 +112,9 @@ class TimeMap:
 
 @dataclass(frozen=True)
 class ValueMap:
-    """Affine map from a signal's values x to fit values y = (x - x0) * 2^-e.
-
-    Every fitter maps its signal's values once with ValueMap.of, fits on y
-    and maps its coefficients, variances and likelihoods back to x with
-    beta, variance and log_jacobian, so its result is in the units of x. The
-    factor is a power of two, so scaling is exact: x * 2^k gives the same y
-    bit for bit."""
+    """Affine map from a signal's values x to fit values y = (x - x0) * 2^-e;
+    FitProblem describes how the fitters use it and maps their results
+    back."""
 
     x0: float
     e: int
@@ -131,31 +132,52 @@ class ValueMap:
         """Fit values y of the values x."""
         return np.ldexp(np.asarray(x, dtype=float) - self.x0, -self.e)
 
-    def beta(self, beta) -> np.ndarray:
-        """Polynomial coefficients fitted to y, last axis from the constant
-        term up, as coefficients of the same polynomials in x: all scale by
-        2^e and the constant term gains x0."""
-        beta = np.ldexp(np.asarray(beta, dtype=float), self.e)
-        beta[..., 0] += self.x0
-        return beta
 
-    def variance(self, sigma2):
-        """Variances fitted to y in the units of x: times 4^e."""
-        return np.ldexp(sigma2, 2 * self.e)
+@dataclass(frozen=True)
+class FitProblem:
+    """A signal as every fitter fits it, and the one way back to its units.
 
-    def log_jacobian(self, n: int) -> float:
-        """log |dx/dy|^n = n e log 2: n samples' log-likelihood on x is the
-        one on y minus this, and their criterion J is the one on y plus
-        twice this."""
-        return n * self.e * float(np.log(2.0))
+    FitProblem.of maps the times t once to fit time u = time_map(t), t[0] to
+    0 and t[-1] to 5, and the values x to fit values y = value_map(x) =
+    (x - x[0]) 2^-e, e the binary exponent of std(x) (0 for a constant x).
+    Every fitter runs all its least squares, costs and re-segmentations on
+    signal = Signal(u, y). The power of two keeps the map exact, and epoch
+    times, offsets and huge constants cost no precision. Results map back
+    here, to the units of x: components_to_x (beta_0 -> 2^e beta_0 + x0, the
+    rest times 2^e, variances times 4^e), j_to_x (plus 2 n e log 2) and
+    log_likelihood_to_x (minus n e log 2). Coefficients stay polynomials in
+    u, and each fit keeps time_map: mapped to monomials in t they would
+    cancel catastrophically at t0 ~ 1.7e9."""
 
+    signal: Signal
+    time_map: TimeMap
+    value_map: ValueMap
 
-def to_fit_time(signal: Signal) -> tuple[Signal, TimeMap, ValueMap]:
-    """The signal on fit time u and fit values y, the map from its times to
-    u and the map from its values to y. An offset or a huge constant x costs
-    no precision on y, which is 0 for a constant x."""
-    time_map, value_map = TimeMap.of(signal.t), ValueMap.of(signal.x)
-    return Signal(time_map(signal.t), value_map(signal.x)), time_map, value_map
+    @classmethod
+    def of(cls, signal: Signal) -> "FitProblem":
+        """The problem of signal; DataError for times TimeMap.of cannot map."""
+        time_map, value_map = TimeMap.of(signal.t), ValueMap.of(signal.x)
+        return cls(Signal(time_map(signal.t), value_map(signal.x)), time_map, value_map)
+
+    def components_to_x(self, betas, sigma2s) -> tuple[GaussianComponent, ...]:
+        """Components fitted on y, coefficient rows betas, in the units of x."""
+        betas = np.ldexp(np.asarray(betas, dtype=float), self.value_map.e)
+        betas[:, 0] += self.value_map.x0
+        sigma2s = np.ldexp(sigma2s, 2 * self.value_map.e)
+        return tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
+
+    @property
+    def _log_jacobian(self) -> float:
+        """log |dx/dy|^n = n e log 2."""
+        return self.signal.n * self.value_map.e * float(np.log(2.0))
+
+    def j_to_x(self, j: float) -> float:
+        """A criterion J on y as J on x."""
+        return j + 2.0 * self._log_jacobian
+
+    def log_likelihood_to_x(self, log_likelihood: float) -> float:
+        """A log-likelihood on y as one on x."""
+        return log_likelihood - self._log_jacobian
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,8 @@ Exact global minimization of the segmentation criterion
 J = sum_k sum_{i in segment k} [log sigma_k^2 + (x_i - beta_k^T r_i)^2 / sigma_k^2]
 by dynamic programming, plus a faster iterative variant that alternates
 per-segment regression with a fixed-parameter re-segmentation. Each fitter
-maps the signal once with to_fit_time: its times to fit time u =
-time_map(t), time_map = TimeMap.of(signal.t), and its values to y =
-value_map(x), value_map = ValueMap.of(signal.x). All least squares, costs
-and re-segmentations run on (u, y). The PiecewiseFit keeps the time map,
-names the fitter that made it, and holds components and J mapped back to
-the units of x.
+fits the FitProblem of its signal, which maps the signal in and the result
+back; the PiecewiseFit names the fitter that made it.
 """
 from __future__ import annotations
 
@@ -17,14 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    GaussianComponent,
-    Signal,
-    TimeMap,
-    ValueMap,
-    design_matrix,
-    to_fit_time,
-)
+from .core import FitProblem, GaussianComponent, Signal, TimeMap, design_matrix
 from .errors import InfeasibleError, LengthMismatchError, NumericalError
 
 
@@ -360,23 +349,20 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     sample count b; the last level is needed at b = n only, so it is one
     argmin over the splits of the whole signal (none for K = 1). ValueError
     for K < 1 or p < 0, InfeasibleError for n < K (p + 2)."""
-    n = signal.n
-    min_len = _check_request(n, K, default_min_segment_length(p), p)
-    signal, time_map, value_map = to_fit_time(signal)
-    cost = build_cost_matrix(signal, p, min_len)
+    min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
+    problem = FitProblem.of(signal)
+    cost = build_cost_matrix(problem.signal, p, min_len)
     j, partition = _dp_partition(cost, K, min_len)
-    components, _ = _refit(signal, design_matrix(signal.t, p), partition)
-    j += 2.0 * value_map.log_jacobian(n)
-    return PiecewiseFit(partition, _components_to_x(components, value_map), j, time_map,
-                        "piecewise_dp")
+    components, _ = _refit(problem.signal, design_matrix(problem.signal.t, p), partition)
+    return _piecewise_fit(problem, "piecewise_dp", partition, components, j)
 
 
-def _components_to_x(
-    components: tuple[GaussianComponent, ...], value_map: ValueMap
-) -> tuple[GaussianComponent, ...]:
-    """Components fitted on the fit values y, in the units of x."""
-    return tuple(GaussianComponent(value_map.beta(c.beta), value_map.variance(c.sigma2))
-                 for c in components)
+def _piecewise_fit(problem: FitProblem, model: str, partition: Partition, components,
+                   j: float, trace=None) -> PiecewiseFit:
+    """The PiecewiseFit of a fit on problem.signal, mapped back by problem."""
+    comps = problem.components_to_x([c.beta for c in components], [c.sigma2 for c in components])
+    j_trace = None if trace is None else tuple(map(problem.j_to_x, trace))
+    return PiecewiseFit(partition, comps, problem.j_to_x(j), problem.time_map, model, j_trace)
 
 
 def _fixed_param_segmentation(
@@ -440,7 +426,8 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> Piecewi
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_len):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
-    signal, time_map, value_map = to_fit_time(signal)
+    problem = FitProblem.of(signal)
+    signal = problem.signal
     T = design_matrix(signal.t, p)
     partition = init
     components, j = _refit(signal, T, partition)
@@ -459,9 +446,7 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> Piecewi
         trace.append(j)
         if converged:
             break
-    shift = 2.0 * value_map.log_jacobian(n)
-    return PiecewiseFit(partition, _components_to_x(components, value_map), j + shift,
-                        time_map, "piecewise_iterative", tuple(jk + shift for jk in trace))
+    return _piecewise_fit(problem, "piecewise_iterative", partition, components, j, trace)
 
 
 def uniform_partition(n: int, K: int, min_len: int = 1) -> Partition:

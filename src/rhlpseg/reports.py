@@ -41,12 +41,13 @@ MODEL_TAGS = ("rhlp", "piecewise_dp", "piecewise_iterative")
 SCHEMA_VERSION = 2
 
 
-def _label(text: str) -> int:
-    """A label cell as an int: "2" and "2.0" parse; a value that is not
-    finite and integral, such as inf, nan or 1.7, is a ValueError."""
+def _label(text) -> int:
+    """A label cell or value as an int: "2", "2.0" and 2.0 parse; a value
+    that is not finite and integral, such as inf, nan or 1.7, is a
+    ValueError."""
     value = float(text)
     if not value.is_integer():  # False for inf and nan
-        raise ValueError(f"label must be an integer, got {text.strip()!r}")
+        raise ValueError(f"label must be an integer, got {str(text).strip()!r}")
     return int(value)
 
 
@@ -81,10 +82,12 @@ def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
 
 
 def save_signal_csv(path, signal: Signal, labels=None) -> None:
+    """Write a signal CSV that load_signal_csv reads back; labels, when
+    given, must be finite integers (ValueError before the file is opened)."""
     if labels is None:
         write_csv(path, ["t", "x"], zip(signal.t, signal.x))
     else:
-        labels = np.asarray(labels).astype(int)
+        labels = [_label(v) for v in labels]
         write_csv(path, ["t", "x", "label"], zip(signal.t, signal.x, labels))
 
 

@@ -16,13 +16,12 @@ from typing import ClassVar
 import numpy as np
 
 from .core import (
+    FitProblem,
     GaussianComponent,
     Signal,
     TimeMap,
-    ValueMap,
     design_matrix,
     gaussian_log_density,
-    to_fit_time,
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
@@ -75,6 +74,8 @@ class RhlpParams:
     def __post_init__(self):
         if len(self.components) != self.logistic.K:
             raise ValueError("component count must match logistic process K")
+        if len({len(c.beta) for c in self.components}) != 1:
+            raise ValueError("every component must have the same polynomial degree")
 
     @property
     def K(self) -> int:
@@ -191,12 +192,13 @@ def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
 def _m_step_regression(
     tau: np.ndarray, signal: Signal, T: np.ndarray, iteration: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """m_step_regression for (K, n) responsibilities tau against the design
-    matrix T = design_matrix(signal.t, p), as a (K, p+1) betas array and K
-    variances: all K weighted least squares in one weighted_least_squares
-    call, and the K residual variances from one (K, n) residual array. The
-    values are fitted as given; its callers give it fit values y of a
-    ValueMap, on which an offset or a constant x costs no precision."""
+    """m_step_regression for (K, n) responsibilities tau against a design
+    matrix T = design_matrix(t, p) of the samples' times, as a (K, p+1)
+    betas array and K variances: all K weighted least squares in one
+    weighted_least_squares call, and the K residual variances from one
+    (K, n) residual array. Only signal.x and signal.variance_floor are read:
+    its callers give it a FitProblem's signal, whose fit values y lose no
+    precision to an offset or a constant x."""
     mass = tau.sum(axis=1)
     starved = mass < _STARVATION_TOL
     if np.any(starved):
@@ -217,15 +219,12 @@ def m_step_regression(
     residual under the new beta_k (floored at the variance floor). Each
     column of tau is read as a contiguous row of its (K, n) transpose, so the
     result does not depend on the memory layout of tau. Like em_fit, it fits
-    the fit values y = value_map(x), value_map = ValueMap.of(signal.x), and
-    maps beta_k and sigma2_k back to the units of x; the times stay as
-    given."""
+    the fit values y of the signal's FitProblem and maps the components back
+    to the units of x; the times stay as given."""
     tau = np.ascontiguousarray(tau.T)
-    value_map = ValueMap.of(signal.x)
-    fit_signal = Signal(signal.t, value_map(signal.x))
-    betas, sigma2s = _m_step_regression(tau, fit_signal, design_matrix(signal.t, p), iteration)
-    betas, sigma2s = value_map.beta(betas), value_map.variance(sigma2s)
-    return tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
+    problem = FitProblem.of(signal)
+    betas, sigma2s = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), iteration)
+    return problem.components_to_x(betas, sigma2s)
 
 
 # --- IRLS (exact-Hessian Newton) for the logistic coefficients -------------
@@ -422,13 +421,6 @@ class _Iterate:
         iterate in up to three consecutive steps."""
         return _pack(self.w, self.betas, self.sigma2s)
 
-    def params(self, value_map: ValueMap) -> RhlpParams:
-        """The iterate, fitted on the fit values of value_map, as validated
-        parameters in the units of x, built once per fit."""
-        betas, sigma2s = value_map.beta(self.betas), value_map.variance(self.sigma2s)
-        comps = tuple(GaussianComponent(b, float(s)) for b, s in zip(betas, sigma2s))
-        return RhlpParams(LogisticProcess(self.w), comps)
-
 
 def _squarem_point(
     theta0: np.ndarray, theta1: np.ndarray, theta2: np.ndarray, step_max: float
@@ -531,12 +523,10 @@ def em_fit(
     run's error is raised only when every run fails. Deterministic given
     the seed.
 
-    The fit runs on the signal that to_fit_time maps to fit time u =
-    time_map(t), which the report keeps, and to fit values y = value_map(x).
-    The report's parameters are polynomials in u in the units of x: the
-    betas and variances are mapped back from y, the log-likelihood trace is
-    shifted by value_map.log_jacobian(n), and its last entry, the BIC and
-    denoised come from the mapped-back parameters on x.
+    The fit runs on the signal's FitProblem, which maps the report's
+    parameters and log-likelihood trace back to the units of x; the trace's
+    last entry, the BIC and denoised come from the mapped-back parameters
+    on x.
 
     EM is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J. Stat.):
     after two EM steps theta0 -> theta1 -> theta2 the parameters (free
@@ -558,18 +548,17 @@ def em_fit(
         raise ValueError("require K >= 1, p >= 0, q >= 0")
     if n_restarts < 0:
         raise ValueError(f"require n_restarts >= 0, got n_restarts={n_restarts}")
-    x = signal.x
-    signal, time_map, value_map = to_fit_time(signal)
-    T, V = design_matrix(signal.t, p), design_matrix(signal.t, q)
+    problem = FitProblem.of(signal)
+    T, V = design_matrix(problem.signal.t, p), design_matrix(problem.signal.t, q)
     designs = (T, V, _outer_rows(V))
     rng = np.random.default_rng(seed)
     cuts = [None] + [_perturbed_cuts(rng, signal.n, K) for _ in range(n_restarts)]
-    sigma2 = np.ldexp(1.0, -2 * value_map.e)  # 1 in the units of x
+    sigma2 = np.ldexp(1.0, -2 * problem.value_map.e)  # 1 in the units of x
     best = error = None
     for run_cuts in cuts:
         try:
-            init = _uniform_segment_init(signal, T, K, q, sigma2, run_cuts)
-            result = _em_once(signal, init, designs)
+            init = _uniform_segment_init(problem.signal, T, K, q, sigma2, run_cuts)
+            result = _em_once(problem.signal, init, designs)
         except _FIT_ERRORS as exc:
             error = error or exc
             continue
@@ -578,18 +567,18 @@ def em_fit(
     if best is None:
         raise error
     final, trace, converged = best
-    params = final.params(value_map)
-    ll = _posterior(final.logpi, params.betas, params.sigma2s, x, T)[1]
-    shift = value_map.log_jacobian(signal.n)
+    params = RhlpParams(LogisticProcess(final.w),
+                        problem.components_to_x(final.betas, final.sigma2s))
+    ll = _posterior(final.logpi, params.betas, params.sigma2s, signal.x, T)[1]
     pi = np.exp(final.logpi)
     return FitReport(
         params=params,
-        log_likelihood_trace=tuple(v - shift for v in trace[:-1]) + (ll,),
+        log_likelihood_trace=tuple(map(problem.log_likelihood_to_x, trace[:-1])) + (ll,),
         bic=bic(params, ll, signal.n),
         labels=_hard_labels(pi),
         denoised=_denoise(pi, params.betas, T),
         converged=converged,
-        time_map=time_map,
+        time_map=problem.time_map,
         seed=seed,
     )
 

@@ -80,6 +80,17 @@ class TestSimulateCommand:
         assert err.startswith("error:DataError:")
         assert err.count("\n") == 1
 
+    def test_params_of_mixed_degrees_exit_one(self, tmp_path, capsys):
+        params, out = tmp_path / "params.json", tmp_path / "sim.csv"
+        params.write_text(json.dumps({
+            "w": [[0.0, 0.0], [0.0, 0.0]], "beta": [[1.0, 2.0], [1.0]], "sigma2": [1.0, 1.0],
+        }))
+        rc = main(["simulate", "--params-json", str(params), "--n", "50",
+                   "--seed", "0", "--output", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, "SchemaError")
+        assert not out.exists()
+
     def test_both_generators_rejected(self, tmp_path):
         rc = main(["simulate", "--scenario", "situation1", "--params-json", "p.json",
                    "--n", "10", "--seed", "0", "--output", str(tmp_path / "x.csv")])
@@ -254,6 +265,32 @@ class TestSignalCsvErrors:
         assert rc == 1
         assert_one_error_line(capsys, "DataError")
         assert not out.exists()
+
+    @pytest.mark.parametrize("t", [
+        [i * 1e-310 for i in range(8)],  # 5 / (t[-1] - t[0]) overflows
+        [-1e308, -7e307, -3e307, 0.0, 1e306, 5e307, 1.2e308, 1.75e308],  # so does the span
+    ], ids=["span-1e-309", "span-overflows"])
+    def test_time_span_out_of_range(self, tmp_path, capsys, t):
+        path, out = tmp_path / "span.csv", tmp_path / "o.json"
+        x = np.random.default_rng(4).normal(size=len(t)).tolist()
+        path.write_text("t,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t, x)))
+        rc = main(["fit-dp", "--input", str(path), "--output", str(out), "--k", "2",
+                   "--p", "1"])
+        assert rc == 1
+        assert_one_error_line(capsys, "DataError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", [[1.7, 2.2, 3.0], [1.0, np.nan, 3.0]],
+                             ids=["1.7", "nan"])
+    def test_labels_that_cannot_load_are_not_saved(self, tmp_path, labels):
+        # the rule of load_signal_csv: a finite integer, or ValueError, here
+        # before the file is opened
+        sig, path = Signal([0.0, 1.0, 2.0], [1.0, 2.0, 1.5]), tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="label must be an integer"):
+            save_signal_csv(path, sig, labels)
+        assert not path.exists()
+        save_signal_csv(path, sig, [2.0, 1, np.int64(3)])
+        assert load_signal_csv(path)[1].tolist() == [2, 1, 3]
 
     @pytest.mark.parametrize("label", ["inf", "nan", "1.7"])
     def test_label_not_an_integer(self, tmp_path, capsys, label):

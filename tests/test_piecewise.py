@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rhlpseg import core, piecewise
-from rhlpseg.core import GaussianComponent, Signal, design_matrix, to_fit_time
+from rhlpseg.core import FitProblem, GaussianComponent, Signal, design_matrix
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
-    _components_to_x,
     _dp_partition,
     _dp_tables,
     _fixed_param_segmentation,
@@ -181,7 +180,8 @@ def iterative_fisher_always_refit(signal, p, init, max_iter):
     lowers J by less than 1e-6. Returns the partition, the components in the
     units of x, J and the J trace."""
     min_len = default_min_segment_length(p)
-    signal, _, value_map = to_fit_time(signal)
+    problem = FitProblem.of(signal)
+    signal = problem.signal
     T = design_matrix(signal.t, p)
     partition = init
     components, j = _refit(signal, T, partition)
@@ -197,9 +197,10 @@ def iterative_fisher_always_refit(signal, p, init, max_iter):
         trace.append(j)
         if converged:
             break
-    shift = 2.0 * value_map.log_jacobian(signal.n)
-    return (partition, _components_to_x(components, value_map), j + shift,
-            tuple(jk + shift for jk in trace))
+    return (partition,
+            problem.components_to_x([c.beta for c in components],
+                                    [c.sigma2 for c in components]),
+            problem.j_to_x(j), tuple(map(problem.j_to_x, trace)))
 
 
 def exhaustive_best_j(signal, K, p, min_len):

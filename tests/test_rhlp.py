@@ -6,9 +6,9 @@ import pytest
 from scipy.special import logsumexp
 
 from rhlpseg.core import (
+    FitProblem,
     GaussianComponent,
     Signal,
-    ValueMap,
     design_matrix,
     gaussian_log_density,
 )
@@ -453,12 +453,12 @@ class TestComponentMajorLayout:
         tau = np.ascontiguousarray(np.random.default_rng(K).dirichlet(np.ones(K), sig.n).T)
         # the public M step fits the mapped values, as em_fit does
         comps = m_step_regression(tau.T, sig, p=2, iteration=3)
-        value_map = ValueMap.of(sig.x)
-        core_betas, core_sigma2s = rhlp._m_step_regression(
-            tau, Signal(sig.t, value_map(sig.x)), T, 3)
-        mapped = zip(value_map.beta(core_betas), value_map.variance(core_sigma2s))
-        for a, (b, s) in zip(comps, mapped, strict=True):
-            assert np.array_equal(a.beta, b) and a.sigma2 == s
+        problem = FitProblem.of(sig)
+        # on the fit values y and against the design of the times as given
+        core_betas, core_sigma2s = rhlp._m_step_regression(tau, problem.signal, T, 3)
+        mapped = problem.components_to_x(core_betas, core_sigma2s)
+        for a, b in zip(comps, mapped, strict=True):
+            assert np.array_equal(a.beta, b.beta) and a.sigma2 == b.sigma2
         core_w, core_logpi = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V), logpi)
         assert np.array_equal(irls_solve(w, tau.T, sig.t), core_w)
         # the solve hands back the log-proportions of the w it returns

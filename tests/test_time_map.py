@@ -1,10 +1,10 @@
-"""The fit-time and fit-value maps: every fitter maps its times t once to
+"""The fit problem of a signal: every fitter maps its times t once to
 u = (t - t0) * factor, fits in u and keeps the map, so a fit does not depend
 on where the clock starts or how fast it runs. It maps its values x once to
-y = (x - x0) * 2^-e, fits on y and maps its result back to x, and the
-variance floor is relative to var(x), so the piecewise fits do not depend on
-the values' offset or scale either, across the whole value range a Signal
-accepts."""
+y = (x - x0) * 2^-e, fits on y and maps its result back to x through the
+same FitProblem, and the variance floor is relative to var(x), so the
+piecewise fits do not depend on the values' offset or scale either, across
+the whole value range a Signal accepts."""
 import math
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rhlpseg.core import RELATIVE_VARIANCE_FLOOR, Signal, TimeMap, ValueMap, to_fit_time
+from rhlpseg.core import RELATIVE_VARIANCE_FLOOR, FitProblem, Signal, TimeMap, ValueMap
 from rhlpseg.errors import DataError
 from rhlpseg.piecewise import fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit
@@ -42,11 +42,11 @@ class TestTimeMap:
 
     def test_single_sample_has_factor_one(self):
         assert TimeMap.of([EPOCH]) == TimeMap(EPOCH, 1.0)
-        signal, time_map, value_map = to_fit_time(Signal([EPOCH], [3.0]))
-        assert time_map(EPOCH + 2.0) == 2.0
-        np.testing.assert_array_equal(signal.t, [0.0])
-        assert value_map == ValueMap(3.0, 0)
-        np.testing.assert_array_equal(signal.x, [0.0])
+        problem = FitProblem.of(Signal([EPOCH], [3.0]))
+        assert problem.time_map(EPOCH + 2.0) == 2.0
+        np.testing.assert_array_equal(problem.signal.t, [0.0])
+        assert problem.value_map == ValueMap(3.0, 0)
+        np.testing.assert_array_equal(problem.signal.x, [0.0])
 
 
 class TestValueMap:
@@ -71,18 +71,68 @@ class TestValueMap:
     def test_fit_values_have_unit_order_spread(self, x):
         assert 0.5 <= np.std(ValueMap.of(x)(x)) < 1.0
 
+
+class TestFitProblem:
+    @pytest.fixture(scope="class")
+    def x(self):
+        return simulate_piecewise(SITUATION_1, 500, seed=3)[0].x + 1e3
+
+    def test_epoch_signal_maps_to_the_fit_signal(self, x):
+        # u and y as the two maps were written out before FitProblem held them
+        t = EPOCH + np.arange(len(x), dtype=float)
+        problem = FitProblem.of(Signal(t, x))
+        e = int(np.frexp(np.std(x))[1])
+        np.testing.assert_array_equal(problem.signal.t, (t - t[0]) * float(5.0 / (t[-1] - t[0])))
+        np.testing.assert_array_equal(problem.signal.x, np.ldexp(x - x[0], -e))
+        np.testing.assert_array_equal(problem.signal.t, np.linspace(0.0, 5.0, len(x)))
+        assert problem.time_map == TimeMap.of(t) and problem.value_map == ValueMap(x[0], e)
+
     def test_results_map_back_to_x(self, x):
         # a polynomial fitted to y, mapped back, is the same curve on x, with
         # its variance and log-likelihood moved as the change of variables
-        value_map = ValueMap.of(x)
+        problem = FitProblem.of(Signal(np.arange(len(x), dtype=float), x))
+        e, x0 = problem.value_map.e, problem.value_map.x0
         T = np.vander(np.linspace(0.0, 5.0, len(x)), 3, increasing=True)
-        beta_y = np.array([0.5, -0.25, 0.125])
-        np.testing.assert_allclose(T @ value_map.beta(beta_y),
-                                   np.ldexp(T @ beta_y, value_map.e) + value_map.x0,
+        beta_y = np.array([[0.5, -0.25, 0.125], [-1.5, 0.75, 0.0]])
+        comps = problem.components_to_x(beta_y, [0.25, 3.0])
+        np.testing.assert_allclose(T @ comps[0].beta, np.ldexp(T @ beta_y[0], e) + x0,
                                    rtol=1e-15)
-        assert value_map.variance(0.25) == 0.25 * 4.0**value_map.e
-        assert value_map.log_jacobian(len(x)) == pytest.approx(
-            len(x) * np.log(2.0**value_map.e), rel=1e-15)
+        assert comps[0].sigma2 == 0.25 * 4.0**e
+        log_jacobian = len(x) * e * float(np.log(2.0))
+        assert log_jacobian == pytest.approx(len(x) * np.log(2.0**e), rel=1e-15)
+        # bit for bit the formulas the fitters applied before FitProblem
+        for comp, beta, sigma2 in zip(comps, beta_y, [0.25, 3.0], strict=True):
+            want = np.ldexp(beta, e)
+            want[0] += x0
+            assert np.array_equal(comp.beta, want) and comp.sigma2 == np.ldexp(sigma2, 2 * e)
+        for value in (-1234.5678, 0.0, 987.65):
+            assert problem.j_to_x(value) == value + 2.0 * log_jacobian
+            assert problem.log_likelihood_to_x(value) == value - log_jacobian
+
+
+# spans whose map 5 / (t[-1] - t[0]) overflows, and whose span itself does
+TIMES_OUT_OF_RANGE = {
+    "span-1e-309": np.arange(8) * 1e-310,
+    "span-overflows": np.array([-1e308, -7e307, -3e307, 0, 1e306, 5e307, 1.2e308, 1.75e308]),
+}
+
+
+class TestTimeSpanOutOfRange:
+    @pytest.mark.parametrize("t", TIMES_OUT_OF_RANGE.values(), ids=TIMES_OUT_OF_RANGE.keys())
+    @pytest.mark.parametrize("fitter", [
+        FitProblem.of,
+        lambda s: fisher_dp(s, 2, 1),
+        lambda s: multi_start_iterative(s, 2, 1, seed=0),
+        lambda s: em_fit(s, 2, 1, 1, seed=0),
+    ], ids=["FitProblem.of", "fisher_dp", "multi_start_iterative", "em_fit"])
+    def test_raises_data_error_naming_the_span(self, t, fitter):
+        # the Signal itself is valid; only its fit problem cannot be mapped,
+        # and RuntimeWarnings are errors in this suite
+        sig = Signal(t, np.random.default_rng(4).normal(size=len(t)))
+        with pytest.raises(DataError, match=r"times out of range: t\[-1\] - t\[0\] must lie in "
+                           r"\[2\.78e-308, 1\.8e\+308\]") as info:
+            fitter(sig)
+        assert type(info.value) is DataError
 
 
 @given(
