@@ -155,9 +155,19 @@ class FitProblem:
 
     @classmethod
     def of(cls, signal: Signal) -> "FitProblem":
-        """The problem of signal; DataError for times TimeMap.of cannot map."""
+        """The problem of signal; DataError for times TimeMap.of cannot map,
+        or whose fit times do not increase strictly (a gap that maps to 0)."""
         time_map, value_map = TimeMap.of(signal.t), ValueMap.of(signal.x)
-        return cls(Signal(time_map(signal.t), value_map(signal.x)), time_map, value_map)
+        try:
+            fit_signal = Signal(time_map(signal.t), value_map(signal.x))
+        except NonMonotonicTimeError as exc:
+            i = exc.index
+            raise DataError(
+                f"times out of range: the gap t[{i}] - t[{i - 1}] = "
+                f"{signal.t[i] - signal.t[i - 1]:.3g} maps to a fit-time gap of 0 at "
+                f"factor {time_map.factor:.3g}"
+            ) from None
+        return cls(fit_signal, time_map, value_map)
 
     def components_to_x(self, betas, sigma2s) -> tuple[GaussianComponent, ...]:
         """Components fitted on y, coefficient rows betas, in the units of x."""

@@ -38,7 +38,7 @@ def _check_request(n: int, K: int, min_len: int, p: int = 0) -> int:
     min_len < 1, InfeasibleError for n < K * min_len."""
     _check_orders(K, p, min_len)
     if n < K * min_len:
-        raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
+        raise InfeasibleError(f"n={n} < K*min_len={K * min_len}")
     return min_len
 
 
@@ -147,12 +147,10 @@ def _ols_cost(T: np.ndarray, x: np.ndarray, signal: Signal) -> tuple[float, Gaus
     return cost, GaussianComponent(beta, s2)
 
 
-def build_cost_matrix(
-    signal: Signal, p: int, min_segment_length: int | None = None
-) -> np.ndarray:
+def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     """(n+1) x (n+1) matrix of one-segment costs; entry (a, b) is the cost of
-    fitting samples (a, b]. Infeasible ranges (b - a < min length) hold +inf.
-    ValueError for p < 0 or a minimum length below 1.
+    fitting samples (a, b]. Ranges shorter than the p + 2 samples a piecewise
+    fit needs (b - a < p + 2) hold +inf. ValueError for p < 0.
 
     Built column by column with square-root-free Givens QR updates
     (Gentleman 1973). Every start a keeps the factor of its segment's data
@@ -192,9 +190,8 @@ def build_cost_matrix(
     e = 0 with w != 0: from then on that start and every older one run
     every rotation.
     """
-    if min_segment_length is None:
-        min_segment_length = default_min_segment_length(p)
-    _check_orders(1, p, min_segment_length)
+    _check_orders(1, p, 1)
+    min_len = default_min_segment_length(p)
     n = signal.n
     t = np.ldexp(signal.t, 2 - np.frexp(signal.t[-1] / 2 - signal.t[0] / 2)[1])
     x = signal.x
@@ -264,7 +261,7 @@ def build_cost_matrix(
             vd2 = np.multiply(v[d], v[d], out=wv_all[: j + 1])
             vd2 *= w
             sse[: j + 1] += vd2
-            feasible = j + 2 - min_segment_length  # starts a with j + 1 - a >= min length
+            feasible = j + 2 - min_len  # starts a with j + 1 - a >= min_len
             if feasible > 0:
                 _floored_cost(sse[:feasible], m[k0 : k0 + feasible], signal,
                               out=out[:feasible, j + 1])
@@ -276,20 +273,22 @@ _DP_BLOCK = 32  # columns per candidate block: an (n + 1) x 32 temporary
 
 def _dp_tables(cost: np.ndarray, K: int, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal costs C[k, b] for splitting samples (0, b] into k segments,
-    and argmin split indices H[k, b] (start of the last segment).
+    and argmin split indices H[k, b] (start of the last segment): levels
+    1..K-1 at every b, level K >= 2 at b = n only (elsewhere +inf and 0).
 
     C[k, b] = min over h <= b - min_len of C[k-1, h] + cost[h, b], and
     argmin takes the first minimum, so ties go to the smallest split. Each
     level takes _DP_BLOCK columns b0..b1-1 at once, over the rows h below
-    b1 - min_len; a row past column b's own last split h = b - min_len holds
-    cost[h, b] = +inf, as build_cost_matrix leaves every range shorter than
-    min_len, so it never wins."""
+    b1 - min_len, and level K the one block [n, n + 1); a row past column
+    b's own last split h = b - min_len holds cost[h, b] = +inf, as
+    build_cost_matrix leaves every range shorter than min_len, so it never
+    wins."""
     n = cost.shape[0] - 1
     C = np.full((K + 1, n + 1), np.inf)
     H = np.zeros((K + 1, n + 1), dtype=int)
     C[1, :] = cost[0, :]
     for k in range(2, K + 1):
-        for b0 in range(k * min_len, n + 1, _DP_BLOCK):
+        for b0 in range(k * min_len if k < K else n, n + 1, _DP_BLOCK):
             b1 = min(b0 + _DP_BLOCK, n + 1)
             top = b1 - min_len
             cand = C[k - 1, :top, None] + cost[:top, b0:b1]
@@ -306,23 +305,6 @@ def _backtrack(H: np.ndarray, K: int, n: int) -> Partition:
         gamma[k - 1] = H[k, gamma[k]]
     gamma[0] = 0
     return Partition(gamma)
-
-
-def _dp_partition(cost: np.ndarray, K: int, min_len: int) -> tuple[float, Partition]:
-    """The optimal cost C[K, n] and partition of samples (0, n] into K
-    segments, equal bit for bit to _dp_tables(cost, K, min_len) and its
-    backtrack. Levels 1..K-1 come from _dp_tables; level K is needed at
-    b = n only, so it is one candidate vector C[K-1, h] + cost[h, n] over
-    h <= n - min_len and its first argmin, the blocked level's candidates
-    and tie rule for that column."""
-    n = cost.shape[0] - 1
-    if K == 1:
-        return float(cost[0, n]), Partition([0, n])
-    C, H = _dp_tables(cost, K - 1, min_len)
-    top = n + 1 - min_len
-    cand = C[K - 1, :top] + cost[:top, n]
-    h = int(cand.argmin())
-    return float(cand[h]), Partition(np.append(_backtrack(H, K - 1, h).gamma, n))
 
 
 def _refit(
@@ -344,17 +326,17 @@ def _refit(
 def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     """Globally optimal piecewise polynomial fit with K segments of at least
     default_min_segment_length(p) = p + 2 samples each, by dynamic
-    programming over the one-segment cost matrix. Ties in the split argmin go
-    to the smallest index. The recursion fills levels 1..K-1 for every
-    sample count b; the last level is needed at b = n only, so it is one
-    argmin over the splits of the whole signal (none for K = 1). ValueError
-    for K < 1 or p < 0, InfeasibleError for n < K (p + 2)."""
+    programming over the one-segment cost matrix (shorter ranges +inf). Ties
+    in the split argmin go to the smallest index. _dp_tables fills levels
+    1..K-1 for every sample count b and level K at b = n only, where J is
+    C[K, n] and the backtrack starts. ValueError for K < 1 or p < 0,
+    InfeasibleError for n < K (p + 2)."""
     min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
     problem = FitProblem.of(signal)
-    cost = build_cost_matrix(problem.signal, p, min_len)
-    j, partition = _dp_partition(cost, K, min_len)
+    C, H = _dp_tables(build_cost_matrix(problem.signal, p), K, min_len)
+    partition = _backtrack(H, K, signal.n)
     components, _ = _refit(problem.signal, design_matrix(problem.signal.t, p), partition)
-    return _piecewise_fit(problem, "piecewise_dp", partition, components, j)
+    return _piecewise_fit(problem, "piecewise_dp", partition, components, float(C[K, signal.n]))
 
 
 def _piecewise_fit(problem: FitProblem, model: str, partition: Partition, components,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Signal
-from .errors import ParseError, SchemaError
+from .errors import LengthMismatchError, ParseError, SchemaError
 from .piecewise import Partition, PiecewiseFit
 from .rhlp import FitReport
 
@@ -83,11 +83,14 @@ def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
 
 def save_signal_csv(path, signal: Signal, labels=None) -> None:
     """Write a signal CSV that load_signal_csv reads back; labels, when
-    given, must be finite integers (ValueError before the file is opened)."""
+    given, must be finite integers (ValueError) and one per sample
+    (LengthMismatchError), both checked before the file is opened."""
     if labels is None:
         write_csv(path, ["t", "x"], zip(signal.t, signal.x))
     else:
         labels = [_label(v) for v in labels]
+        if len(labels) != signal.n:
+            raise LengthMismatchError(f"{len(labels)} labels for a signal of {signal.n} samples")
         write_csv(path, ["t", "x", "label"], zip(signal.t, signal.x, labels))
 
 

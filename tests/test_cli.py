@@ -8,7 +8,7 @@ import pytest
 
 from rhlpseg.cli import main
 from rhlpseg.core import Signal, TimeMap
-from rhlpseg.errors import SchemaError
+from rhlpseg.errors import LengthMismatchError, SchemaError
 from rhlpseg.piecewise import (
     fisher_dp,
     iterative_fisher,
@@ -269,7 +269,9 @@ class TestSignalCsvErrors:
     @pytest.mark.parametrize("t", [
         [i * 1e-310 for i in range(8)],  # 5 / (t[-1] - t[0]) overflows
         [-1e308, -7e307, -3e307, 0.0, 1e306, 5e307, 1.2e308, 1.75e308],  # so does the span
-    ], ids=["span-1e-309", "span-overflows"])
+        # increasing, but the first gaps map to fit-time gaps of 0
+        [0.0, 1e-300, 2e-300, 3e-300, 1e300, 2e300, 3e300, 4e300],
+    ], ids=["span-1e-309", "span-overflows", "gap-underflows"])
     def test_time_span_out_of_range(self, tmp_path, capsys, t):
         path, out = tmp_path / "span.csv", tmp_path / "o.json"
         x = np.random.default_rng(4).normal(size=len(t)).tolist()
@@ -291,6 +293,16 @@ class TestSignalCsvErrors:
         assert not path.exists()
         save_signal_csv(path, sig, [2.0, 1, np.int64(3)])
         assert load_signal_csv(path)[1].tolist() == [2, 1, 3]
+
+    @pytest.mark.parametrize("labels", [[1, 2], [1, 2, 3, 1]], ids=["short", "long"])
+    def test_labels_of_another_length_are_not_saved(self, tmp_path, labels):
+        # one label per sample, or LengthMismatchError before the file is
+        # opened: no sample or label is dropped without a word
+        sig, path = Signal([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), tmp_path / "s.csv"
+        with pytest.raises(LengthMismatchError,
+                           match=f"{len(labels)} labels for a signal of 3 samples"):
+            save_signal_csv(path, sig, labels)
+        assert not path.exists()
 
     @pytest.mark.parametrize("label", ["inf", "nan", "1.7"])
     def test_label_not_an_integer(self, tmp_path, capsys, label):

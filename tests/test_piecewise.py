@@ -13,7 +13,6 @@ from rhlpseg.errors import InfeasibleError, LengthMismatchError
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
-    _dp_partition,
     _dp_tables,
     _fixed_param_segmentation,
     _floored_cost,
@@ -57,14 +56,15 @@ def _dp_tables_loop(cost, K, min_len):
     return C, H
 
 
-def scalar_givens_costs(signal, p, min_len):
+def scalar_givens_costs(signal, p):
     """Reference cost matrix: each start's rows rotated in one at a time by
     scalar square-root-free Givens rotations, all p + 1 of them on every
     row, in the kernel's operand order, with the kernel's closed-form
-    rotation 0 and its _floored_cost per column; e = 0 is the identity.
-    Also returns the (rows, i) of every rotation i >= 1 that met e = 0 with
-    w != 0 on a start with more than i rows."""
-    n, d = signal.n, p + 1
+    rotation 0 and its _floored_cost per column; e = 0 is the identity, and
+    ranges shorter than p + 2 are +inf. Also returns the (rows, i) of every
+    rotation i >= 1 that met e = 0 with w != 0 on a start with more than i
+    rows."""
+    n, d, min_len = signal.n, p + 1, default_min_segment_length(p)
     t, x = signal.t, signal.x
     m = np.arange(n, 0, -1, dtype=float)
     inv_m, w_m = 1.0 / m, (m - 1) / m
@@ -170,7 +170,7 @@ def _fixed_param_segmentation_loop(signal, components, min_len):
             D[k, b] = best + cum[k - 1, b]
             H[k, b] = best_h
     if not np.isfinite(D[K, n]):
-        raise InfeasibleError(f"n={n} < K*min_segment_length={K * min_len}")
+        raise InfeasibleError(f"n={n} < K*min_len={K * min_len}")
     return _backtrack(H, K, n), float(D[K, n])
 
 
@@ -271,10 +271,8 @@ class TestSegmentCost:
 
 @pytest.mark.parametrize("call", [
     lambda sig: build_cost_matrix(sig, -1),
-    lambda sig: build_cost_matrix(sig, 2, 0),
-    lambda sig: build_cost_matrix(sig, -2, -1),
     lambda sig: segment_cost(sig, 0, 5, -1),
-], ids=["matrix-p-1", "matrix-min-length-0", "matrix-both", "segment-p-1"])
+], ids=["matrix-p-1", "segment-p-1"])
 def test_invalid_order_or_min_length_raises_the_entry_checks_error(call):
     sig = Signal(np.linspace(0, 5, 10), np.random.default_rng(3).normal(size=10))
     with pytest.raises(ValueError, match="require K >= 1, p >= 0, min length >= 1"):
@@ -283,11 +281,20 @@ def test_invalid_order_or_min_length_raises_the_entry_checks_error(call):
 
 class TestCostMatrix:
     def test_small_enumeration(self):
+        # p = 0: the finite entries are the ranges of at least 2 samples
         sig = Signal([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
-        C = build_cost_matrix(sig, p=0, min_segment_length=1)
+        C = build_cost_matrix(sig, p=0)
         finite = np.argwhere(np.isfinite(C))
-        expected = {(a, b) for a in range(3) for b in range(a + 1, 4)}
+        expected = {(a, b) for a in range(3) for b in range(a + 2, 4)}
         assert {tuple(e) for e in finite} == expected
+
+    def test_min_length_is_not_an_argument(self):
+        # the matrix is asked for by p alone: ranges shorter than p + 2 are +inf
+        sig = random_signal(np.random.default_rng(0), 8)
+        with pytest.raises(TypeError):
+            build_cost_matrix(sig, 1, 3)
+        with pytest.raises(TypeError, match="min_segment_length"):
+            build_cost_matrix(sig, 1, min_segment_length=3)
 
     def test_infeasible_entries_are_inf(self):
         rng = np.random.default_rng(0)
@@ -325,44 +332,43 @@ class TestCostMatrix:
         # times; and times whose span t[-1] - t[0] itself overflows, where
         # the scale comes from the half span. The pass runs on times scaled
         # to a span in [4, 8), as it does for the twin t * 2^shift
-        for t, p, min_len, n_feasible, shift in [
-            (np.arange(12) * 1e60, 3, 5, 36, -200),
+        for t, p, n_feasible, shift in [
+            (np.arange(12) * 1e60, 3, 36, -200),
             (np.array([-1e308, -7e307, -3e307, 0, 1e306, 5e307, 1.2e308, 1.75e308]),
-             1, 3, 21, -600),
+             1, 21, -600),
         ]:
             sig = Signal(t, np.random.default_rng(4).normal(size=len(t)))
-            C = build_cost_matrix(sig, p, min_segment_length=min_len)
+            C = build_cost_matrix(sig, p)
             rows = np.arange(len(t) + 1)
-            feasible = np.subtract.outer(rows, rows) <= -min_len
+            feasible = np.subtract.outer(rows, rows) <= -(p + 2)
             assert feasible.sum() == n_feasible and np.all(np.isfinite(C[feasible]))
             twin = Signal(np.ldexp(t, shift), sig.x)
-            assert np.array_equal(build_cost_matrix(twin, p, min_segment_length=min_len), C)
+            assert np.array_equal(build_cost_matrix(twin, p), C)
 
-    @pytest.mark.parametrize("make, p, min_len, rows_at_zero", [
+    @pytest.mark.parametrize("make, p, rows_at_zero", [
         # the squared leading gaps underflow: a start with 3 or more rows
         # meets e = 0 at rotation 1
-        (tiny_gap_signal, 2, 4, lambda rows, i: rows > i + 1),
+        (tiny_gap_signal, 2, lambda rows, i: rows > i + 1),
         # rotation m - 1 meets e = 0 with w != 0 on a start with m rows,
-        # which then runs every later rotation; five segments of start 2
-        # differ if it does not
-        (near_duplicate_signal, 4, 1, lambda rows, i: rows == i + 1),
+        # which then runs every later rotation; three segments of start 2,
+        # of at least p + 2 = 6 samples, differ if it does not
+        (near_duplicate_signal, 4, lambda rows, i: rows == i + 1),
     ], ids=["tiny-gaps", "near-duplicates"])
-    def test_zero_pivots_match_scalar_givens(self, make, p, min_len, rows_at_zero):
+    def test_zero_pivots_match_scalar_givens(self, make, p, rows_at_zero):
         sig = make()
-        ref, zero_pivots = scalar_givens_costs(sig, p, min_len)
+        ref, zero_pivots = scalar_givens_costs(sig, p)
         assert any(rows_at_zero(rows, i) for rows, i in zero_pivots)
-        assert np.array_equal(build_cost_matrix(sig, p, min_len), ref)
+        assert np.array_equal(build_cost_matrix(sig, p), ref)
 
     @pytest.mark.parametrize("seed", [22, 37])
     @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("tight", [True, False])
-    def test_near_duplicates_match_exact_least_squares(self, seed, p, tight):
+    def test_near_duplicates_match_exact_least_squares(self, seed, p):
         # times one ulp apart make the pivots nearly cancel; the reference
         # SSE is exact, from rational Gram-Schmidt on times and values
         # shifted to the segment's first sample
         sig = near_duplicate_signal(seed)
-        min_len = 1 if tight else p + 2
-        C = build_cost_matrix(sig, p, min_len)
+        min_len = default_min_segment_length(p)
+        C = build_cost_matrix(sig, p)
         for a in range(sig.n):
             for b in range(a + min_len, sig.n + 1):
                 u = [Fraction(tj) - Fraction(sig.t[a]) for tj in sig.t[a:b]]
@@ -373,22 +379,19 @@ class TestCostMatrix:
 
     @given(
         p=st.integers(0, 3),
-        tight=st.booleans(),
         gaps=st.lists(st.floats(0.01, 1e3), min_size=1, max_size=24),
         t0=st.sampled_from([0.0, 1e3, 1.7e9]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
-    def test_uneven_and_epoch_times_match_scalar_givens(self, p, tight, gaps, t0, seed):
-        min_len = 1 if tight else p + 2
+    def test_uneven_and_epoch_times_match_scalar_givens(self, p, gaps, t0, seed):
         t = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
         sig = Signal(t, np.random.default_rng(seed).normal(size=len(t)))
-        ref, _ = scalar_givens_costs(sig, p, min_len)
-        assert np.array_equal(build_cost_matrix(sig, p, min_segment_length=min_len), ref)
+        ref, _ = scalar_givens_costs(sig, p)
+        assert np.array_equal(build_cost_matrix(sig, p), ref)
 
     @given(
         p=st.integers(0, 3),
-        tight=st.booleans(),
         gaps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=29),
         t0=st.floats(0.0, 1.7e9),
         x0=st.floats(-1e3, 1e3),
@@ -396,21 +399,21 @@ class TestCostMatrix:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_entries_match_shifted_lstsq(self, p, tight, gaps, t0, x0, flat, seed):
+    def test_entries_match_shifted_lstsq(self, p, gaps, t0, x0, flat, seed):
         # uneven spacing, epoch-sized times, offset values and a constant
         # stretch on which the variance floor binds
-        min_len = 1 if tight else p + 2
+        min_len = default_min_segment_length(p)
         t = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
         x = x0 + np.random.default_rng(seed).normal(size=len(t))
         x[min(flat) : max(flat)] = x0
         sig = Signal(t, x)
         n = sig.n
-        C = build_cost_matrix(sig, p, min_segment_length=min_len)
+        C = build_cost_matrix(sig, p)
         ref = np.full((n + 1, n + 1), np.inf)
         for a in range(n):
             for b in range(a + min_len, n + 1):
                 # the same least-squares problem as the kernel's, shifted to
-                # sample a; lstsq gives the minimum-norm fit when b - a <= p
+                # sample a
                 T = design_matrix(sig.t[a:b] - sig.t[a], p)
                 y = sig.x[a:b] - sig.x[a]
                 beta = np.linalg.lstsq(T, y, rcond=None)[0]
@@ -504,12 +507,13 @@ class TestFisherDp:
         min_len = default_min_segment_length(p)
         cost = build_cost_matrix(sig, p)
         C, _ = _dp_tables(cost, K, min_len)
-        for k in range(2, K + 1):
-            for b in range(k * min_len, 26):
-                expected = min(
-                    C[k - 1, h] + cost[h, b] for h in range(b - min_len + 1)
-                )
-                assert C[k, b] == pytest.approx(expected, abs=1e-12)
+        # levels below K at every b, level K at b = n only
+        cells = [(k, b) for k in range(2, K) for b in range(k * min_len, 26)] + [(K, 25)]
+        for k, b in cells:
+            expected = min(
+                C[k - 1, h] + cost[h, b] for h in range(b - min_len + 1)
+            )
+            assert C[k, b] == pytest.approx(expected, abs=1e-12)
 
     @given(
         K=st.integers(1, 5),
@@ -521,12 +525,16 @@ class TestFisherDp:
         seed=st.integers(0, 2**16),
     )
     @example(K=2, min_len=1, extra=30, levels=3, inf_frac=0.2, order="F", seed=0)  # one block
+    @example(K=3, min_len=2, extra=40, levels=1, inf_frac=0.0, order="F", seed=0)  # all ties
     @settings(max_examples=80, deadline=None)
     def test_blocked_recursion_matches_loop(self, K, min_len, extra, levels, inf_frac,
                                             order, seed):
         # n from the tightest request to about three blocks; costs drawn from
         # `levels` integers tie exactly, some entries are +inf, and, as in
-        # build_cost_matrix, so is every range shorter than min_len
+        # build_cost_matrix, so is every range shorter than min_len. The
+        # levels below K match the loop at every b, level K at b = n, where
+        # alone it is filled, and so does the backtrack from (K, n); where no
+        # finite path exists both backtracks give an invalid partition
         n = K * min_len + extra
         rng = np.random.default_rng(seed)
         cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
@@ -535,39 +543,18 @@ class TestFisherDp:
         cost = np.asarray(cost, order=order)
         C, H = _dp_tables(cost, K, min_len)
         C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
-        assert np.array_equal(C, C_ref) and np.array_equal(H, H_ref)
-
-    @given(
-        K=st.integers(1, 5),
-        min_len=st.integers(1, 4),
-        extra=st.integers(0, 80),
-        levels=st.sampled_from([1, 3, 1000]),
-        inf_frac=st.sampled_from([0.0, 0.2, 0.9]),
-        seed=st.integers(0, 2**16),
-    )
-    @example(K=3, min_len=2, extra=40, levels=1, inf_frac=0.0, seed=0)  # all ties
-    @settings(max_examples=80, deadline=None)
-    def test_last_level_at_n_matches_the_tables(self, K, min_len, extra, levels, inf_frac,
-                                                seed):
-        # costs as in test_blocked_recursion_matches_loop; where no finite
-        # path exists both backtracks give an invalid partition
-        n = K * min_len + extra
-        rng = np.random.default_rng(seed)
-        cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
-        cost[rng.random(cost.shape) < inf_frac] = np.inf
-        cost[np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) > -min_len] = np.inf
-        cost = np.asarray(cost, order="F")
-        C, H = _dp_tables(cost, K, min_len)
+        assert np.array_equal(C[:K], C_ref[:K]) and np.array_equal(H[:K], H_ref[:K])
+        assert C[K, n] == C_ref[K, n] and H[K, n] == H_ref[K, n]
+        if K > 1:
+            assert np.all(C[K, :n] == np.inf) and not H[K, :n].any()
         try:
-            expected = _backtrack(H, K, n)
+            expected = _backtrack(H_ref, K, n)
         except ValueError:
             assert not np.isfinite(C[K, n])
             with pytest.raises(ValueError, match="invalid partition"):
-                _dp_partition(cost, K, min_len)
+                _backtrack(H, K, n)
             return
-        j, partition = _dp_partition(cost, K, min_len)
-        assert j == C[K, n] and type(j) is float
-        np.testing.assert_array_equal(partition.gamma, expected.gamma)
+        np.testing.assert_array_equal(_backtrack(H, K, n).gamma, expected.gamma)
 
     def test_epoch_times_give_the_same_optimum(self):
         sig = simulate_piecewise(SITUATION_1, 500, seed=3)[0]

@@ -110,27 +110,35 @@ class TestFitProblem:
             assert problem.log_likelihood_to_x(value) == value - log_jacobian
 
 
-# spans whose map 5 / (t[-1] - t[0]) overflows, and whose span itself does
+SPAN_MESSAGE = r"times out of range: t\[-1\] - t\[0\] must lie in \[2\.78e-308, 1\.8e\+308\]"
+# spans whose map 5 / (t[-1] - t[0]) overflows, and whose span itself does;
+# and strictly increasing times whose first gaps, times the factor 1.25e-300,
+# underflow to fit-time gaps of 0: a DataError naming the first such gap, not
+# a NonMonotonicTimeError about times that do increase
 TIMES_OUT_OF_RANGE = {
-    "span-1e-309": np.arange(8) * 1e-310,
-    "span-overflows": np.array([-1e308, -7e307, -3e307, 0, 1e306, 5e307, 1.2e308, 1.75e308]),
+    "span-1e-309": (np.arange(8) * 1e-310, SPAN_MESSAGE),
+    "span-overflows": (np.array([-1e308, -7e307, -3e307, 0, 1e306, 5e307, 1.2e308, 1.75e308]),
+                       SPAN_MESSAGE),
+    "gap-underflows": (np.array([0, 1e-300, 2e-300, 3e-300, 1e300, 2e300, 3e300, 4e300]),
+                       r"times out of range: the gap t\[1\] - t\[0\] = 1e-300 maps to a "
+                       r"fit-time gap of 0"),
 }
 
 
 class TestTimeSpanOutOfRange:
-    @pytest.mark.parametrize("t", TIMES_OUT_OF_RANGE.values(), ids=TIMES_OUT_OF_RANGE.keys())
+    @pytest.mark.parametrize("t, message", TIMES_OUT_OF_RANGE.values(),
+                             ids=TIMES_OUT_OF_RANGE.keys())
     @pytest.mark.parametrize("fitter", [
         FitProblem.of,
         lambda s: fisher_dp(s, 2, 1),
         lambda s: multi_start_iterative(s, 2, 1, seed=0),
         lambda s: em_fit(s, 2, 1, 1, seed=0),
     ], ids=["FitProblem.of", "fisher_dp", "multi_start_iterative", "em_fit"])
-    def test_raises_data_error_naming_the_span(self, t, fitter):
+    def test_raises_data_error_naming_the_span(self, t, message, fitter):
         # the Signal itself is valid; only its fit problem cannot be mapped,
         # and RuntimeWarnings are errors in this suite
         sig = Signal(t, np.random.default_rng(4).normal(size=len(t)))
-        with pytest.raises(DataError, match=r"times out of range: t\[-1\] - t\[0\] must lie in "
-                           r"\[2\.78e-308, 1\.8e\+308\]") as info:
+        with pytest.raises(DataError, match=message) as info:
             fitter(sig)
         assert type(info.value) is DataError
 
