@@ -56,6 +56,17 @@ def _dp_tables_loop(cost, K, min_len):
     return C, H
 
 
+def random_dp_costs(n, min_len, levels, inf_frac, order, seed):
+    """Cost matrix for the recursion tests: entries drawn from `levels`
+    integers, so they tie exactly, a share inf_frac of them +inf, and, as in
+    build_cost_matrix, +inf on every range shorter than min_len."""
+    rng = np.random.default_rng(seed)
+    cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
+    cost[rng.random(cost.shape) < inf_frac] = np.inf
+    cost[np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) > -min_len] = np.inf
+    return np.asarray(cost, order=order)
+
+
 def scalar_givens_costs(signal, p):
     """Reference cost matrix: each start's rows rotated in one at a time by
     scalar square-root-free Givens rotations, all p + 1 of them on every
@@ -525,25 +536,39 @@ class TestFisherDp:
         seed=st.integers(0, 2**16),
     )
     @example(K=2, min_len=1, extra=30, levels=3, inf_frac=0.2, order="F", seed=0)  # one block
-    @example(K=3, min_len=2, extra=40, levels=1, inf_frac=0.0, order="F", seed=0)  # all ties
     @settings(max_examples=80, deadline=None)
     def test_blocked_recursion_matches_loop(self, K, min_len, extra, levels, inf_frac,
                                             order, seed):
         # n from the tightest request to about three blocks; costs drawn from
         # `levels` integers tie exactly, some entries are +inf, and, as in
         # build_cost_matrix, so is every range shorter than min_len. The
-        # levels below K match the loop at every b, level K at b = n, where
-        # alone it is filled, and so does the backtrack from (K, n); where no
-        # finite path exists both backtracks give an invalid partition
+        # levels below K match the loop at every b
         n = K * min_len + extra
-        rng = np.random.default_rng(seed)
-        cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
-        cost[rng.random(cost.shape) < inf_frac] = np.inf
-        cost[np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) > -min_len] = np.inf
-        cost = np.asarray(cost, order=order)
+        cost = random_dp_costs(n, min_len, levels, inf_frac, order, seed)
         C, H = _dp_tables(cost, K, min_len)
         C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
         assert np.array_equal(C[:K], C_ref[:K]) and np.array_equal(H[:K], H_ref[:K])
+
+    @given(
+        K=st.integers(1, 5),
+        min_len=st.integers(1, 4),
+        extra=st.integers(0, 80),
+        levels=st.sampled_from([1, 3, 1000]),
+        inf_frac=st.sampled_from([0.0, 0.2, 0.9]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(K=3, min_len=2, extra=40, levels=1, inf_frac=0.0, seed=0)  # all ties
+    @settings(max_examples=80, deadline=None)
+    def test_last_level_at_n_matches_the_tables(self, K, min_len, extra, levels, inf_frac,
+                                                seed):
+        # costs as in test_blocked_recursion_matches_loop. Level K is filled
+        # at b = n alone and matches the loop there, and so does the
+        # backtrack from (K, n); where no finite path exists both backtracks
+        # give an invalid partition
+        n = K * min_len + extra
+        cost = random_dp_costs(n, min_len, levels, inf_frac, "F", seed)
+        C, H = _dp_tables(cost, K, min_len)
+        C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
         assert C[K, n] == C_ref[K, n] and H[K, n] == H_ref[K, n]
         if K > 1:
             assert np.all(C[K, :n] == np.inf) and not H[K, :n].any()
