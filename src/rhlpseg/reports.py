@@ -16,18 +16,21 @@ Report schema, version 2 (absent fields are null):
 }
 model and seed come from the fit: each fitter stamps its own tag, and
 em_fit and multi_start_iterative their seed (null for fisher_dp and
-iterative_fisher). Numbers are serialized with full round-trip precision.
-Besides types and shapes, load_fit_report checks that labels are integers
-in 1..K, that a piecewise report's labels are its gamma's segment numbers,
-and that denoised holds one finite number per label for rhlp and is null
-for the piecewise models. Version 1 had no time map, so it cannot say
-whether its times were rescaled; loading it raises SchemaError.
+iterative_fisher). Numbers are serialized with full round-trip precision
+and are finite: save_fit_report raises on a NaN or an infinity and
+load_fit_report rejects one. Besides types and shapes, load_fit_report
+checks that labels are integers in 1..K, that a piecewise report's labels
+are its gamma's segment numbers, and that denoised holds one number per
+label for rhlp and is null for the piecewise models. Version 1 had no time
+map, so it cannot say whether its times were rescaled; loading it raises
+SchemaError.
 """
 from __future__ import annotations
 
 import csv
 import json
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,14 +186,16 @@ def report_document(fit, runtime_seconds=None) -> ReportDocument:
     )
 
 
-def save_fit_report(fit, path, runtime_seconds=None) -> None:
-    """Write a fit, or a ReportDocument built from one, as report JSON. The
-    document is serialized before the file is opened, so one that JSON
-    cannot encode raises and leaves no file behind. It serializes the
-    document's own field dict, in field order; asdict would deep-copy the
-    label and denoised lists first."""
-    doc = fit if isinstance(fit, ReportDocument) else report_document(fit, runtime_seconds)
-    text = json.dumps(vars(doc), indent=1) + "\n"
+def save_fit_report(fit, path) -> None:
+    """Write a fit, or a ReportDocument built from one, as report JSON; a
+    fit is written with runtime_seconds null, and a runtime reaches a report
+    only through report_document(fit, runtime_seconds). The document is
+    serialized before the file is opened, so one that JSON cannot encode,
+    or that holds a NaN or an infinity (ValueError), raises and leaves no
+    file behind. It serializes the document's own field dict, in field
+    order; asdict would deep-copy the label and denoised lists first."""
+    doc = fit if isinstance(fit, ReportDocument) else report_document(fit)
+    text = json.dumps(vars(doc), indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -204,13 +209,17 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    """A finite JSON number: NaN and infinities fail the comparison, and so
+    does an integer too large to be a double."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_rows(v, n: int, width: int) -> bool:
     return (isinstance(v, list) and len(v) == n
-            and all(isinstance(row, list) and len(row) == width for row in v))
+            and all(isinstance(row, list) and len(row) == width
+                    and all(map(_is_finite, row)) for row in v))
 
 
 def load_fit_report(path) -> ReportDocument:
@@ -235,22 +244,21 @@ def load_fit_report(path) -> ReportDocument:
     K, p, q, labels, sigma2 = (raw[f] for f in ("K", "p", "q", "labels", "sigma2"))
     _require(_is_int(K) and K >= 1 and _is_int(p) and p >= 0 and isinstance(labels, list),
              "K must be an integer >= 1, p one >= 0 and labels a list")
-    _require(_is_rows(raw["beta"], K, p + 1), f"beta must be {K} rows of length {p + 1}")
+    _require(_is_rows(raw["beta"], K, p + 1), f"beta must be {K} rows of {p + 1} finite numbers")
     t0, factor = raw["t0"], raw["time_factor"]
-    _require(_is_number(t0) and np.isfinite(t0) and _is_number(factor)
-             and np.isfinite(factor) and factor > 0,
+    _require(_is_finite(t0) and _is_finite(factor) and factor > 0,
              "t0 must be a finite number and time_factor a finite positive one")
     _require(
         isinstance(sigma2, list) and len(sigma2) == K
-        and all(_is_number(v) and v > 0 for v in sigma2),
-        f"sigma2 must be a list of {K} positive numbers",
+        and all(_is_finite(v) and v > 0 for v in sigma2),
+        f"sigma2 must be a list of {K} finite positive numbers",
     )
     _require(all(_is_int(v) and 1 <= v <= K for v in labels),
              f"labels must be integers in 1..{K}")
-    _require(_is_number(raw["log_likelihood"]), "log_likelihood must be a number")
+    _require(_is_finite(raw["log_likelihood"]), "log_likelihood must be a finite number")
     for name, valid, kind in (
-        ("bic", _is_number, "a number"), ("criterion_j", _is_number, "a number"),
-        ("runtime_seconds", _is_number, "a number"), ("seed", _is_int, "an integer"),
+        ("bic", _is_finite, "a finite number"), ("criterion_j", _is_finite, "a finite number"),
+        ("runtime_seconds", _is_finite, "a finite number"), ("seed", _is_int, "an integer"),
         ("converged", lambda v: isinstance(v, bool), "a boolean"),
     ):
         _require(raw[name] is None or valid(raw[name]),
@@ -258,10 +266,10 @@ def load_fit_report(path) -> ReportDocument:
     denoised = raw["denoised"]
     if raw["model"] == "rhlp":
         _require(_is_int(q) and q >= 0, "rhlp reports require an integer q >= 0")
-        _require(_is_rows(raw["w"], K, q + 1), f"w must be {K} rows of length {q + 1}")
+        _require(_is_rows(raw["w"], K, q + 1), f"w must be {K} rows of {q + 1} finite numbers")
         _require(
             isinstance(denoised, list) and len(denoised) == len(labels)
-            and all(_is_number(v) and np.isfinite(v) for v in denoised),
+            and all(map(_is_finite, denoised)),
             f"denoised must be a list of {len(labels)} finite numbers",
         )
     else:

@@ -209,10 +209,7 @@ def _m_step_regression(
 
 
 def m_step_regression(
-    tau: np.ndarray,
-    signal: Signal,
-    p: int,
-    iteration: int = -1,
+    tau: np.ndarray, signal: Signal, p: int
 ) -> tuple[GaussianComponent, ...]:
     """Component updates from the n x K responsibilities: beta_k by
     tau-weighted least squares, sigma2_k as the tau-weighted mean squared
@@ -223,7 +220,7 @@ def m_step_regression(
     to the units of x; the times stay as given."""
     tau = np.ascontiguousarray(tau.T)
     problem = FitProblem.of(signal)
-    betas, sigma2s = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), iteration)
+    betas, sigma2s = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), -1)
     return problem.components_to_x(betas, sigma2s)
 
 
@@ -350,15 +347,12 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 def _uniform_segment_init(
-    signal: Signal, T: np.ndarray, K: int, q: int, sigma2: float,
-    cuts: np.ndarray | None = None,
+    signal: Signal, T: np.ndarray, K: int, q: int, sigma2: float, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Paper-style initialization as (w, betas, sigma2s): zero logistic
     coefficients, every variance sigma2, and per-segment OLS coefficients on
-    a uniform (or supplied) partition, each fitted on its rows of the design
+    the partition with boundaries cuts, each fitted on its rows of the design
     matrix T = design_matrix(signal.t, p)."""
-    if cuts is None:
-        cuts = uniform_partition(signal.n, K).gamma
     betas = np.stack(
         [_ols_cost(T[a:b], signal.x[a:b], signal)[1].beta for a, b in zip(cuts[:-1], cuts[1:])]
     )
@@ -552,7 +546,8 @@ def em_fit(
     T, V = design_matrix(problem.signal.t, p), design_matrix(problem.signal.t, q)
     designs = (T, V, _outer_rows(V))
     rng = np.random.default_rng(seed)
-    cuts = [None] + [_perturbed_cuts(rng, signal.n, K) for _ in range(n_restarts)]
+    cuts = [uniform_partition(signal.n, K).gamma]
+    cuts += [_perturbed_cuts(rng, signal.n, K) for _ in range(n_restarts)]
     sigma2 = np.ldexp(1.0, -2 * problem.value_map.e)  # 1 in the units of x
     best = error = None
     for run_cuts in cuts:
@@ -637,15 +632,14 @@ def select_model(
     K_range,
     p_range,
     q: int,
-    **fit_kwargs,
+    seed: int | None = None,
 ) -> tuple[FitReport, list[SelectionEntry]]:
-    """Fit every (K, p) combination at fixed q and pick the maximum-BIC fit.
-    Numerical fit failures (package errors and LinAlgError) become table
-    entries instead of aborting the sweep; any other exception propagates.
-    NumericalError when every candidate fails, and ValueError before any
-    fit when K_range or p_range is empty. Ties break toward smaller (K, then
-    p). fit_kwargs (n_restarts, seed) go to em_fit, whose TypeError for
-    any other keyword propagates."""
+    """Fit every (K, p) combination at fixed q by em_fit with the given seed
+    and no restarts, and pick the maximum-BIC fit. Numerical fit failures
+    (package errors and LinAlgError) become table entries instead of
+    aborting the sweep; any other exception propagates. NumericalError when
+    every candidate fails, and ValueError before any fit when K_range or
+    p_range is empty. Ties break toward smaller (K, then p)."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")
@@ -655,7 +649,7 @@ def select_model(
     for K in K_range:
         for p in p_range:
             try:
-                report = em_fit(signal, K, p, q, **fit_kwargs)
+                report = em_fit(signal, K, p, q, seed=seed)
             except _FIT_ERRORS as exc:  # record and continue
                 table.append(SelectionEntry(K, p, q, None, None, None, str(exc)))
                 continue

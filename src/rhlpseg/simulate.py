@@ -50,7 +50,13 @@ class PiecewiseScenario:
         return Partition(self.boundary_indices(n)).labels()
 
     def expectation(self, t) -> np.ndarray:
-        """Noise-free signal: the active segment's polynomial at each time."""
+        """Noise-free signal on the scenario's own grid: the active segment's
+        polynomial at each time, segments placed by boundary_indices(len(t)).
+        ValueError unless t is np.linspace(*time_span, len(t)) bit for bit."""
+        t = np.asarray(t, dtype=float)
+        if not np.array_equal(t, np.linspace(*self.time_span, len(t))):
+            a, b = self.time_span
+            raise ValueError(f"{self.name} has its mean curve on np.linspace({a}, {b}, n) only")
         return piecewise_mean(
             Partition(self.boundary_indices(len(t))), self.components, t
         )
@@ -133,24 +139,13 @@ def misclassification_rate(true_labels, estimated_labels) -> float:
     )
 
 
-def expectation_curve(obj, t) -> np.ndarray:
-    """Mean curve at times t of a scenario, parameter set or fitted model,
-    through its expectation(t). A plain array is taken as an already
-    evaluated curve."""
-    if not isinstance(obj, np.ndarray):
-        return obj.expectation(t)
-    if len(obj) != len(t):
-        raise LengthMismatchError(
-            f"curve has {len(obj)} values for {len(t)} time points"
-        )
-    return obj
-
-
 def denoising_error(truth, estimate, t) -> float:
-    """Mean squared difference between the two mean curves on the grid t."""
-    a = expectation_curve(truth, t)
-    b = expectation_curve(estimate, t)
-    return float(np.mean((a - b) ** 2))
+    """Mean squared difference between two mean curves evaluated on the
+    grid t; LengthMismatchError unless each has one value per time."""
+    for curve in (truth, estimate):
+        if len(curve) != len(t):
+            raise LengthMismatchError(f"curve has {len(curve)} values for {len(t)} time points")
+    return float(np.mean((np.asarray(truth) - np.asarray(estimate)) ** 2))
 
 
 METHODS = ("rhlp", "fisher_dp", "fisher_iterative")
@@ -173,13 +168,13 @@ class BenchmarkRow:
 
 
 def _fit_method(method: str, signal: Signal, scenario: PiecewiseScenario,
-                q: int, seed: int, measure_time: bool):
-    """Fit one method; every method is timed around the whole call, labels
-    and mean curve included."""
+                seed: int, measure_time: bool):
+    """Fit one method, RHLP at q = 1; every method is timed around the whole
+    call, labels and mean curve included."""
     K, p = scenario.K, scenario.p
     start = time.perf_counter()
     if method == "rhlp":
-        report = em_fit(signal, K, p, q, seed=seed)
+        report = em_fit(signal, K, p, 1, seed=seed)
         labels, curve = report.labels, report.denoised
     elif method == "fisher_dp":
         fit = fisher_dp(signal, K, p)
@@ -199,11 +194,11 @@ def run_benchmark(
     replicates: int,
     methods=METHODS,
     seed: int = 0,
-    q: int = 1,
     measure_time: bool = True,
 ) -> list[BenchmarkRow]:
     """Evaluate each method on each (scenario, n) cell, averaging the three
-    criteria over the seeded replicates that fit. Replicate seeds derive
+    criteria over the seeded replicates that fit. RHLP fits the scenario's K
+    and p at q = 1, fixed. Replicate seeds derive
     deterministically from the master seed. Within a cell the methods fit
     each replicate in turn, so their runtimes are paired in time as well as
     in data. A replicate whose fit raises a
@@ -227,17 +222,18 @@ def run_benchmark(
             # the methods take turns on each replicate, so a drift in machine
             # speed during the cell reaches all of their runtimes alike
             for (signal, labels), child_seed in samples:
+                truth = scenario.expectation(signal.t)
                 for method in methods:
                     try:
                         est_labels, est_curve, elapsed = _fit_method(
-                            method, signal, scenario, q, child_seed, measure_time
+                            method, signal, scenario, child_seed, measure_time
                         )
                     except (RhlpSegError, np.linalg.LinAlgError) as exc:
                         failures[method].append(exc)
                         continue
                     crits[method].append((
                         misclassification_rate(labels, est_labels),
-                        denoising_error(scenario, est_curve, signal.t),
+                        denoising_error(truth, est_curve, signal.t),
                         elapsed,
                     ))
             for method in methods:

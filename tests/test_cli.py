@@ -196,16 +196,29 @@ class TestReportRoundTrip:
         fit = fitter(simulate_piecewise(SITUATION_1, 150, seed=2)[0])
         doc = report_document(fit, runtime_seconds=0.25)
         path = tmp_path / "r.json"
-        save_fit_report(fit, path, runtime_seconds=0.25)
+        save_fit_report(report_document(fit, runtime_seconds=0.25), path)
         assert path.read_text() == json.dumps(asdict(doc), indent=1) + "\n"
 
     def test_unencodable_document_leaves_no_file(self, tmp_path):
+        # JSON has no NaN or infinity, so such a document is not written
+        # either; and a runtime reaches a report only through report_document
         sig, _ = simulate_piecewise(SITUATION_1, 120, seed=3)
-        doc = report_document(em_fit(sig, K=2, p=1, q=1, seed=3))
+        fit = em_fit(sig, K=2, p=1, q=1, seed=3)
+        doc = report_document(fit)
         path = tmp_path / "r.json"
-        with pytest.raises(TypeError):
-            save_fit_report(replace(doc, runtime_seconds=np.float32(0.5)), path)
-        assert not path.exists()
+        nan, inf = float("nan"), float("inf")
+        for saved, kwargs, error in (
+            (replace(doc, runtime_seconds=np.float32(0.5)), {}, TypeError),
+            (replace(doc, beta=[[1.0, nan], [1.0, 1.0]]), {}, ValueError),
+            (replace(doc, sigma2=[1.0, inf]), {}, ValueError),
+            (replace(doc, log_likelihood=nan), {}, ValueError),
+            (replace(doc, bic=-inf), {}, ValueError),
+            (replace(doc, runtime_seconds=inf), {}, ValueError),
+            (fit, {"runtime_seconds": 0.5}, TypeError),
+        ):
+            with pytest.raises(error):
+                save_fit_report(saved, path, **kwargs)
+            assert not path.exists(), (saved, kwargs)
 
     def test_unknown_model_tag_rejected(self, tmp_path):
         sig, _ = simulate_piecewise(SITUATION_1, 120, seed=3)
@@ -747,12 +760,22 @@ def test_benchmark_invalid_n_exits_one(tmp_path, capsys, argv):
     ("fit-rhlp", "log_likelihood", None),
     ("fit-rhlp", "bic", "b"),
     ("fit-rhlp", "converged", 1),
+    ("fit-dp", "beta", [[1.0, float("nan"), 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+    ("fit-dp", "sigma2", [1.0, float("inf"), 1.0]),
+    ("fit-dp", "log_likelihood", float("nan")),
+    ("fit-dp", "criterion_j", float("inf")),
+    ("fit-dp", "runtime_seconds", float("nan")),
+    ("fit-dp", "t0", 10**400),
+    ("fit-rhlp", "w", [[float("nan"), 0.0], [1.0, 1.0], [0.0, 0.0]]),
+    ("fit-rhlp", "bic", -float("inf")),
 ], ids=["sigma2-number", "sigma2-string", "sigma2-zero", "gamma-repeat", "gamma-decrease",
         "gamma-start", "schema-v1", "t0-null", "time-factor-zero", "labels-9",
         "labels-string", "labels-not-gamma", "denoised-list", "log-likelihood-string",
         "seed-string", "converged-3", "rhlp-labels-9", "rhlp-labels-string",
         "rhlp-denoised-string", "rhlp-denoised-short", "rhlp-denoised-null",
-        "rhlp-log-likelihood-null", "rhlp-bic-string", "rhlp-converged-1"])
+        "rhlp-log-likelihood-null", "rhlp-bic-string", "rhlp-converged-1", "beta-nan",
+        "sigma2-inf", "log-likelihood-nan", "criterion-j-inf", "runtime-nan", "t0-huge-int",
+        "rhlp-w-nan", "rhlp-bic-inf"])
 def test_malformed_report_exits_one(tmp_path, signal_csv, capsys, command, field, value):
     report_path = tmp_path / "fit.json"
     assert main([*FITS[command][0], "--input", str(signal_csv),

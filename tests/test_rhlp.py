@@ -452,7 +452,7 @@ class TestComponentMajorLayout:
         # the posterior can starve a component here; the steps take any tau
         tau = np.ascontiguousarray(np.random.default_rng(K).dirichlet(np.ones(K), sig.n).T)
         # the public M step fits the mapped values, as em_fit does
-        comps = m_step_regression(tau.T, sig, p=2, iteration=3)
+        comps = m_step_regression(tau.T, sig, p=2)
         problem = FitProblem.of(sig)
         # on the fit values y and against the design of the times as given
         core_betas, core_sigma2s = rhlp._m_step_regression(tau, problem.signal, T, 3)
@@ -572,6 +572,18 @@ class TestEmFit:
             em_fit(sig, K=2, p=1, q=1, seed=0, **kwargs)
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             select_model(sig, [1, 2], [1], 1, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda sig: select_model(sig, [1, 2], [1], 1, seed=0, n_restarts=2), "n_restarts"),
+        (lambda sig: m_step_regression(np.full((sig.n, 2), 0.5), sig, 1, iteration=3),
+         "iteration"),
+    ], ids=["select_model-n_restarts", "m_step_regression-iteration"])
+    def test_removed_input_is_not_an_argument(self, call, name):
+        # select_model fits with em_fit's defaults and a seed; the public M
+        # step runs outside any EM iteration
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(TypeError, match=name):
+            call(sig)
 
     def test_design_matrices_are_built_once_per_fit(self, monkeypatch):
         # the fit's two designs, which the final denoise and labels reuse;

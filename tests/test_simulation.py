@@ -4,7 +4,7 @@ import pytest
 import rhlpseg.simulate as simulate
 from rhlpseg.core import GaussianComponent, Signal, design_matrix
 from rhlpseg.errors import InfeasibleError, LengthMismatchError
-from rhlpseg.piecewise import fisher_dp
+from rhlpseg.piecewise import fisher_dp, piecewise_mean
 from rhlpseg.rhlp import LogisticProcess, RhlpParams, em_fit
 from rhlpseg.simulate import (
     SCENARIOS,
@@ -12,7 +12,6 @@ from rhlpseg.simulate import (
     SITUATION_2,
     PiecewiseScenario,
     denoising_error,
-    expectation_curve,
     misclassification_rate,
     run_benchmark,
     simulate_piecewise,
@@ -58,6 +57,16 @@ class TestScenarios:
             m = labels == k
             comp = SITUATION_1.components[k - 1]
             np.testing.assert_allclose(mu[m], comp.mean(t[m]))
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(0, 2, 50), [0.0, 4.5], np.linspace(0, 5, 50) + 1e-15,
+        np.linspace(0, 5, 200)[::2],
+    ], ids=["short-span", "two-times", "one-ulp-off", "every-other"])
+    def test_expectation_needs_the_scenario_grid(self, t):
+        # boundary_indices(len(t)) places the segments on the scenario's own
+        # grid, so any other times would get the wrong segment
+        with pytest.raises(ValueError, match="linspace"):
+            SITUATION_1.expectation(t)
 
 
 class TestSimulatePiecewise:
@@ -187,49 +196,54 @@ class TestDenoisingError:
     def test_zero_for_exact_curve(self):
         t = np.linspace(0, 5, 150)
         mu = SITUATION_1.expectation(t)
-        assert denoising_error(SITUATION_1, mu, t) == 0.0
+        assert denoising_error(mu, mu.copy(), t) == 0.0
 
     def test_constant_offset(self):
         t = np.linspace(0, 5, 100)
         mu = SITUATION_1.expectation(t)
         c = 3.0
-        assert denoising_error(SITUATION_1, mu + c, t) == pytest.approx(c * c)
+        assert denoising_error(mu, mu + c, t) == pytest.approx(c * c)
 
     def test_matches_mean_square_oracle(self):
         t = np.linspace(0, 5, 80)
         rng = np.random.default_rng(5)
-        est = SITUATION_2.expectation(t) + rng.normal(size=80)
-        oracle = np.mean((est - SITUATION_2.expectation(t)) ** 2)
-        assert denoising_error(SITUATION_2, est, t) == pytest.approx(oracle, rel=1e-12)
+        truth = SITUATION_2.expectation(t)
+        est = truth + rng.normal(size=80)
+        oracle = np.mean((est - truth) ** 2)
+        assert denoising_error(truth, est, t) == pytest.approx(oracle, rel=1e-12)
 
     def test_length_mismatch(self):
         t = np.linspace(0, 5, 40)
+        mu = SITUATION_1.expectation(t)
         with pytest.raises(LengthMismatchError):
-            denoising_error(SITUATION_1, np.zeros(30), t)
+            denoising_error(mu, np.zeros(30), t)
+        with pytest.raises(LengthMismatchError):
+            denoising_error(np.zeros(30), mu, t)
+
+    def test_model_object_is_not_a_curve(self):
+        # both inputs are curves; a model gives its curve by expectation(t)
+        t = np.linspace(0, 5, 40)
+        with pytest.raises(TypeError):
+            denoising_error(SITUATION_1, SITUATION_1.expectation(t), t)
 
 
 class TestExpectationCurve:
-    def test_scenario_dispatch(self):
-        t = np.linspace(0, 5, 50)
-        np.testing.assert_array_equal(
-            expectation_curve(SITUATION_1, t), SITUATION_1.expectation(t)
-        )
-
     def test_rhlp_params_dispatch(self):
         params = RhlpParams(
             LogisticProcess(np.zeros((1, 1))), (GaussianComponent([2.0, 1.0], 1.0),)
         )
         t = np.linspace(0, 5, 20)
-        np.testing.assert_allclose(expectation_curve(params, t=t), 2.0 + t)
+        np.testing.assert_allclose(params.expectation(t), 2.0 + t)
 
 
 def test_expectation_curve_of_fitted_models():
     sig, _ = simulate_piecewise(SITUATION_2, 120, seed=1)
     report = em_fit(sig, K=3, p=2, q=1, seed=1)
-    np.testing.assert_array_equal(expectation_curve(report, sig.t), report.denoised)
-    np.testing.assert_array_equal(expectation_curve(report.params, sig.t), report.denoised)
+    np.testing.assert_array_equal(report.expectation(sig.t), report.denoised)
+    np.testing.assert_array_equal(report.params.expectation(sig.t), report.denoised)
     fit = fisher_dp(sig, K=3, p=2)
-    np.testing.assert_array_equal(expectation_curve(fit, sig.t), fit.expectation(sig.t))
+    np.testing.assert_array_equal(fit.expectation(sig.t), piecewise_mean(
+        fit.partition, fit.components, fit.time_map(sig.t)))
 
 
 class TestRunBenchmark:
@@ -328,6 +342,11 @@ class TestRunBenchmark:
         # both methods fit the same signal in each turn
         assert all(calls[i][1] == calls[i + 1][1] for i in range(0, 6, 2))
         assert [row.method for row in rows] == ["rhlp", "fisher_dp"]
+
+    def test_q_is_not_an_argument(self):
+        # RHLP fits at q = 1, fixed
+        with pytest.raises(TypeError, match="'q'"):
+            run_benchmark([SITUATION_1], [100], replicates=1, methods=["rhlp"], q=1)
 
     def test_cell_where_every_replicate_fails_is_nan(self, monkeypatch):
         def infeasible(*args, **kwargs):
