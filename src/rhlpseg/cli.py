@@ -129,8 +129,11 @@ def _components(beta, sigma2) -> tuple[GaussianComponent, ...]:
 
 
 def _params_from_json(path) -> RhlpParams:
-    with open(path) as fh:
-        raw = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"invalid params JSON: {exc}") from None
     try:
         comps = _components(raw["beta"], raw["sigma2"])
         return RhlpParams(LogisticProcess(np.asarray(raw["w"], float)), comps)
@@ -291,7 +294,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as exc:

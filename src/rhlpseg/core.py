@@ -20,6 +20,7 @@ from .errors import DataError, NonFiniteValueError, NonMonotonicTimeError, RankD
 # deviation never falls below 1e-6 of the signal's.
 RELATIVE_VARIANCE_FLOOR = 1e-12
 _FLOAT = np.finfo(float)
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -229,20 +230,29 @@ def weighted_least_squares(T: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.nd
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be non-negative")
-    if np.any(w.sum(axis=-1) <= 0):
+    if (w.sum(axis=-1) <= 0).any():
         raise ValueError("weights must have positive sum")
     n, d = T.shape
-    # scaled as (..., d+1, n) rows and handed over transposed: the
-    # column-major layout LAPACK factors
-    scaled = np.vstack([T.T, x]) * np.sqrt(w)[..., None, :]
+    # the sqrt(w)-scaled design and x as (..., d+1, n) rows, handed over
+    # transposed: the column-major layout LAPACK factors
+    root_w = np.sqrt(w)
+    scaled = np.empty(w.shape[:-1] + (d + 1, n))
+    np.multiply(T.T, root_w[..., None, :], out=scaled[..., :d, :])
+    np.multiply(x, root_w, out=scaled[..., d, :])
     R = np.linalg.qr(np.swapaxes(scaled, -1, -2), mode="r")
     s = np.linalg.svd(R[..., :d, :d], compute_uv=False)
-    rank = int(np.min(np.sum(s > _FLOAT.eps * max(n, d) * s[..., :1], axis=-1)))
+    rank = int((s > _FLOAT.eps * max(n, d) * s[..., :1]).sum(axis=-1).min())
     if rank < d:
         raise RankDeficientError(f"weighted design has rank {rank} < {d} coefficients")
     return np.linalg.solve(R[..., :d, :d], R[..., :d, d:])[..., 0]
+
+
+def _gaussian_log_density(x, mean, sigma2):
+    """gaussian_log_density of float arrays without its check: the EM
+    variances are floored at Signal.variance_floor > 0."""
+    return -0.5 * (_LOG_2PI + np.log(sigma2) + (x - mean) ** 2 / sigma2)
 
 
 def gaussian_log_density(x, mean, sigma2):
@@ -252,4 +262,4 @@ def gaussian_log_density(x, mean, sigma2):
     sigma2 = np.asarray(sigma2, dtype=float)
     if np.any(sigma2 <= 0):
         raise ValueError("sigma2 must be positive")
-    return -0.5 * (np.log(2.0 * np.pi) + np.log(sigma2) + (x - mean) ** 2 / sigma2)
+    return _gaussian_log_density(x, mean, sigma2)

@@ -55,30 +55,35 @@ def _label(text) -> int:
 
 
 def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
-    """Read a signal CSV with header t,x (an optional third column, label, is
-    returned when present). Signal rejects non-finite values and times that
-    are not strictly increasing."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip().lower() for h in header]
-        if header[:2] != ["t", "x"]:
-            raise ParseError(f"expected header starting with 't,x', got {header}", line=1)
-        has_labels = len(header) > 2 and header[2] == "label"
-        ts, xs, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    """Read a UTF-8 signal CSV with header t,x (an optional third column,
+    label, is returned when present). Signal rejects non-finite values and
+    times that are not strictly increasing. Bytes that are not UTF-8 raise
+    ParseError without a line number: the file is decoded in chunks, not by
+    line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                ts.append(float(row[0]))
-                xs.append(float(row[1]))
-                if has_labels:
-                    labels.append(_label(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file", line=1) from None
+            header = [h.strip().lower() for h in header]
+            if header[:2] != ["t", "x"]:
+                raise ParseError(f"expected header starting with 't,x', got {header}", line=1)
+            has_labels = len(header) > 2 and header[2] == "label"
+            ts, xs, labels = [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    ts.append(float(row[0]))
+                    xs.append(float(row[1]))
+                    if has_labels:
+                        labels.append(_label(row[2]))
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
     if not ts:
         raise ParseError("no data rows", line=2)
     return Signal(ts, xs), (np.asarray(labels) if has_labels else None)
@@ -106,7 +111,7 @@ def _csv_cell(value):
 def write_csv(path, header, rows) -> None:
     """Write a header and rows in the package's one CSV format: floats by
     repr (round-trip precision), ints such as labels plain, None empty."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_csv_cell(v) for v in row] for row in rows)
@@ -196,7 +201,7 @@ def save_fit_report(fit, path) -> None:
     order; asdict would deep-copy the label and denoised lists first."""
     doc = fit if isinstance(fit, ReportDocument) else report_document(fit)
     text = json.dumps(vars(doc), indent=1, allow_nan=False) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -225,10 +230,10 @@ def _is_rows(v, n: int, width: int) -> bool:
 def load_fit_report(path) -> ReportDocument:
     """Load and validate a report JSON; raises SchemaError on unknown model
     tags, wrong types or shape mismatches."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from None
     _require(isinstance(raw, dict), "report must be a JSON object")
     version = raw.get("schema_version")

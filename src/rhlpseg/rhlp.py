@@ -9,6 +9,7 @@ BIC-driven model-selection sweep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -20,8 +21,8 @@ from .core import (
     GaussianComponent,
     Signal,
     TimeMap,
+    _gaussian_log_density,
     design_matrix,
-    gaussian_log_density,
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
@@ -158,15 +159,13 @@ def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
 
 
 def _posterior(
-    logpi: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray, x: np.ndarray,
-    T: np.ndarray,
+    logpi: np.ndarray, means: np.ndarray, sigma2s: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """(K, n) responsibilities tau_ki and the observed-data log-likelihood,
     from the log-joint log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)] of the
-    log-proportions logpi = _log_proportions(w, V), the (K, p+1) betas, the
-    K variances and the design matrix T = design_matrix(t, p)."""
-    logdens = gaussian_log_density(x, betas @ T.T, sigma2s[:, None])
-    lj = logpi + logdens
+    log-proportions logpi = _log_proportions(w, V), the (K, n) component
+    means betas @ T.T with T = design_matrix(t, p), and the K variances."""
+    lj = logpi + _gaussian_log_density(x, means, sigma2s[:, None])
     per_sample = _logsumexp_rows(lj)
     return np.exp(lj - per_sample), float(per_sample.sum())
 
@@ -175,7 +174,7 @@ def _params_posterior(params: RhlpParams, signal: Signal) -> tuple[np.ndarray, f
     """_posterior of params at the samples of signal, designs built here."""
     T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
     logpi = _log_proportions(params.logistic.w, V)
-    return _posterior(logpi, params.betas, params.sigma2s, signal.x, T)
+    return _posterior(logpi, params.betas @ T.T, params.sigma2s, signal.x)
 
 
 def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
@@ -191,21 +190,22 @@ def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
 
 def _m_step_regression(
     tau: np.ndarray, signal: Signal, T: np.ndarray, iteration: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m_step_regression for (K, n) responsibilities tau against a design
     matrix T = design_matrix(t, p) of the samples' times, as a (K, p+1)
-    betas array and K variances: all K weighted least squares in one
-    weighted_least_squares call, and the K residual variances from one
-    (K, n) residual array. Only signal.x and signal.variance_floor are read:
-    its callers give it a FitProblem's signal, whose fit values y lose no
-    precision to an offset or a constant x."""
+    betas array, K variances and the (K, n) component means betas @ T.T:
+    all K weighted least squares in one weighted_least_squares call, and the
+    K residual variances from one (K, n) residual array. Only signal.x and
+    signal.variance_floor are read: its callers give it a FitProblem's
+    signal, whose fit values y lose no precision to an offset or a constant
+    x."""
     mass = tau.sum(axis=1)
-    starved = mass < _STARVATION_TOL
-    if np.any(starved):
-        raise EmptyComponentError(int(np.argmax(starved)) + 1, iteration)
+    if mass.min() < _STARVATION_TOL:
+        raise EmptyComponentError(int(np.argmax(mass < _STARVATION_TOL)) + 1, iteration)
     betas = weighted_least_squares(T, signal.x, tau)
-    sse = np.sum(tau * (signal.x - betas @ T.T) ** 2, axis=1)
-    return betas, np.maximum(sse / mass, signal.variance_floor)
+    means = betas @ T.T
+    sse = (tau * (signal.x - means) ** 2).sum(axis=1)
+    return betas, np.maximum(sse / mass, signal.variance_floor), means
 
 
 def m_step_regression(
@@ -220,7 +220,7 @@ def m_step_regression(
     to the units of x; the times stay as given."""
     tau = np.ascontiguousarray(tau.T)
     problem = FitProblem.of(signal)
-    betas, sigma2s = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), -1)
+    betas, sigma2s, _ = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), -1)
     return problem.components_to_x(betas, sigma2s)
 
 
@@ -240,8 +240,10 @@ def _unstack(flat: np.ndarray, K: int, q: int) -> np.ndarray:
     return w
 
 
-def _gradient_v(pi: np.ndarray, tau: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return ((tau - pi)[:-1] @ V).ravel()
+def _gradient_v(pi: np.ndarray, tau_free: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Stacked gradient from the (K, n) proportions and the first K-1 rows of
+    the (K, n) responsibilities."""
+    return ((tau_free - pi[:-1]) @ V).ravel()
 
 
 def _outer_rows(V: np.ndarray) -> np.ndarray:
@@ -257,7 +259,8 @@ def _hessian_v(pi: np.ndarray, VV: np.ndarray) -> np.ndarray:
     m, n, q1 = pi.shape[0] - 1, pi.shape[1], VV.shape[1]
     head = pi[:-1]
     coef = -head[:, None, :] * head[None, :, :]
-    coef[np.arange(m), np.arange(m)] += head
+    # the (k, k) rows: every (m + 1)-th of coef's m^2 rows of length n
+    coef.reshape(m * m, n)[::m + 1] += head
     blocks = (coef.reshape(m * m, n) @ VV.reshape(n, q1 * q1)).reshape(m, m, q1, q1)
     return -blocks.transpose(0, 2, 1, 3).reshape(m * q1, m * q1)
 
@@ -273,7 +276,7 @@ def irls_gradient(w: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     V = design_matrix(t, w.shape[1] - 1)
     pi = np.exp(_log_proportions(w, V))
-    return _gradient_v(pi, tau.T, V)
+    return _gradient_v(pi, tau.T[:-1], V)
 
 
 def irls_hessian(w: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -298,33 +301,33 @@ def _irls_solve(
     if K == 1:
         return w_init.copy(), logpi
     w = w_init.copy()
-    q_old = float(np.sum(tau * logpi))
-    for _ in range(_IRLS_MAX_ITER):
-        pi = np.exp(logpi)
-        g = _gradient_v(pi, tau, V)
-        H = _hessian_v(pi, VV)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            return w, logpi
-        flat = _stack(w)
-        alpha = 1.0
-        w_new = w
-        q_new = q_old
-        # a step from a near-singular Hessian can overflow; the non-finite Q1
-        # it gives sends it to halving, so numpy's warning would be noise
-        with np.errstate(over="ignore", invalid="ignore"):
+    tau_free = tau[:-1]
+    q_old = float((tau * logpi).sum())
+    # a step from a near-singular Hessian can overflow; the non-finite Q1 it
+    # gives sends it to halving, so numpy's warning would be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_IRLS_MAX_ITER):
+            pi = np.exp(logpi)
+            H = _hessian_v(pi, VV)
+            try:
+                step = np.linalg.solve(H, _gradient_v(pi, tau_free, V)).reshape(K - 1, q1)
+            except np.linalg.LinAlgError:
+                return w, logpi
+            alpha = 1.0
+            w_new = w
+            q_new = q_old
             for _ in range(_IRLS_MAX_HALVINGS + 1):
-                cand = _unstack(flat - alpha * step, K, q1 - 1)
+                cand = np.zeros((K, q1))
+                np.subtract(w[:-1], alpha * step, out=cand[:-1])
                 logpi_cand = _log_proportions(cand, V)
-                q_cand = float(np.sum(tau * logpi_cand))
-                if np.isfinite(q_cand) and q_cand >= q_old:
+                q_cand = float((tau * logpi_cand).sum())
+                if math.isfinite(q_cand) and q_cand >= q_old:
                     w_new, q_new, logpi = cand, q_cand, logpi_cand
                     break
                 alpha *= 0.5
-        if q_new - q_old <= _IRLS_TOL:
-            return w_new, logpi
-        w, q_old = w_new, q_new
+            if q_new - q_old <= _IRLS_TOL:
+                return w_new, logpi
+            w, q_old = w_new, q_new
     return w, logpi
 
 
@@ -401,13 +404,15 @@ def _unpack(
 @dataclass(eq=False)
 class _Iterate:
     """One EM iterate as arrays: logistic coefficients w, (K, p+1) betas, K
-    variances, and logpi = _log_proportions(w, V), which the E step and the
-    IRLS solve of the next M step share."""
+    variances, logpi = _log_proportions(w, V), which the E step and the IRLS
+    solve of the next M step share, and the (K, n) component means betas @
+    T.T, which the E step reads."""
 
     w: np.ndarray
     betas: np.ndarray
     sigma2s: np.ndarray
     logpi: np.ndarray
+    means: np.ndarray
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -423,8 +428,9 @@ def _squarem_point(
     theta2, with its step length s (s = 1 gives theta2)."""
     r = theta1 - theta0
     v = theta2 - theta0 - 2.0 * r
-    norm_v = np.linalg.norm(v)
-    s = step_max if norm_v == 0 else min(max(np.linalg.norm(r) / norm_v, 1.0), step_max)
+    # the 2-norms as np.linalg.norm takes them, sqrt(x . x)
+    norm_v = math.sqrt(v.dot(v))
+    s = step_max if norm_v == 0 else min(max(math.sqrt(r.dot(r)) / norm_v, 1.0), step_max)
     return theta0 + 2.0 * s * r + s * s * v, s
 
 
@@ -439,28 +445,31 @@ def _em_once(
     log-likelihood trace and whether the run converged. Log-proportions are
     computed here only for the start and for each extrapolated point; every
     other iterate takes them from its IRLS solve. Numerical errors at an
-    extrapolated point reject it; on plain EM steps they propagate."""
+    extrapolated point reject it; on plain EM steps they propagate. The
+    component means go the same way: the start and each extrapolated point
+    compute their own, and every other iterate takes the ones its M step's
+    residuals used."""
     T, V, VV = designs
     K, p, q = len(init[2]), T.shape[1] - 1, V.shape[1] - 1
 
     def start(w, betas, sigma2s):
-        return _Iterate(w, betas, sigma2s, _log_proportions(w, V))
+        return _Iterate(w, betas, sigma2s, _log_proportions(w, V), betas @ T.T)
 
     def posterior(it):
-        return _posterior(it.logpi, it.betas, it.sigma2s, signal.x, T)
+        return _posterior(it.logpi, it.means, it.sigma2s, signal.x)
 
     def m_step(it, tau, iteration):
-        betas, sigma2s = _m_step_regression(tau, signal, T, iteration)
+        betas, sigma2s, means = _m_step_regression(tau, signal, T, iteration)
         w, logpi = _irls_solve(it.w, tau, V, VV, it.logpi)
-        return _Iterate(w, betas, sigma2s, logpi)
+        return _Iterate(w, betas, sigma2s, logpi, means)
 
     def speculate(theta, ll_floor, iteration):
         """(iterate, log-likelihood, EM step) at theta, or None if rejected."""
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             return None
         cand = start(*_unpack(theta, K, p, q, signal.variance_floor))
         tau, ll = posterior(cand)
-        if not (np.isfinite(ll) and ll >= ll_floor):
+        if not (math.isfinite(ll) and ll >= ll_floor):
             return None
         try:
             return cand, ll, m_step(cand, tau, iteration)
@@ -564,7 +573,7 @@ def em_fit(
     final, trace, converged = best
     params = RhlpParams(LogisticProcess(final.w),
                         problem.components_to_x(final.betas, final.sigma2s))
-    ll = _posterior(final.logpi, params.betas, params.sigma2s, signal.x, T)[1]
+    ll = _posterior(final.logpi, params.betas @ T.T, params.sigma2s, signal.x)[1]
     pi = np.exp(final.logpi)
     return FitReport(
         params=params,

@@ -8,7 +8,7 @@ import pytest
 
 from rhlpseg.cli import main
 from rhlpseg.core import Signal, TimeMap
-from rhlpseg.errors import LengthMismatchError, SchemaError
+from rhlpseg.errors import LengthMismatchError, ParseError, SchemaError
 from rhlpseg.piecewise import (
     fisher_dp,
     iterative_fisher,
@@ -803,3 +803,57 @@ def test_report_that_builds_no_model_exits_one(tmp_path, signal_csv, capsys):
                "--output", str(tmp_path / "plot.csv")])
     assert rc == 1
     assert_one_error_line(capsys, "SchemaError")
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("where", ["header", "row", "late-row"])
+@pytest.mark.parametrize("command", list(FITS))
+def test_signal_csv_that_is_not_utf8_exits_one(tmp_path, capsys, command, where):
+    # the bytes \xff\xfe open a UTF-16 file and are never UTF-8; late in this
+    # 20 kB file, they lie past the first 8 kB chunk the reader decodes
+    sig, labels = simulate_piecewise(SITUATION_1, 500, seed=0)
+    save_signal_csv(tmp_path / "signal.csv", sig, labels)
+    lines = (tmp_path / "signal.csv").read_bytes().splitlines(keepends=True)
+    at = {"header": 0, "row": 3, "late-row": len(lines) - 2}[where]
+    lines[at] = NOT_UTF8 + lines[at]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_signal_csv(bad)
+    report_path = tmp_path / "fit.json"
+    rc = main([*FITS[command][0], "--input", str(bad), "--output", str(report_path)])
+    assert rc == 1
+    assert_one_error_line(capsys, "ParseError")
+    assert not report_path.exists()
+
+
+def test_report_that_is_not_utf8_exits_one(tmp_path, signal_csv, capsys):
+    report_path = tmp_path / "fit.json"
+    assert main([*FITS["fit-dp"][0], "--input", str(signal_csv),
+                 "--output", str(report_path)]) == 0
+    text = report_path.read_bytes()
+    report_path.write_bytes(text.replace(b'"piecewise_dp"', b'"piecewise_dp' + NOT_UTF8 + b'"'))
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        load_fit_report(report_path)
+    plot_path = tmp_path / "plot.csv"
+    rc = main(["plot-data", "--input", str(report_path), "--signal", str(signal_csv),
+               "--output", str(plot_path)])
+    assert rc == 1
+    assert_one_error_line(capsys, "SchemaError")
+    assert not plot_path.exists()
+
+
+@pytest.mark.parametrize("text", [b'{"w": [[0.0]], "beta": [[1.0]], "sigma2": [1.0' + NOT_UTF8,
+                                  b'{"w": [[0.0]], "beta": [[1.0]], "sigma2": [1.0]'],
+                         ids=["not-utf8", "truncated"])
+def test_params_json_that_does_not_parse_exits_one(tmp_path, capsys, text):
+    params = tmp_path / "params.json"
+    params.write_bytes(text)
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--params-json", str(params), "--n", "20", "--seed", "0",
+               "--output", str(out)])
+    assert rc == 1
+    assert_one_error_line(capsys, "SchemaError")
+    assert not out.exists()

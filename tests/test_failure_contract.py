@@ -1,15 +1,29 @@
-"""The failure contract of the library: on any signal that Signal accepts,
-each fitter either returns finite results with labels in 1..K, or raises a
-package error or LinAlgError, and no warning escapes. The signals are drawn
-from families of hard inputs: epoch times, times scaled far from 1, tiny
-gaps, times one ulp apart, huge, tiny, constant, tied, offset, spiked and
-stepped values."""
+"""The failure contract of the library and of the CLI.
+
+Library: on any signal that Signal accepts, each fitter either returns
+finite results with labels in 1..K, or raises a package error or
+LinAlgError, and no warning escapes. The signals are drawn from families of
+hard inputs: epoch times, times scaled far from 1, tiny gaps, times one ulp
+apart, huge, tiny, constant, tied, offset, spiked and stepped values.
+
+CLI: on any CSV bytes, each fit command exits 0, 1 or 2. A non-zero exit
+prints exactly one line, starting error:, and writes no report; no run
+prints a traceback or a warning. The files are drawn from families of
+malformed CSVs: header variants, blank rows, a single row, bad numbers,
+repeated and decreasing times, NUL bytes, open quotes and bytes that are
+not UTF-8."""
+import contextlib
+import io
+import os
+import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhlpseg.cli import main
 from rhlpseg.core import Signal
 from rhlpseg.errors import RhlpSegError
 from rhlpseg.piecewise import PiecewiseFit, fisher_dp, multi_start_iterative
@@ -102,3 +116,95 @@ def test_fits_return_finite_results_or_raise_a_typed_error(times, values, n, K, 
         for entry in table:
             if entry.error is None:
                 assert_finite(entry.bic, entry.log_likelihood)
+
+
+HEADERS = {
+    "plain": b"t,x",
+    "upper": b"T,X",
+    "spaced": b" t , x ",
+    "label": b"t,x,label",
+    "missing-x": b"t",
+    "swapped": b"x,t",
+    "bom": b"\xef\xbb\xbft,x",
+}
+VALID_HEADERS = ["plain", "upper", "spaced", "label"]
+# cells that replace a drawn time, value or label
+BAD_CELLS = {
+    "non-numeric": ["", "abc", "0x1p3", "1.5.0", "--1"],
+    "non-finite": ["inf", "-inf", "nan", "1e400", "-1e400"],
+}
+# bytes inserted at a drawn offset of the file
+BAD_BYTES = {"nul": b"\x00", "open-quote": b'"', "not-utf8": b"\xff\xfe"}
+# every header variant on a clean file, and every defect under a header the
+# loader accepts, so that each family reaches the fitters on its own
+FAMILIES = [f"header-{h}" for h in HEADERS] + [
+    "blank-rows", "single-row", *BAD_CELLS, "repeated-time", "decreasing-time", *BAD_BYTES]
+FIT_COMMANDS = {
+    "fit-dp": [],
+    "fit-dp-iter": ["--seed", "0"],
+    "fit-rhlp": ["--seed", "0"],
+}
+
+
+@st.composite
+def signal_csv_bytes(draw, family):
+    """A CSV of up to 30 rows of a noisy three-step signal, of the family."""
+    if family.startswith("header-"):
+        header = HEADERS[family.removeprefix("header-")]
+    else:
+        header = HEADERS[draw(st.sampled_from(VALID_HEADERS))]
+    # blank rows may be all a file holds
+    n = 1 if family == "single-row" else draw(st.integers(0 if family == "blank-rows" else 2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) * draw(st.sampled_from([1.0, 0.1, 1e9]))
+    if family == "repeated-time":
+        i = int(rng.integers(1, n))
+        t[i] = t[i - 1]
+    elif family == "decreasing-time":
+        t = t[::-1]
+    x = np.repeat(rng.standard_normal(3) * 5, -(-n // 3))[:n] + rng.standard_normal(n)
+    rows = [[repr(float(ti)), repr(float(xi)), str(3 * i // n + 1)]
+            for i, (ti, xi) in enumerate(zip(t, x))]
+    if family in BAD_CELLS:
+        rows[int(rng.integers(n))][int(rng.integers(3))] = draw(
+            st.sampled_from(BAD_CELLS[family]))
+    width = 3 if header == HEADERS["label"] else 2
+    lines = [header] + [",".join(row[:width]).encode() for row in rows]
+    if family == "blank-rows":
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(1, len(lines) + 1)), b"")
+    data = b"\n".join(lines) + b"\n"
+    if family in BAD_BYTES:
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + BAD_BYTES[family] + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(list(FIT_COMMANDS)),
+    K=st.integers(1, 3),
+    p=st.integers(0, 2),
+)
+def test_cli_fits_exit_with_one_error_line_or_a_report(family, data, command, K, p):
+    csv_bytes = data.draw(signal_csv_bytes(family))
+    with tempfile.TemporaryDirectory() as tmp:
+        signal, report = os.path.join(tmp, "signal.csv"), os.path.join(tmp, "fit.json")
+        with open(signal, "wb") as fh:
+            fh.write(csv_bytes)
+        argv = [command, "--input", signal, "--output", report, "--k", str(K), "--p", str(p),
+                *FIT_COMMANDS[command]]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 1, 2), rc
+        if rc == 0:
+            assert lines == [] and os.path.exists(report), lines
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert not os.path.exists(report)

@@ -11,6 +11,7 @@ from rhlpseg.core import (
     Signal,
     design_matrix,
     gaussian_log_density,
+    weighted_least_squares,
 )
 from rhlpseg import rhlp
 from rhlpseg.errors import EmptyComponentError, NumericalError, RankDeficientError
@@ -446,7 +447,7 @@ class TestComponentMajorLayout:
         params = make_params(w, betas, sigma2s)
         T, V = design_matrix(sig.t, 2), design_matrix(sig.t, q)
         logpi = rhlp._log_proportions(w, V)
-        tau, ll = rhlp._posterior(logpi, betas, sigma2s, sig.x, T)
+        tau, ll = rhlp._posterior(logpi, betas @ T.T, sigma2s, sig.x)
         assert np.array_equal(e_step(params, sig), tau.T)
         assert mixture_log_likelihood(params, sig) == ll
         # the posterior can starve a component here; the steps take any tau
@@ -455,7 +456,10 @@ class TestComponentMajorLayout:
         comps = m_step_regression(tau.T, sig, p=2)
         problem = FitProblem.of(sig)
         # on the fit values y and against the design of the times as given
-        core_betas, core_sigma2s = rhlp._m_step_regression(tau, problem.signal, T, 3)
+        core_betas, core_sigma2s, core_means = rhlp._m_step_regression(
+            tau, problem.signal, T, 3)
+        # the means it hands to the next E step are those of its betas
+        assert np.array_equal(core_means, core_betas @ T.T)
         mapped = problem.components_to_x(core_betas, core_sigma2s)
         for a, b in zip(comps, mapped, strict=True):
             assert np.array_equal(a.beta, b.beta) and a.sigma2 == b.sigma2
@@ -467,6 +471,219 @@ class TestComponentMajorLayout:
         fitted = make_params(core_w, core_betas, core_sigma2s)
         assert np.array_equal(denoise(fitted, sig.t), rhlp._denoise(pi, core_betas, T))
         assert np.array_equal(hard_labels(fitted, sig.t), rhlp._hard_labels(pi))
+
+
+# --- the EM cores, pinned to the forms they had before their call overhead
+# was cut. Each reference below is the earlier core, line for line; the
+# cores must reproduce it bit for bit.
+
+
+def _gradient_v_reference(pi, tau, V):
+    return ((tau - pi)[:-1] @ V).ravel()
+
+
+def _hessian_v_reference(pi, VV):
+    m, n, q1 = pi.shape[0] - 1, pi.shape[1], VV.shape[1]
+    head = pi[:-1]
+    coef = -head[:, None, :] * head[None, :, :]
+    coef[np.arange(m), np.arange(m)] += head
+    blocks = (coef.reshape(m * m, n) @ VV.reshape(n, q1 * q1)).reshape(m, m, q1, q1)
+    return -blocks.transpose(0, 2, 1, 3).reshape(m * q1, m * q1)
+
+
+def _unstack_reference(flat, K, q):
+    w = np.zeros((K, q + 1))
+    w[:-1] = flat.reshape(K - 1, q + 1)
+    return w
+
+
+def _irls_solve_reference(w_init, tau, V, VV, logpi):
+    K, q1 = w_init.shape
+    if K == 1:
+        return w_init.copy(), logpi
+    w = w_init.copy()
+    q_old = float(np.sum(tau * logpi))
+    for _ in range(rhlp._IRLS_MAX_ITER):
+        pi = np.exp(logpi)
+        g = _gradient_v_reference(pi, tau, V)
+        H = _hessian_v_reference(pi, VV)
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            return w, logpi
+        flat = w[:-1].ravel()
+        alpha = 1.0
+        w_new = w
+        q_new = q_old
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(rhlp._IRLS_MAX_HALVINGS + 1):
+                cand = _unstack_reference(flat - alpha * step, K, q1 - 1)
+                logpi_cand = rhlp._log_proportions(cand, V)
+                q_cand = float(np.sum(tau * logpi_cand))
+                if np.isfinite(q_cand) and q_cand >= q_old:
+                    w_new, q_new, logpi = cand, q_cand, logpi_cand
+                    break
+                alpha *= 0.5
+        if q_new - q_old <= rhlp._IRLS_TOL:
+            return w_new, logpi
+        w, q_old = w_new, q_new
+    return w, logpi
+
+
+def _posterior_reference(logpi, betas, sigma2s, x, T):
+    logdens = gaussian_log_density(x, betas @ T.T, sigma2s[:, None])
+    lj = logpi + logdens
+    per_sample = rhlp._logsumexp_rows(lj)
+    return np.exp(lj - per_sample), float(per_sample.sum())
+
+
+def _m_step_regression_reference(tau, signal, T, iteration):
+    mass = tau.sum(axis=1)
+    starved = mass < rhlp._STARVATION_TOL
+    if np.any(starved):
+        raise EmptyComponentError(int(np.argmax(starved)) + 1, iteration)
+    betas = weighted_least_squares(T, signal.x, tau)
+    sse = np.sum(tau * (signal.x - betas @ T.T) ** 2, axis=1)
+    return betas, np.maximum(sse / mass, signal.variance_floor)
+
+
+def _squarem_point_reference(theta0, theta1, theta2, step_max):
+    r = theta1 - theta0
+    v = theta2 - theta0 - 2.0 * r
+    norm_v = np.linalg.norm(v)
+    s = step_max if norm_v == 0 else min(max(np.linalg.norm(r) / norm_v, 1.0), step_max)
+    return theta0 + 2.0 * s * r + s * s * v, s
+
+
+PIN_CASES = pytest.mark.parametrize(
+    "K, q, scale", list(itertools.product([1, 2, 3, 5], [0, 1, 2], [0.5, 1e3, 1e19])))
+
+
+def separated_instance(K, q, c, n=120):
+    """Hard responsibilities of K contiguous segments, and logistic
+    coefficients whose scores are the upper envelope of K lines of slope c k
+    that switch midway between two samples: the higher c, the harder pi."""
+    t = np.linspace(0, 5, n)
+    cuts = (np.arange(1, K) * n) // K
+    b = (t[cuts - 1] + t[cuts]) / 2
+    scores = np.zeros((K, q + 1))
+    scores[:, 0] = -c * np.concatenate([[0.0], np.cumsum(b)])
+    scores[:, 1] = c * np.arange(K)
+    labels = np.searchsorted(cuts, np.arange(n), side="right")
+    tau = np.zeros((K, n))
+    tau[labels, np.arange(n)] = 1.0
+    return scores - scores[-1], tau, t
+
+
+class TestCoresEqualTheirReferences:
+    @staticmethod
+    def instance(K, q, scale):
+        rng = np.random.default_rng([K, q, int(np.log10(scale) + 1)])
+        n = 150
+        t = np.sort(rng.uniform(0, 5, n))
+        w = np.zeros((K, q + 1))
+        w[:-1] = rng.normal(scale=scale, size=(K - 1, q + 1))
+        tau = np.ascontiguousarray(rng.dirichlet(np.ones(K), size=n).T)
+        betas = rng.normal(scale=3.0, size=(K, 3))
+        sigma2s = rng.uniform(0.5, 2.0, K)
+        return w, tau, betas, sigma2s, Signal(t, rng.normal(scale=3.0, size=n))
+
+    @staticmethod
+    def assert_irls_equal(w, tau, t):
+        V = design_matrix(t, w.shape[1] - 1)
+        VV, logpi = rhlp._outer_rows(V), rhlp._log_proportions(w, V)
+        got_w, got_logpi = rhlp._irls_solve(w, tau, V, VV, logpi)
+        ref_w, ref_logpi = _irls_solve_reference(w, tau, V, VV, logpi)
+        assert got_w.tobytes() == ref_w.tobytes()
+        assert got_logpi.tobytes() == ref_logpi.tobytes()
+
+    @PIN_CASES
+    def test_irls_solve(self, K, q, scale):
+        w, tau, *_, sig = self.instance(K, q, scale)
+        self.assert_irls_equal(w, tau, sig.t)
+
+    def test_the_draws_reach_both_early_irls_stops(self, monkeypatch):
+        # at |w| ~ 1e3 some first Newton steps try all 31 step lengths, none
+        # raises Q1, and the solve returns its start; at |w| ~ 1e19 every
+        # proportion is 0 or 1, and the Hessian is exactly singular before
+        # any step is tried
+        tried, log_proportions = [0], rhlp._log_proportions
+
+        def counting(w, V):
+            tried[0] += 1
+            return log_proportions(w, V)
+
+        exhausted, singular = 0, 0
+        for K, q, scale in itertools.product([2, 3, 5], [0, 1, 2], [1e3, 1e19]):
+            w, tau, *_, sig = self.instance(K, q, scale)
+            V = design_matrix(sig.t, q)
+            logpi = log_proportions(w, V)
+            tried[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(rhlp, "_log_proportions", counting)
+                got_w, _ = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V), logpi)
+            unmoved = got_w.tobytes() == w.tobytes()
+            exhausted += tried[0] == rhlp._IRLS_MAX_HALVINGS + 1 and unmoved
+            singular += tried[0] == 0 and unmoved
+        assert exhausted >= 3 and singular >= 9
+
+    @pytest.mark.parametrize("K, q", list(itertools.product([2, 3, 5], [1, 2])))
+    @pytest.mark.parametrize("c", [30.0, 1e5])
+    def test_irls_solve_on_separated_responsibilities(self, K, q, c):
+        w, tau, t = separated_instance(K, q, c)
+        if c == 1e5:
+            # every proportion is 0 or 1, so the Hessian is exactly zero
+            assert not np.any(irls_hessian(w, t))
+        self.assert_irls_equal(w, tau, t)
+
+    @PIN_CASES
+    def test_posterior(self, K, q, scale):
+        w, _, betas, sigma2s, sig = self.instance(K, q, scale)
+        T, V = design_matrix(sig.t, 2), design_matrix(sig.t, q)
+        logpi = rhlp._log_proportions(w, V)
+        tau, ll = rhlp._posterior(logpi, betas @ T.T, sigma2s, sig.x)
+        ref_tau, ref_ll = _posterior_reference(logpi, betas, sigma2s, sig.x, T)
+        assert tau.tobytes() == ref_tau.tobytes() and ll == ref_ll
+
+    @PIN_CASES
+    def test_m_step_regression(self, K, q, scale):
+        _, tau, *_, sig = self.instance(K, q, scale)
+        T = design_matrix(sig.t, 2)
+        betas, sigma2s, means = rhlp._m_step_regression(tau, sig, T, 4)
+        ref_betas, ref_sigma2s = _m_step_regression_reference(tau, sig, T, 4)
+        assert betas.tobytes() == ref_betas.tobytes()
+        assert sigma2s.tobytes() == ref_sigma2s.tobytes()
+        assert means.tobytes() == (ref_betas @ T.T).tobytes()
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_m_step_regression_starved(self, K):
+        _, tau, *_, sig = self.instance(K, 1, 0.5)
+        tau[K // 2] = 0.0
+        T = design_matrix(sig.t, 2)
+        with pytest.raises(EmptyComponentError) as got:
+            rhlp._m_step_regression(tau, sig, T, 4)
+        with pytest.raises(EmptyComponentError) as ref:
+            _m_step_regression_reference(tau, sig, T, 4)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("case", ["random", "huge", "zero-v", "tiny"])
+    @pytest.mark.parametrize("step_max", [4.0, 64.0])
+    def test_squarem_point(self, case, step_max):
+        rng = np.random.default_rng([len(case), int(step_max)])
+        theta0, theta1 = rng.normal(size=(2, 17))
+        theta2 = rng.normal(size=17)
+        if case == "huge":
+            # the squared norms overflow to inf, and inf / inf is nan
+            theta0, theta1, theta2 = 1e200 * theta0, 1e200 * theta1, 1e200 * theta2
+        elif case == "zero-v":
+            theta2 = theta0 + 2.0 * (theta1 - theta0)
+        elif case == "tiny":
+            theta0, theta1, theta2 = 1e-170 * theta0, 1e-170 * theta1, 1e-170 * theta2
+        with np.errstate(all="ignore"):
+            theta, s = rhlp._squarem_point(theta0, theta1, theta2, step_max)
+            ref_theta, ref_s = _squarem_point_reference(theta0, theta1, theta2, step_max)
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert s == ref_s or (np.isnan(s) and np.isnan(ref_s))
 
 
 class TestEmFit:
