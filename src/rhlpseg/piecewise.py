@@ -19,6 +19,8 @@ from .errors import InfeasibleError, LengthMismatchError, NumericalError
 
 # Round limit of every iterative_fisher fit; fixed, with no option.
 _MAX_ROUNDS = 100
+# Columns per block of the packed cost matrix, and per DP candidate block.
+_DP_BLOCK = 32
 
 
 def default_min_segment_length(p: int) -> int:
@@ -147,10 +149,31 @@ def _ols_cost(T: np.ndarray, x: np.ndarray, signal: Signal) -> tuple[float, Gaus
     return cost, GaussianComponent(beta, s2)
 
 
+def _block_offsets(n: int, min_len: int) -> list[int]:
+    """Row offsets of the stored cost blocks: block k, columns b in
+    [32k, 32k + 32) of the dense (n+1) x (n+1) matrix, holds its rows
+    h < top_k = min(32k + 32, n + 1) - min_len (none when top_k <= 0) at
+    rows offsets[k]:offsets[k + 1] of the packed array."""
+    top = np.minimum(np.arange(_DP_BLOCK, n + 1 + _DP_BLOCK, _DP_BLOCK), n + 1) - min_len
+    return [0, *np.cumsum(np.maximum(top, 0)).tolist()]
+
+
 def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
-    """(n+1) x (n+1) matrix of one-segment costs; entry (a, b) is the cost of
-    fitting samples (a, b]. Ranges shorter than the p + 2 samples a piecewise
-    fit needs (b - a < p + 2) hold +inf. ValueError for p < 0.
+    """One-segment costs, packed in the 32-column blocks that _dp_tables
+    reads; the dense entry (a, b) is the cost of fitting samples (a, b].
+    Ranges shorter than the p + 2 samples a piecewise fit needs
+    (b - a < p + 2) are +inf, and only those inside a block are stored.
+    ValueError for p < 0.
+
+    Block k covers the dense columns b in [32k, 32k + 32) and holds their
+    rows h < top_k = min(32k + 32, n + 1) - (p + 2), the rows any of its
+    columns can split at. The blocks are stacked in one Fortran-ordered
+    (sum_k top_k) x 32 float64 array, block k at rows
+    _block_offsets(n, p + 2)[k] onward, so dense (a, b) is packed
+    (offsets[b // 32] + a, b % 32) for a < top_{b // 32}. Inside a block
+    the small triangle a > b - (p + 2) holds +inf, and so do the columns of
+    the last block past b = n. That is about 8 ((n+1)^2 / 2 + 16 (n+1)),
+    or 4 (n+1)^2, bytes, half the dense matrix: 16.4 MB at n = 2000.
 
     Built column by column with square-root-free Givens QR updates
     (Gentleman 1973). Every start a keeps the factor of its segment's data
@@ -196,7 +219,9 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     t = np.ldexp(signal.t, 2 - np.frexp(signal.t[-1] / 2 - signal.t[0] / 2)[1])
     x = signal.x
     d = p + 1
-    out = np.full((n + 1, n + 1), np.inf, order="F")  # the DP reads columns
+    offsets = _block_offsets(n, min_len)
+    # the DP reads columns, each a contiguous slice of its block
+    out = np.full((offsets[-1], _DP_BLOCK), np.inf, order="F")
     # R[:, :, a]: the factor of start a, D_i on the diagonal and Rbar_i right
     # of it; D_0 is never read, so it is not stored
     R = np.zeros((d, d + 1, n))
@@ -263,38 +288,49 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
             sse[: j + 1] += vd2
             feasible = j + 2 - min_len  # starts a with j + 1 - a >= min_len
             if feasible > 0:
+                block, col = divmod(j + 1, _DP_BLOCK)
+                r0 = offsets[block]
                 _floored_cost(sse[:feasible], m[k0 : k0 + feasible], signal,
-                              out=out[:feasible, j + 1])
+                              out=out[r0 : r0 + feasible, col])
     return out
 
 
-_DP_BLOCK = 32  # columns per candidate block: an (n + 1) x 32 temporary
-
-
-def _dp_tables(cost: np.ndarray, K: int, min_len: int) -> tuple[np.ndarray, np.ndarray]:
+def _dp_tables(cost: np.ndarray, n: int, K: int,
+               min_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal costs C[k, b] for splitting samples (0, b] into k segments,
     and argmin split indices H[k, b] (start of the last segment): levels
     1..K-1 at every b, level K >= 2 at b = n only (elsewhere +inf and 0).
+    cost is build_cost_matrix's packed blocks for n samples and
+    min_len = p + 2.
 
     C[k, b] = min over h <= b - min_len of C[k-1, h] + cost[h, b], and
-    argmin takes the first minimum, so ties go to the smallest split. Each
-    level takes _DP_BLOCK columns b0..b1-1 at once, over the rows h below
-    b1 - min_len, and level K the one block [n, n + 1); a row past column
-    b's own last split h = b - min_len holds cost[h, b] = +inf, as
-    build_cost_matrix leaves every range shorter than min_len, so it never
-    wins."""
-    n = cost.shape[0] - 1
+    argmin takes the first minimum, so ties go to the smallest split. C[1]
+    is row 0 of the blocks. A level k < K takes one stored block at a time,
+    every column over every row it holds, from the block that holds column
+    k * min_len on; level K takes the one column b = n of the last block. A
+    row past column b's own last split h = b - min_len holds
+    cost[h, b] = +inf, so it never wins, and a column b below k * min_len
+    has no finite candidate and keeps +inf and 0."""
+    offsets = _block_offsets(n, min_len)
     C = np.full((K + 1, n + 1), np.inf)
     H = np.zeros((K + 1, n + 1), dtype=int)
-    C[1, :] = cost[0, :]
+    blocks = [(b0, cost[r0:r1, : min(_DP_BLOCK, n + 1 - b0)])
+              for b0, r0, r1 in zip(range(0, n + 1, _DP_BLOCK), offsets, offsets[1:])]
+    for b0, block in blocks:
+        if len(block):
+            C[1, b0 : b0 + block.shape[1]] = block[0]
     for k in range(2, K + 1):
-        for b0 in range(k * min_len if k < K else n, n + 1, _DP_BLOCK):
-            b1 = min(b0 + _DP_BLOCK, n + 1)
-            top = b1 - min_len
-            cand = C[k - 1, :top, None] + cost[:top, b0:b1]
+        if k < K:
+            level = blocks[k * min_len // _DP_BLOCK :]
+        else:  # the one column b = n of the last block
+            b0, block = blocks[-1]
+            level = [(n, block[:, n - b0 :])]
+        for b0, block in level:
+            top, width = block.shape
+            cand = C[k - 1, :top, None] + block
             h = cand.argmin(axis=0)
-            C[k, b0:b1] = cand[h, np.arange(b1 - b0)]
-            H[k, b0:b1] = h
+            C[k, b0 : b0 + width] = cand[h, np.arange(width)]
+            H[k, b0 : b0 + width] = h
     return C, H
 
 
@@ -326,14 +362,22 @@ def _refit(
 def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     """Globally optimal piecewise polynomial fit with K segments of at least
     default_min_segment_length(p) = p + 2 samples each, by dynamic
-    programming over the one-segment cost matrix (shorter ranges +inf). Ties
-    in the split argmin go to the smallest index. _dp_tables fills levels
-    1..K-1 for every sample count b and level K at b = n only, where J is
-    C[K, n] and the backtrack starts. ValueError for K < 1 or p < 0,
-    InfeasibleError for n < K (p + 2)."""
+    programming over the one-segment cost matrix (shorter ranges +inf). The
+    matrix is build_cost_matrix's 32-column blocks, which store only the
+    rows each block's columns can split at: about 4 (n+1)^2 bytes, half the
+    dense matrix. Ties in the split argmin go to the smallest index.
+    _dp_tables fills levels 1..K-1 for every sample count b and level K at
+    b = n only, where J is C[K, n] and the backtrack starts. ValueError for
+    K < 1 or p < 0, InfeasibleError for n < K (p + 2).
+
+    J is the paper's criterion, with no penalty. Past the true number of
+    segments, the optimum spends the extra ones on segments of the minimum
+    p + 2 samples whose variance is near 0: such a segment keeps one
+    residual degree of freedom, and among the many windows of a long signal
+    some nearly interpolate, which lowers J."""
     min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
     problem = FitProblem.of(signal)
-    C, H = _dp_tables(build_cost_matrix(problem.signal, p), K, min_len)
+    C, H = _dp_tables(build_cost_matrix(problem.signal, p), signal.n, K, min_len)
     partition = _backtrack(H, K, signal.n)
     components, _ = _refit(problem.signal, design_matrix(problem.signal.t, p), partition)
     return _piecewise_fit(problem, "piecewise_dp", partition, components, float(C[K, signal.n]))

@@ -56,12 +56,13 @@ def _label(text) -> int:
 
 def load_signal_csv(path) -> tuple[Signal, np.ndarray | None]:
     """Read a UTF-8 signal CSV with header t,x (an optional third column,
-    label, is returned when present). Signal rejects non-finite values and
-    times that are not strictly increasing. Bytes that are not UTF-8 raise
-    ParseError without a line number: the file is decoded in chunks, not by
-    line."""
+    label, is returned when present); a leading byte-order mark, as
+    spreadsheet exports write it, is skipped. Signal rejects non-finite
+    values and times that are not strictly increasing. Bytes that are not
+    UTF-8 raise ParseError without a line number: the file is decoded in
+    chunks, not by line."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -829,6 +829,27 @@ def test_signal_csv_that_is_not_utf8_exits_one(tmp_path, capsys, command, where)
     assert not report_path.exists()
 
 
+def test_signal_csv_with_a_byte_order_mark_loads(tmp_path, signal_csv, capsys):
+    # spreadsheet exports open a UTF-8 file with the byte-order mark EF BB BF;
+    # it loads to the same signal and labels as the file without it, and
+    # fit-dp writes the same report except runtime_seconds
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + signal_csv.read_bytes())
+    (sig, labels), (sig_bom, labels_bom) = load_signal_csv(signal_csv), load_signal_csv(bom)
+    assert np.array_equal(sig_bom.t, sig.t) and np.array_equal(sig_bom.x, sig.x)
+    assert np.array_equal(labels_bom, labels)
+    docs = []
+    for path in (signal_csv, bom):
+        out = tmp_path / f"{path.stem}.json"
+        rc = main(["fit-dp", "--input", str(path), "--output", str(out), "--k", "3",
+                   "--p", "2"])
+        assert rc == 0 and capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc.pop("runtime_seconds") > 0
+        docs.append(doc)
+    assert docs[1] == docs[0]
+
+
 def test_report_that_is_not_utf8_exits_one(tmp_path, signal_csv, capsys):
     report_path = tmp_path / "fit.json"
     assert main([*FITS["fit-dp"][0], "--input", str(signal_csv),

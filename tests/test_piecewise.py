@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -56,15 +57,59 @@ def _dp_tables_loop(cost, K, min_len):
     return C, H
 
 
-def random_dp_costs(n, min_len, levels, inf_frac, order, seed):
-    """Cost matrix for the recursion tests: entries drawn from `levels`
-    integers, so they tie exactly, a share inf_frac of them +inf, and, as in
-    build_cost_matrix, +inf on every range shorter than min_len."""
+def cost_blocks(n, min_len):
+    """(first column, column count, rows) of each 32-column block of the
+    packed cost matrix: block k covers columns [32k, 32k + 32) and holds
+    the rows h < min(32k + 32, n + 1) - min_len, stacked in block order."""
+    return [(b0, min(32, n + 1 - b0), max(min(b0 + 32, n + 1) - min_len, 0))
+            for b0 in range(0, n + 1, 32)]
+
+
+def dense_costs(packed, n, min_len):
+    """The (n+1) x (n+1) cost matrix of build_cost_matrix's packed blocks,
+    +inf below each block's rows. The packed array must be one
+    Fortran-ordered float64 array of exactly those blocks, 32 columns wide,
+    with +inf in the last block's columns past n."""
+    assert packed.dtype == np.float64 and packed.flags.f_contiguous
+    blocks = cost_blocks(n, min_len)
+    assert packed.shape == (sum(rows for _, _, rows in blocks), 32)
+    dense = np.full((n + 1, n + 1), np.inf)
+    r0 = 0
+    for b0, width, rows in blocks:
+        dense[:rows, b0 : b0 + width] = packed[r0 : r0 + rows, :width]
+        assert np.all(packed[r0 : r0 + rows, width:] == np.inf)
+        r0 += rows
+    return dense
+
+
+def dense_cost_matrix(signal, p):
+    """build_cost_matrix(signal, p) as a dense (n+1) x (n+1) matrix."""
+    return dense_costs(build_cost_matrix(signal, p), signal.n, default_min_segment_length(p))
+
+
+def packed_costs(dense, min_len, order="F"):
+    """The packed blocks of a dense cost matrix that is +inf on every range
+    shorter than min_len, laid out as build_cost_matrix lays them out."""
+    n = dense.shape[0] - 1
+    packed = []
+    for b0, width, rows in cost_blocks(n, min_len):
+        assert np.all(dense[rows:, b0 : b0 + width] == np.inf)
+        block = np.full((rows, 32), np.inf)
+        block[:, :width] = dense[:rows, b0 : b0 + width]
+        packed.append(block)
+    return np.asarray(np.concatenate(packed), order=order)
+
+
+def random_dp_costs(n, min_len, levels, inf_frac, seed):
+    """Dense cost matrix for the recursion tests: entries drawn from
+    `levels` integers, so they tie exactly, a share inf_frac of them +inf,
+    and, as in build_cost_matrix, +inf on every range shorter than
+    min_len."""
     rng = np.random.default_rng(seed)
     cost = rng.integers(-levels, levels, size=(n + 1, n + 1)).astype(float)
     cost[rng.random(cost.shape) < inf_frac] = np.inf
     cost[np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) > -min_len] = np.inf
-    return np.asarray(cost, order=order)
+    return cost
 
 
 def scalar_givens_costs(signal, p):
@@ -294,7 +339,7 @@ class TestCostMatrix:
     def test_small_enumeration(self):
         # p = 0: the finite entries are the ranges of at least 2 samples
         sig = Signal([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
-        C = build_cost_matrix(sig, p=0)
+        C = dense_cost_matrix(sig, p=0)
         finite = np.argwhere(np.isfinite(C))
         expected = {(a, b) for a in range(3) for b in range(a + 2, 4)}
         assert {tuple(e) for e in finite} == expected
@@ -310,18 +355,30 @@ class TestCostMatrix:
     def test_infeasible_entries_are_inf(self):
         rng = np.random.default_rng(0)
         sig = random_signal(rng, 8)
-        C = build_cost_matrix(sig, p=1)  # min length 3
+        C = dense_cost_matrix(sig, p=1)  # min length 3
         assert np.isinf(C[0, 2]) and np.isinf(C[5, 5]) and np.isinf(C[5, 3])
 
-    def test_entries_match_segment_cost(self):
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 30, 31, 32, 40, 63, 64, 65, 200])
+    def test_entries_match_segment_cost(self, n, p):
+        # n + 1 below, at and above a multiple of the 32-column block, so
+        # that the last block can be one column wide. Every entry of the
+        # columns at a block edge, and 20 drawn ones, against segment_cost on
+        # the times shifted to the segment's first sample, as the matrix
+        # shifts them (on the raw times, segment_cost's p = 3 fits of a few
+        # close samples miss the exact cost by up to 1e-7 relative); the
+        # +inf pattern is exact everywhere
         rng = np.random.default_rng(5)
-        sig = random_signal(rng, 40)
-        C = build_cost_matrix(sig, p=2)
-        min_len = default_min_segment_length(2)
-        for _ in range(20):
-            a = int(rng.integers(0, 40 - min_len))
-            b = int(rng.integers(a + min_len, 41))
-            direct, _ = segment_cost(sig, a, b, p=2)
+        sig = random_signal(rng, n)
+        C = dense_cost_matrix(sig, p)
+        min_len = default_min_segment_length(p)
+        rows = np.arange(n + 1)
+        np.testing.assert_array_equal(np.isinf(C), np.subtract.outer(rows, rows) > -min_len)
+        feasible = [(a, b) for b in range(min_len, n + 1) for a in range(b - min_len + 1)]
+        drawn = rng.choice(len(feasible), min(20, len(feasible)), replace=False)
+        edges = [(a, b) for a, b in feasible if b % 32 in (0, 1, 31) or b == n]
+        for a, b in edges + [feasible[i] for i in drawn]:
+            direct, _ = segment_cost(Signal(sig.t - sig.t[a], sig.x), a, b, p)
             assert C[a, b] == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
     def test_epoch_times_match_shifted_reference(self):
@@ -329,7 +386,7 @@ class TestCostMatrix:
         # the reference regresses on t - t[a]
         sig = epoch_signal(simulate_piecewise(SITUATION_1, 150, seed=3)[0])
         p, min_len = 2, default_min_segment_length(2)
-        C = build_cost_matrix(sig, p)
+        C = dense_cost_matrix(sig, p)
         for a in range(sig.n - min_len + 1):
             for b in range(a + min_len, sig.n + 1):
                 T = design_matrix(sig.t[a:b] - sig.t[a], p)
@@ -349,12 +406,12 @@ class TestCostMatrix:
              1, 21, -600),
         ]:
             sig = Signal(t, np.random.default_rng(4).normal(size=len(t)))
-            C = build_cost_matrix(sig, p)
+            C = dense_cost_matrix(sig, p)
             rows = np.arange(len(t) + 1)
             feasible = np.subtract.outer(rows, rows) <= -(p + 2)
             assert feasible.sum() == n_feasible and np.all(np.isfinite(C[feasible]))
             twin = Signal(np.ldexp(t, shift), sig.x)
-            assert np.array_equal(build_cost_matrix(twin, p), C)
+            assert np.array_equal(dense_cost_matrix(twin, p), C)
 
     @pytest.mark.parametrize("make, p, rows_at_zero", [
         # the squared leading gaps underflow: a start with 3 or more rows
@@ -369,7 +426,7 @@ class TestCostMatrix:
         sig = make()
         ref, zero_pivots = scalar_givens_costs(sig, p)
         assert any(rows_at_zero(rows, i) for rows, i in zero_pivots)
-        assert np.array_equal(build_cost_matrix(sig, p), ref)
+        assert np.array_equal(dense_cost_matrix(sig, p), ref)
 
     @pytest.mark.parametrize("seed", [22, 37])
     @pytest.mark.parametrize("p", [1, 2])
@@ -379,7 +436,7 @@ class TestCostMatrix:
         # shifted to the segment's first sample
         sig = near_duplicate_signal(seed)
         min_len = default_min_segment_length(p)
-        C = build_cost_matrix(sig, p)
+        C = dense_cost_matrix(sig, p)
         for a in range(sig.n):
             for b in range(a + min_len, sig.n + 1):
                 u = [Fraction(tj) - Fraction(sig.t[a]) for tj in sig.t[a:b]]
@@ -399,7 +456,7 @@ class TestCostMatrix:
         t = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
         sig = Signal(t, np.random.default_rng(seed).normal(size=len(t)))
         ref, _ = scalar_givens_costs(sig, p)
-        assert np.array_equal(build_cost_matrix(sig, p), ref)
+        assert np.array_equal(dense_cost_matrix(sig, p), ref)
 
     @given(
         p=st.integers(0, 3),
@@ -419,7 +476,7 @@ class TestCostMatrix:
         x[min(flat) : max(flat)] = x0
         sig = Signal(t, x)
         n = sig.n
-        C = build_cost_matrix(sig, p)
+        C = dense_cost_matrix(sig, p)
         ref = np.full((n + 1, n + 1), np.inf)
         for a in range(n):
             for b in range(a + min_len, n + 1):
@@ -471,6 +528,19 @@ class TestFisherDp:
         np.testing.assert_array_equal(fit.partition.gamma, gamma)
         assert fit.criterion_j == pytest.approx(j, rel=1e-12)
 
+    def test_peak_memory_is_about_half_the_dense_matrix(self):
+        # the packed cost blocks hold about 8 (n+1)^2 / 2 bytes; the dense
+        # (n+1) x (n+1) matrix alone would exceed the bound
+        n = 2000
+        sig = simulate_piecewise(SITUATION_1, n, seed=0)[0]
+        tracemalloc.start()
+        try:
+            fisher_dp(sig, K=3, p=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 8 * (n + 1) ** 2
+
     def test_single_segment_is_whole_ols(self):
         rng = np.random.default_rng(1)
         sig = random_signal(rng, 30)
@@ -511,20 +581,29 @@ class TestFisherDp:
             exhaustive_best_j(sig, K, p, min_len), abs=1e-9
         )
 
-    def test_dp_recursion_optimality(self):
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 25, 30, 31, 32, 63, 64, 65, 200])
+    def test_dp_recursion_optimality(self, n, p):
+        # n + 1 below, at and above a multiple of the 32-column block; K = 3
+        # where n allows it. The tables equal the loop recursion on the dense
+        # matrix bit for bit
         rng = np.random.default_rng(9)
-        sig = random_signal(rng, 25)
-        p, K = 1, 3
+        sig = random_signal(rng, n)
         min_len = default_min_segment_length(p)
-        cost = build_cost_matrix(sig, p)
-        C, _ = _dp_tables(cost, K, min_len)
+        K = min(3, n // min_len)
+        packed = build_cost_matrix(sig, p)
+        cost = dense_costs(packed, n, min_len)
+        C, H = _dp_tables(packed, n, K, min_len)
         # levels below K at every b, level K at b = n only
-        cells = [(k, b) for k in range(2, K) for b in range(k * min_len, 26)] + [(K, 25)]
-        for k, b in cells:
+        cells = [(k, b) for k in range(2, K) for b in range(k * min_len, n + 1)]
+        for k, b in cells + [(K, n)] * (K > 1):
             expected = min(
                 C[k - 1, h] + cost[h, b] for h in range(b - min_len + 1)
             )
             assert C[k, b] == pytest.approx(expected, abs=1e-12)
+        C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
+        assert np.array_equal(C[:K], C_ref[:K]) and np.array_equal(H[:K], H_ref[:K])
+        assert C[K, n] == C_ref[K, n] and H[K, n] == H_ref[K, n]
 
     @given(
         K=st.integers(1, 5),
@@ -535,17 +614,21 @@ class TestFisherDp:
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**16),
     )
-    @example(K=2, min_len=1, extra=30, levels=3, inf_frac=0.2, order="F", seed=0)  # one block
+    @example(K=2, min_len=1, extra=30, levels=3, inf_frac=0.2, order="F", seed=0)  # n + 1 = 33
+    @example(K=2, min_len=2, extra=27, levels=3, inf_frac=0.0, order="F", seed=1)  # one block
+    @example(K=3, min_len=3, extra=54, levels=3, inf_frac=0.2, order="C", seed=2)  # n + 1 = 64
+    @example(K=4, min_len=4, extra=49, levels=1, inf_frac=0.0, order="F", seed=3)  # n + 1 = 66
     @settings(max_examples=80, deadline=None)
     def test_blocked_recursion_matches_loop(self, K, min_len, extra, levels, inf_frac,
                                             order, seed):
         # n from the tightest request to about three blocks; costs drawn from
         # `levels` integers tie exactly, some entries are +inf, and, as in
         # build_cost_matrix, so is every range shorter than min_len. The
-        # levels below K match the loop at every b
+        # levels below K on the packed blocks match the loop on the dense
+        # matrix at every b
         n = K * min_len + extra
-        cost = random_dp_costs(n, min_len, levels, inf_frac, order, seed)
-        C, H = _dp_tables(cost, K, min_len)
+        cost = random_dp_costs(n, min_len, levels, inf_frac, seed)
+        C, H = _dp_tables(packed_costs(cost, min_len, order), n, K, min_len)
         C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
         assert np.array_equal(C[:K], C_ref[:K]) and np.array_equal(H[:K], H_ref[:K])
 
@@ -558,6 +641,8 @@ class TestFisherDp:
         seed=st.integers(0, 2**16),
     )
     @example(K=3, min_len=2, extra=40, levels=1, inf_frac=0.0, seed=0)  # all ties
+    @example(K=2, min_len=4, extra=23, levels=3, inf_frac=0.2, seed=1)  # n + 1 = 32
+    @example(K=5, min_len=1, extra=59, levels=3, inf_frac=0.0, seed=2)  # n + 1 = 65
     @settings(max_examples=80, deadline=None)
     def test_last_level_at_n_matches_the_tables(self, K, min_len, extra, levels, inf_frac,
                                                 seed):
@@ -566,8 +651,8 @@ class TestFisherDp:
         # backtrack from (K, n); where no finite path exists both backtracks
         # give an invalid partition
         n = K * min_len + extra
-        cost = random_dp_costs(n, min_len, levels, inf_frac, "F", seed)
-        C, H = _dp_tables(cost, K, min_len)
+        cost = random_dp_costs(n, min_len, levels, inf_frac, seed)
+        C, H = _dp_tables(packed_costs(cost, min_len), n, K, min_len)
         C_ref, H_ref = _dp_tables_loop(cost, K, min_len)
         assert C[K, n] == C_ref[K, n] and H[K, n] == H_ref[K, n]
         if K > 1:
