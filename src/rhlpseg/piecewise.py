@@ -50,15 +50,18 @@ class Partition:
 
     Segment k (1-based) covers sample indices gamma_k .. gamma_{k+1}-1
     (0-based), i.e. the half-open index range [gamma_k, gamma_{k+1}).
+    ValueError unless gamma holds at least two finite integral values that
+    increase strictly from 0.
     """
 
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=int)
-        if g[0] != 0 or np.any(np.diff(g) <= 0):
+        g = np.asarray(self.gamma)
+        if (g.ndim != 1 or len(g) < 2 or not np.all(np.isfinite(g)) or np.any(np.trunc(g) != g)
+                or g[0] != 0 or np.any(np.diff(g) <= 0)):
             raise ValueError(f"invalid partition boundaries {g}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", g.astype(int))
 
     @property
     def K(self) -> int:
@@ -81,6 +84,8 @@ def piecewise_mean(partition: Partition, components, t) -> np.ndarray:
         raise LengthMismatchError(
             f"{len(t)} time points for a partition of {partition.n} samples"
         )
+    if len(components) != partition.K:
+        raise LengthMismatchError(f"{len(components)} components for {partition.K} segments")
     g = partition.gamma
     return np.concatenate([c.mean(t[a:b]) for c, a, b in zip(components, g[:-1], g[1:])])
 
@@ -127,25 +132,28 @@ def _floored_cost(sse, m, signal: Signal, out=None):
 
 def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, GaussianComponent]:
     """OLS fit of samples in the index range (a, b] (0-based: a..b-1) and its
-    segmentation cost sum_i [log s2 + resid^2/s2]. The values are fitted
-    shifted to x[a], which is added back to beta_0, as build_cost_matrix
-    shifts each start, so offset and constant values lose no precision.
-    Fewer than p + 1 samples get lstsq's minimum-norm fit. ValueError unless
-    0 <= a < b <= n and p >= 0."""
+    segmentation cost sum_i [log s2 + resid^2/s2]: the one per-segment fit
+    of the package, behind every fit's components and iterative_fisher's J.
+    The fit runs on times and values shifted to the segment's first sample,
+    t - t[a] and x - x[a], the least-squares problem build_cost_matrix
+    solves for the entry (a, b), so epoch times, offsets and constant values
+    lose no precision. The shifted coefficients are then mapped back to a
+    polynomial in t by Horner's (Taylor) shift by t[a], and x[a] is added
+    to beta_0. Fewer than p + 1 samples get lstsq's minimum-norm fit.
+    ValueError unless 0 <= a < b <= n and p >= 0."""
     if not 0 <= a < b <= signal.n:
         raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
     _check_orders(1, p, 1)
-    x0 = signal.x[a]
-    cost, comp = _ols_cost(design_matrix(signal.t[a:b], p), signal.x[a:b] - x0, signal)
-    comp.beta[0] += x0
-    return cost, comp
-
-
-def _ols_cost(T: np.ndarray, x: np.ndarray, signal: Signal) -> tuple[float, GaussianComponent]:
-    """OLS fit of the values x on the segment design T and its floored cost."""
-    beta, _, _, _ = np.linalg.lstsq(T, x, rcond=None)
-    sse = float(np.sum((x - T @ beta) ** 2))
-    cost, s2 = _floored_cost(sse, len(x), signal)
+    t0, y = signal.t[a], signal.x[a:b] - signal.x[a]
+    T = design_matrix(signal.t[a:b] - t0, p)
+    beta = np.linalg.lstsq(T, y, rcond=None)[0]
+    resid = y - T @ beta
+    cost, s2 = _floored_cost(float(resid @ resid), b - a, signal)
+    # p passes of Horner's scheme turn beta(t - t0) into coefficients in t
+    for i in range(p):
+        for k in range(p - 1, i - 1, -1):
+            beta[k] -= t0 * beta[k + 1]
+    beta[0] += signal.x[a]
     return cost, GaussianComponent(beta, s2)
 
 
@@ -344,19 +352,12 @@ def _backtrack(H: np.ndarray, K: int, n: int) -> Partition:
 
 
 def _refit(
-    signal: Signal, T: np.ndarray, partition: Partition
+    signal: Signal, p: int, partition: Partition
 ) -> tuple[tuple[GaussianComponent, ...], float]:
-    """Per-segment OLS on a partition; returns components and total cost J.
-    T = design_matrix(signal.t, p): a segment's design is its rows, which
-    equal design_matrix of the segment's times bit for bit."""
-    comps = []
-    j = 0.0
-    g = partition.gamma
-    for a, b in zip(g[:-1], g[1:]):
-        cost, comp = _ols_cost(T[a:b], signal.x[a:b], signal)
-        comps.append(comp)
-        j += cost
-    return tuple(comps), j
+    """segment_cost on every segment of a partition: the components and the
+    total cost J."""
+    fits = [segment_cost(signal, a, b, p) for a, b in zip(partition.gamma, partition.gamma[1:])]
+    return tuple(comp for _, comp in fits), sum(cost for cost, _ in fits)
 
 
 def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
@@ -379,7 +380,7 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     problem = FitProblem.of(signal)
     C, H = _dp_tables(build_cost_matrix(problem.signal, p), signal.n, K, min_len)
     partition = _backtrack(H, K, signal.n)
-    components, _ = _refit(problem.signal, design_matrix(problem.signal.t, p), partition)
+    components, _ = _refit(problem.signal, p, partition)
     return _piecewise_fit(problem, "piecewise_dp", partition, components, float(C[K, signal.n]))
 
 
@@ -437,16 +438,17 @@ def _fixed_param_segmentation(
 
 def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> PiecewiseFit:
     """Local minimization of J over partitions into K segments of at least
-    p + 2 samples: alternate per-segment OLS (regression step) with
-    dynamic-programming re-segmentation at fixed parameters (segmentation
-    step), both on the one design matrix of the fit-time signal built per
-    call and on its fit values. The fit stops at the first round that leaves
-    J where it was, or after _MAX_ROUNDS = 100 rounds, fixed, with no
-    option; a round that raises J ends it unkept. A segmentation step that
-    returns the current partition skips the regression step, which would
-    return the same components and J, and j_trace ends with J repeated.
-    ValueError for K < 1 or p < 0, InfeasibleError for n < K (p + 2) or an
-    init that is not such a partition."""
+    p + 2 samples: alternate per-segment OLS by segment_cost (regression
+    step) with dynamic-programming re-segmentation at fixed parameters on
+    the one design matrix of the fit-time signal built per call
+    (segmentation step), both on the fit values. The fit stops at the first
+    round that leaves J where it was, or after _MAX_ROUNDS = 100 rounds,
+    fixed, with no option; a round that raises J ends it unkept. A
+    segmentation step that returns the current partition skips the
+    regression step, which would return the same components and J, and
+    j_trace ends with J repeated. ValueError for K < 1 or p < 0,
+    InfeasibleError for n < K (p + 2) or an init that is not such a
+    partition."""
     n = signal.n
     min_len = _check_request(n, K, default_min_segment_length(p), p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_len):
@@ -456,14 +458,14 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> Piecewi
     signal = problem.signal
     T = design_matrix(signal.t, p)
     partition = init
-    components, j = _refit(signal, T, partition)
+    components, j = _refit(signal, p, partition)
     trace = [j]
     for _ in range(_MAX_ROUNDS):
         partition_new, _ = _fixed_param_segmentation(signal, T, components, min_len)
         if np.array_equal(partition_new.gamma, partition.gamma):
             components_new, j_new = components, j
         else:
-            components_new, j_new = _refit(signal, T, partition_new)
+            components_new, j_new = _refit(signal, p, partition_new)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
         partition, components = partition_new, components_new

@@ -26,7 +26,7 @@ from .core import (
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
-from .piecewise import _ols_cost, uniform_partition
+from .piecewise import uniform_partition
 
 _STARVATION_TOL = 1e-10
 # IRLS limits of every M-step: Newton steps, halvings per Newton step, and
@@ -355,11 +355,10 @@ def _uniform_segment_init(
     """Paper-style initialization as (w, betas, sigma2s): zero logistic
     coefficients, every variance sigma2, and per-segment OLS coefficients on
     the partition with boundaries cuts, each fitted on its rows of the design
-    matrix T = design_matrix(signal.t, p)."""
-    betas = np.stack(
-        [_ols_cost(T[a:b], signal.x[a:b], signal)[1].beta for a, b in zip(cuts[:-1], cuts[1:])]
-    )
-    return np.zeros((K, q + 1)), betas, np.full(K, sigma2)
+    matrix T = design_matrix(signal.t, p). Unlike segment_cost, it fits the
+    unshifted fit times: a shifted fit would move every EM fit."""
+    betas = [np.linalg.lstsq(T[a:b], signal.x[a:b], rcond=None)[0] for a, b in zip(cuts, cuts[1:])]
+    return np.zeros((K, q + 1)), np.stack(betas), np.full(K, sigma2)
 
 
 def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:

@@ -240,11 +240,11 @@ def iterative_fisher_always_refit(signal, p, init, max_iter):
     signal = problem.signal
     T = design_matrix(signal.t, p)
     partition = init
-    components, j = _refit(signal, T, partition)
+    components, j = _refit(signal, p, partition)
     trace = [j]
     for _ in range(max_iter):
         partition_new, _ = _fixed_param_segmentation(signal, T, components, min_len)
-        components_new, j_new = _refit(signal, T, partition_new)
+        components_new, j_new = _refit(signal, p, partition_new)
         if j_new > j:
             break
         partition, components = partition_new, components_new
@@ -318,6 +318,19 @@ class TestSegmentCost:
         assert cost == 60 * np.log(core.RELATIVE_VARIANCE_FLOOR)
         np.testing.assert_array_equal(comp.beta, [value, 0.0, 0.0])
 
+    def test_short_cubics_match_exact_least_squares(self):
+        # every 5-sample window at p = 3, among them (116, 121), which a fit
+        # on the unshifted times missed by 4.1e-7 relative; the reference is
+        # rational Gram-Schmidt on the raw times and values
+        sig = random_signal(np.random.default_rng(5), 200)
+        for a in range(sig.n - 4):
+            u = [Fraction(tj) for tj in sig.t[a : a + 5]]
+            y = [Fraction(xj) for xj in sig.x[a : a + 5]]
+            sse = exact_sse([[uj**k for uj in u] for k in range(4)], y)
+            ref = _floored_cost(float(sse), 5, sig)[0]
+            cost, _ = segment_cost(sig, a, a + 5, 3)
+            assert abs(cost - ref) <= 1e-12 * max(abs(ref), 5), a
+
     def test_too_short_raises(self):
         sig = Signal([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         for a, b in [(1, 1), (2, 1), (-1, 2), (0, 4)]:  # empty or out of range
@@ -363,11 +376,9 @@ class TestCostMatrix:
     def test_entries_match_segment_cost(self, n, p):
         # n + 1 below, at and above a multiple of the 32-column block, so
         # that the last block can be one column wide. Every entry of the
-        # columns at a block edge, and 20 drawn ones, against segment_cost on
-        # the times shifted to the segment's first sample, as the matrix
-        # shifts them (on the raw times, segment_cost's p = 3 fits of a few
-        # close samples miss the exact cost by up to 1e-7 relative); the
-        # +inf pattern is exact everywhere
+        # columns at a block edge, and 20 drawn ones, against segment_cost,
+        # which solves the same shifted least-squares problem; the +inf
+        # pattern is exact everywhere
         rng = np.random.default_rng(5)
         sig = random_signal(rng, n)
         C = dense_cost_matrix(sig, p)
@@ -378,12 +389,12 @@ class TestCostMatrix:
         drawn = rng.choice(len(feasible), min(20, len(feasible)), replace=False)
         edges = [(a, b) for a, b in feasible if b % 32 in (0, 1, 31) or b == n]
         for a, b in edges + [feasible[i] for i in drawn]:
-            direct, _ = segment_cost(Signal(sig.t - sig.t[a], sig.x), a, b, p)
-            assert C[a, b] == pytest.approx(direct, rel=1e-8, abs=1e-8)
+            direct, _ = segment_cost(sig, a, b, p)
+            assert C[a, b] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_epoch_times_match_shifted_reference(self):
-        # segment_cost regresses on raw times and is itself inexact here, so
-        # the reference regresses on t - t[a]
+        # a reference of its own, lstsq on t - t[a] and the raw values, that
+        # shares no code with the matrix or with segment_cost
         sig = epoch_signal(simulate_piecewise(SITUATION_1, 150, seed=3)[0])
         p, min_len = 2, default_min_segment_length(2)
         C = dense_cost_matrix(sig, p)
@@ -527,6 +538,20 @@ class TestFisherDp:
         fit = fisher_dp(sig, K=3, p=2)
         np.testing.assert_array_equal(fit.partition.gamma, gamma)
         assert fit.criterion_j == pytest.approx(j, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [120, 500, 2000])
+    @pytest.mark.parametrize("scenario", ["situation1", "situation2"])
+    def test_refit_j_equals_the_tables_j(self, scenario, n, p):
+        # the refit of the optimal partition for K = 1..6 costs what the
+        # tables say it costs: segment_cost fits each segment on the shifted
+        # times and values that the cost matrix fits it on
+        for seed in range(3):
+            sig = FitProblem.of(simulate_piecewise(SCENARIOS[scenario], n, seed=seed)[0]).signal
+            C, H = _dp_tables(build_cost_matrix(sig, p), n, 6, default_min_segment_length(p))
+            for K in range(1, 7):
+                _, j = _refit(sig, p, _backtrack(H, K, n))
+                assert abs(j - C[K, n]) <= 1e-12 * abs(C[K, n]), (seed, K)
 
     def test_peak_memory_is_about_half_the_dense_matrix(self):
         # the packed cost blocks hold about 8 (n+1)^2 / 2 bytes; the dense
@@ -773,17 +798,19 @@ class TestIterativeFisher:
             iterative_fisher(sig, 3, 1, init=Partition([0, 1, 6, 12]))
 
     def test_one_design_matrix_per_fit(self, monkeypatch):
-        # the fit-time design, which every regression step and re-segmentation
-        # slices; none per round
+        # the n-row fit-time design, which every re-segmentation reads; none
+        # per round. The regression steps build only their segments' shifted
+        # designs
         built = []
+        sig = simulate_piecewise(SCENARIOS["situation2"], 300, seed=1)[0]
 
         def counting(t, p):
-            built.append(p)
+            if len(t) == sig.n:
+                built.append(p)
             return design_matrix(t, p)
 
         monkeypatch.setattr(piecewise, "design_matrix", counting)
         monkeypatch.setattr(core, "design_matrix", counting)
-        sig = simulate_piecewise(SCENARIOS["situation2"], 300, seed=1)[0]
         init = random_partition(np.random.default_rng(5), 300, 3, 4)  # 20 rounds
         rounds = []
         for max_rounds in (1, 5, 100):
@@ -810,6 +837,27 @@ class TestMeanCurve:
         fit = fisher_dp(sig, K=2, p=1)
         with pytest.raises(LengthMismatchError):
             fit.expectation(np.linspace(0, 5, 31))
+
+    def test_component_count_mismatch_raises(self):
+        # one component for two segments would cover 2 of the 5 samples
+        part = Partition([0, 2, 5])
+        for comps in [(GaussianComponent([1.0], 1.0),), (GaussianComponent([1.0], 1.0),) * 3]:
+            with pytest.raises(LengthMismatchError, match="components for 2 segments"):
+                piecewise_mean(part, comps, np.arange(5.0))
+
+
+class TestPartition:
+    @pytest.mark.parametrize("gamma", [
+        [], [0], [0, 2.7, 5], [0, 2, np.nan], [0, 2, np.inf], [[0, 5]], [1, 5], [0, 3, 3],
+    ], ids=["empty", "no-segment", "non-integral", "nan", "inf", "2-d", "not-from-0",
+            "not-increasing"])
+    def test_invalid_boundaries_raise(self, gamma):
+        with pytest.raises(ValueError, match="invalid partition boundaries"):
+            Partition(gamma)
+
+    def test_integral_floats_are_indices(self):
+        gamma = Partition([0.0, 2.0, 5.0]).gamma
+        assert gamma.dtype.kind == "i" and gamma.tolist() == [0, 2, 5]
 
 
 class TestFixedParamSegmentation:

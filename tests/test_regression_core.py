@@ -53,6 +53,14 @@ class TestPolynomialBasis:
     def test_design_matrix_line(self):
         np.testing.assert_array_equal(design_matrix([0.0, 1.0], 1), [[1, 0], [1, 1]])
 
+    @pytest.mark.parametrize("p", range(6))
+    def test_design_matrix_is_vander_bit_for_bit(self, p):
+        t = np.random.default_rng(p).normal(size=50) * 10.0 ** np.arange(-25, 25)
+        T = design_matrix(np.append(t, -0.0), p)
+        ref = np.vander(np.append(t, -0.0), p + 1, increasing=True)
+        assert T.dtype == ref.dtype and T.flags.c_contiguous
+        assert T.shape == ref.shape and T.tobytes() == ref.tobytes()
+
 
 class TestWeightedLeastSquares:
     def test_noiseless_line(self):
