@@ -25,8 +25,8 @@ from .core import (
     design_matrix,
     weighted_least_squares,
 )
-from .errors import EmptyComponentError, NumericalError, RankDeficientError, RhlpSegError
-from .piecewise import uniform_partition
+from .errors import EmptyComponentError, NumericalError, RankDeficientError
+from .piecewise import segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
 # IRLS limits of every M-step: Newton steps, halvings per Newton step, and
@@ -349,18 +349,6 @@ def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray
 # --- EM driver --------------------------------------------------------------
 
 
-def _uniform_segment_init(
-    signal: Signal, T: np.ndarray, K: int, q: int, sigma2: float, cuts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Paper-style initialization as (w, betas, sigma2s): zero logistic
-    coefficients, every variance sigma2, and per-segment OLS coefficients on
-    the partition with boundaries cuts, each fitted on its rows of the design
-    matrix T = design_matrix(signal.t, p). Unlike segment_cost, it fits the
-    unshifted fit times: a shifted fit would move every EM fit."""
-    betas = [np.linalg.lstsq(T[a:b], signal.x[a:b], rcond=None)[0] for a, b in zip(cuts, cuts[1:])]
-    return np.zeros((K, q + 1)), np.stack(betas), np.full(K, sigma2)
-
-
 def _perturbed_cuts(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
     """Uniform cut indices jittered by up to a quarter segment each way, and
     by at most (g - 1) // 2 for the smallest uniform gap g: the windows of
@@ -381,7 +369,7 @@ _STEP_GROWTH = 4.0
 # aborting the fit.
 _SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError)
 # Failures that drop one EM run of em_fit, and one candidate of select_model.
-_FIT_ERRORS = (RhlpSegError, np.linalg.LinAlgError)
+_FIT_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
 
 def _pack(w: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
@@ -518,17 +506,20 @@ def em_fit(
     """Fit the model by EM until the log-likelihood increment of a plain EM
     step drops below _EM_TOL = 1e-6, or after _EM_MAX_ITER = 1000
     log-likelihood evaluations; both limits are fixed, with no option. The
-    first run starts from the standard recipe (uniform segments, zero
-    logistic coefficients, unit variances); n_restarts extra runs start
-    from jittered uniform cuts, and the best final likelihood wins. A run
-    that fails with a package error or LinAlgError is dropped; the first
-    run's error is raised only when every run fails. Deterministic given
-    the seed.
+    first run starts from the paper's recipe on K uniform segments: zero
+    logistic coefficients, and each component the segment_cost fit of its
+    segment, coefficients and floored variance. n_restarts extra runs start
+    the same way from jittered uniform cuts, and the best final likelihood
+    wins. A run that fails with a NumericalError or LinAlgError is dropped;
+    the first run's error is raised only when every run fails. A DataError
+    about the signal propagates. Deterministic given the seed.
 
     The fit runs on the signal's FitProblem, which maps the report's
     parameters and log-likelihood trace back to the units of x; the trace's
     last entry, the BIC and denoised come from the mapped-back parameters
-    on x.
+    on x. The start, and so every EM step, sees only the fit values y, so
+    scaling x by a power of two 2^e leaves the labels unchanged and adds
+    -n e log 2 to the log-likelihood, up to rounding.
 
     EM is accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J. Stat.):
     after two EM steps theta0 -> theta1 -> theta2 the parameters (free
@@ -556,11 +547,13 @@ def em_fit(
     rng = np.random.default_rng(seed)
     cuts = [uniform_partition(signal.n, K).gamma]
     cuts += [_perturbed_cuts(rng, signal.n, K) for _ in range(n_restarts)]
-    sigma2 = np.ldexp(1.0, -2 * problem.value_map.e)  # 1 in the units of x
     best = error = None
     for run_cuts in cuts:
         try:
-            init = _uniform_segment_init(problem.signal, T, K, q, sigma2, run_cuts)
+            fits = [segment_cost(problem.signal, a, b, p)[1]
+                    for a, b in zip(run_cuts, run_cuts[1:])]
+            init = (np.zeros((K, q + 1)), np.stack([c.beta for c in fits]),
+                    np.array([c.sigma2 for c in fits]))
             result = _em_once(problem.signal, init, designs)
         except _FIT_ERRORS as exc:
             error = error or exc
@@ -644,8 +637,9 @@ def select_model(
 ) -> tuple[FitReport, list[SelectionEntry]]:
     """Fit every (K, p) combination at fixed q by em_fit with the given seed
     and no restarts, and pick the maximum-BIC fit. Numerical fit failures
-    (package errors and LinAlgError) become table entries instead of
-    aborting the sweep; any other exception propagates. NumericalError when
+    (NumericalError and LinAlgError) become table entries instead of
+    aborting the sweep; any other exception propagates, a DataError about
+    the signal included. NumericalError when
     every candidate fails, and ValueError before any fit when K_range or
     p_range is empty. Ties break toward smaller (K, then p)."""
     K_range, p_range = list(K_range), list(p_range)

@@ -286,14 +286,18 @@ class TestSignalCsvErrors:
         [0.0, 1e-300, 2e-300, 3e-300, 1e300, 2e300, 3e300, 4e300],
     ], ids=["span-1e-309", "span-overflows", "gap-underflows"])
     def test_time_span_out_of_range(self, tmp_path, capsys, t):
-        path, out = tmp_path / "span.csv", tmp_path / "o.json"
+        # select-model lets the DataError of its first cell end the sweep:
+        # every cell would fail the same way
+        path = tmp_path / "span.csv"
         x = np.random.default_rng(4).normal(size=len(t)).tolist()
         path.write_text("t,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t, x)))
-        rc = main(["fit-dp", "--input", str(path), "--output", str(out), "--k", "2",
-                   "--p", "1"])
-        assert rc == 1
-        assert_one_error_line(capsys, "DataError")
-        assert not out.exists()
+        for cmd, k in (("fit-dp", "2"), ("select-model", "1,2")):
+            out = tmp_path / f"{cmd}.out"
+            rc = main([cmd, "--input", str(path), "--output", str(out), "--k", k,
+                       "--p", "1"])
+            assert rc == 1, cmd
+            assert_one_error_line(capsys, "DataError")
+            assert not out.exists(), cmd
 
     @pytest.mark.parametrize("labels", [[1.7, 2.2, 3.0], [1.0, np.nan, 3.0]],
                              ids=["1.7", "nan"])

@@ -688,6 +688,8 @@ class TestCoresEqualTheirReferences:
 
 class TestEmFit:
     def test_k1_equals_ols(self):
+        # the start is the segment_cost fit of the whole signal, the OLS
+        # optimum, so one EM step confirms it
         rng = np.random.default_rng(14)
         t = np.linspace(0, 5, 50)
         x = 1.0 + 0.5 * t + 0.1 * rng.standard_normal(50)
@@ -696,9 +698,11 @@ class TestEmFit:
         T = design_matrix(t, 1)
         ols = np.linalg.lstsq(T, x, rcond=None)[0]
         np.testing.assert_allclose(report.params.betas[0], ols, atol=1e-9)
-        sse = np.sum((x - T @ ols) ** 2)
-        assert report.params.sigma2s[0] == pytest.approx(sse / 50, rel=1e-9)
-        assert len(report.log_likelihood_trace) >= 1
+        sigma2 = np.sum((x - T @ ols) ** 2) / 50
+        assert report.params.sigma2s[0] == pytest.approx(sigma2, rel=1e-9)
+        assert report.em_iterations == 1 and report.converged
+        want = -25 * (np.log(2 * np.pi * sigma2) + 1)
+        assert abs(report.log_likelihood - want) <= 1e-12 * abs(want)
         np.testing.assert_array_equal(report.labels, 1)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -851,7 +855,8 @@ class TestEmFit:
         monkeypatch.setattr(rhlp, "_irls_solve", nested_irls)
         monkeypatch.setattr(rhlp, "_squarem_point", counting_squarem)
         sig, _ = simulate_piecewise(SITUATION_2, 200, seed=5)
-        for K, n_restarts in itertools.product([1, 3, 5], [0, 2]):
+        # K = 1 starts at its optimum and takes one step, so it shows no SQUAREM
+        for K, n_restarts in itertools.product([2, 3, 5], [0, 2]):
             calls.update(outside=0, squarem=0)
             report = em_fit(sig, K=K, p=2, q=1, n_restarts=n_restarts, seed=0)
             assert report.em_iterations > 2

@@ -4,7 +4,8 @@ on where the clock starts or how fast it runs. It maps its values x once to
 y = (x - x0) * 2^-e, fits on y and maps its result back to x through the
 same FitProblem, and the variance floor is relative to var(x), so the
 piecewise fits do not depend on the values' offset or scale either, across
-the whole value range a Signal accepts."""
+the whole value range a Signal accepts, and RHLP does not depend on a
+power-of-two scale."""
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from rhlpseg.core import RELATIVE_VARIANCE_FLOOR, FitProblem, Signal, TimeMap, ValueMap
 from rhlpseg.errors import DataError
 from rhlpseg.piecewise import fisher_dp, multi_start_iterative
-from rhlpseg.rhlp import FitReport, em_fit
+from rhlpseg.rhlp import FitReport, em_fit, select_model
 from rhlpseg.simulate import SITUATION_1, SITUATION_2, simulate_piecewise
 
 EPOCH = 1.7e9
@@ -133,7 +134,8 @@ class TestTimeSpanOutOfRange:
         lambda s: fisher_dp(s, 2, 1),
         lambda s: multi_start_iterative(s, 2, 1, seed=0),
         lambda s: em_fit(s, 2, 1, 1, seed=0),
-    ], ids=["FitProblem.of", "fisher_dp", "multi_start_iterative", "em_fit"])
+        lambda s: select_model(s, [1, 2], [1], 1, seed=0),
+    ], ids=["FitProblem.of", "fisher_dp", "multi_start_iterative", "em_fit", "select_model"])
     def test_raises_data_error_naming_the_span(self, t, message, fitter):
         # the Signal itself is valid; only its fit problem cannot be mapped,
         # and RuntimeWarnings are errors in this suite
@@ -216,7 +218,9 @@ def accepted_exponents(x):
 @settings(max_examples=20, deadline=None)
 def test_fits_span_the_accepted_value_range(scenario, seed, n, where):
     # scaling by a power of two is exact, so the DP fit moves by exactly
-    # 2 n log c in J and not at all in gamma
+    # 2 n log c in J and not at all in gamma; EM sees the same fit values y
+    # from its start on, so its labels stay and its log-likelihood moves by
+    # -n log c, up to the rounding of the final evaluation on x
     x = simulate_piecewise(scenario, n, seed)[0].x
     t = np.linspace(0.0, 5.0, n)
     lo, hi = accepted_exponents(x)
@@ -231,7 +235,10 @@ def test_fits_span_the_accepted_value_range(scenario, seed, n, where):
     expected = want.criterion_j + shift
     assert abs(got.criterion_j - expected) <= 1e-9 * (abs(want.criterion_j) + abs(shift))
     assert np.isfinite(multi_start_iterative(moved, 3, 2, seed=0).criterion_j)
-    assert np.isfinite(em_fit(moved, 3, 2, 1, seed=0).log_likelihood)
+    want, got = em_fit(Signal(t, x), 3, 2, 1, seed=0), em_fit(moved, 3, 2, 1, seed=0)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    expected = want.log_likelihood - shift / 2
+    assert abs(got.log_likelihood - expected) <= 1e-12 * (abs(want.log_likelihood) + abs(shift))
 
 
 @pytest.mark.parametrize("scenario, n, seed, scale", [
