@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", required=True, help="signal CSV (t,x,label)")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("select-model", help="BIC sweep over (K, p) at fixed q")
+    sp = sub.add_parser("select-model", help="BIC sweep over (K, p) at fixed q; the cells run "
+                        "on every CPU the process may run on (taskset limits them), "
+                        "with the same results for any CPU count")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True, help="BIC table CSV")
     sp.add_argument("--report-output", default=None, help="best fit report JSON")

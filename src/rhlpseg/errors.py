@@ -1,8 +1,15 @@
 """Exception hierarchy shared across the package."""
+import copyreg
 
 
 class RhlpSegError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. Every one pickles with its type,
+    message and attributes, so it can cross a process boundary."""
+
+    def __reduce__(self):
+        # rebuilt from args and attributes without calling __init__, whose
+        # parameters differ from args in the subclasses that format a message
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NumericalError(RhlpSegError):

@@ -286,8 +286,7 @@ class TestSignalCsvErrors:
         [0.0, 1e-300, 2e-300, 3e-300, 1e300, 2e300, 3e300, 4e300],
     ], ids=["span-1e-309", "span-overflows", "gap-underflows"])
     def test_time_span_out_of_range(self, tmp_path, capsys, t):
-        # select-model lets the DataError of its first cell end the sweep:
-        # every cell would fail the same way
+        # select-model raises the signal's DataError before its first fit
         path = tmp_path / "span.csv"
         x = np.random.default_rng(4).normal(size=len(t)).tolist()
         path.write_text("t,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t, x)))

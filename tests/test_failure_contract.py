@@ -13,8 +13,10 @@ malformed CSVs: header variants, blank rows, a single row, bad numbers,
 repeated and decreasing times, NUL bytes, open quotes and bytes that are
 not UTF-8."""
 import contextlib
+import inspect
 import io
 import os
+import pickle
 import tempfile
 import warnings
 
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from rhlpseg.cli import main
 from rhlpseg.core import Signal
+from rhlpseg import errors
 from rhlpseg.errors import RhlpSegError
 from rhlpseg.piecewise import PiecewiseFit, fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit, select_model
@@ -116,6 +119,26 @@ def test_fits_return_finite_results_or_raise_a_typed_error(times, values, n, K, 
         for entry in table:
             if entry.error is None:
                 assert_finite(entry.bic, entry.log_likelihood)
+
+
+# constructor arguments of the errors that take more than a message
+ERROR_ARGS = {
+    errors.EmptyComponentError: (2, 7),
+    errors.NonMonotonicTimeError: (4,),
+    errors.ParseError: ("bad number", 3),
+}
+
+
+@pytest.mark.parametrize(
+    "error", [c for c in vars(errors).values() if inspect.isclass(c) and issubclass(c, Exception)],
+    ids=lambda c: c.__name__)
+def test_errors_survive_pickling(error):
+    # select_model's worker processes send errors back pickled
+    exc = error(*ERROR_ARGS.get(error, ("a message",)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(exc, protocol))
+        assert type(back) is error
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
 
 
 HEADERS = {

@@ -1,4 +1,8 @@
+import dataclasses
 import itertools
+import multiprocessing
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,11 +18,18 @@ from rhlpseg.core import (
     weighted_least_squares,
 )
 from rhlpseg import rhlp
-from rhlpseg.errors import EmptyComponentError, NumericalError, RankDeficientError
+from rhlpseg.errors import (
+    DataError,
+    EmptyComponentError,
+    NonMonotonicTimeError,
+    NumericalError,
+    RankDeficientError,
+)
 from rhlpseg.rhlp import (
     FitReport,
     LogisticProcess,
     RhlpParams,
+    SelectionEntry,
     bic,
     denoise,
     e_step,
@@ -987,6 +998,25 @@ class TestBic:
             assert counted == n_free_parameters(K, p, q)
 
 
+def bits(obj):
+    """obj as nested tuples of its exact bits: arrays by dtype, shape and
+    bytes, floats by their hex form, dataclasses field by field."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__, *(bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(bits, obj))
+    if isinstance(obj, float):
+        return float(obj).hex()
+    return obj
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make select_model see `cpus` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 class TestSelectModel:
     def test_contract_on_single_component_data(self):
         rng = np.random.default_rng(17)
@@ -1051,3 +1081,99 @@ class TestSelectModel:
         best, table = select_model(sig, K_range=[3, 2], p_range=[2, 3, 1], q=1)
         assert (best.K, best.p) == (2, 2)
         assert [(e.K, e.p) for e in table if e.bic == -10.0] == [(3, 1), (2, 2), (2, 3)]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_cells_equal_serial_em_fits_bit_for_bit(self, monkeypatch, cpus):
+        # (3, 8) and (6, 8) fail rank deficient; the rest fit
+        use_cpus(monkeypatch, cpus)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        best, table = select_model(sig, K_range=[1, 2, 3, 6], p_range=[2, 8], q=1, seed=0)
+        assert multiprocessing.active_children() == []
+        expected, reports = [], {}
+        for K, p in itertools.product([1, 2, 3, 6], [2, 8]):
+            try:
+                r = em_fit(sig, K, p, 1, seed=0)
+            except NumericalError as exc:
+                expected.append(SelectionEntry(K, p, 1, None, None, None, str(exc)))
+                continue
+            reports[K, p] = r
+            expected.append(SelectionEntry(K, p, 1, r.bic, r.log_likelihood, r.converged))
+        assert 0 < sum(e.error is not None for e in expected) < len(expected)
+        assert bits(table) == bits(expected)
+        assert bits(best) == bits(max(reports.values(), key=lambda r: r.bic))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_cells_run_in_workers_unless_one_cpu(self, monkeypatch, cpus):
+        def stub(signal, K, p, q, **kwargs):
+            return SimpleNamespace(K=K, bic=float(K), log_likelihood=0.0, converged=True,
+                                   pid=os.getpid())
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        best, _ = select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
+        assert best.K == 3
+        assert (best.pid == os.getpid()) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("error", [LookupError, NonMonotonicTimeError])
+    def test_first_failing_cell_in_table_order_raises(self, monkeypatch, cpus, error):
+        # K = 4 runs first, as the largest cell, and fails at once; K = 2
+        # fails later, but comes first in the table
+        def stub(signal, K, p, q, **kwargs):
+            if K == 2:
+                time.sleep(0.2)
+            if K in (2, 4):
+                raise error(K)
+            return SimpleNamespace(K=K, bic=0.0, log_likelihood=0.0, converged=True)
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(error) as info:
+            select_model(sig, K_range=range(1, 6), p_range=[2], q=1)
+        assert type(info.value) is error and str(info.value) == str(error(2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("K_range, p_range, q", [([3, 4, 0], [2], 1), ([1], [2, -1], 1),
+                                                     ([1, 2], [2], -1)],
+                             ids=["K=0", "p=-1", "q=-1"])
+    def test_invalid_cell_raises_before_any_fit(self, monkeypatch, K_range, p_range, q):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("em_fit called")
+
+        monkeypatch.setattr(rhlp, "em_fit", no_fit)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(ValueError, match="require K >= 1, p >= 0, q >= 0"):
+            select_model(sig, K_range, p_range, q)
+
+    def test_signal_data_error_raises_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("em_fit called")
+
+        monkeypatch.setattr(rhlp, "em_fit", no_fit)
+        # the fit-time factor 5 / (t[-1] - t[0]) overflows
+        sig = Signal(np.arange(60) * 5e-324, np.random.default_rng(0).normal(size=60))
+        with pytest.raises(DataError, match="times out of range"):
+            select_model(sig, range(1, 4), [2], 1)
+
+    def test_daemonic_process_fits_in_process(self):
+        # a daemonic process, such as a multiprocessing.Pool worker, may not
+        # start children, so select_model fits its cells there in-process
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            try:
+                send.send(bits(select_model(sig, [1, 2], [2], 1, seed=0)[1]))
+            except BaseException as exc:
+                send.send(repr(exc))
+
+        proc = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+        proc.start()
+        assert receive.poll(60)
+        got = receive.recv()
+        proc.join(10)
+        assert proc.exitcode == 0
+        assert got == bits(select_model(sig, [1, 2], [2], 1, seed=0)[1])
