@@ -232,10 +232,14 @@ def weighted_least_squares(T: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.nd
     Raises RankDeficientError when a weighted design has effective rank
     below the number of coefficients: rank counts the singular values of R
     above lstsq's default cutoff, eps * max(n, p+1) times the largest.
+    ValueError unless T, x and w are finite and every weight vector is
+    non-negative with a positive sum.
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
+    if not (np.isfinite(T).all() and np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ValueError("T, x and w must be finite")
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
     if (w.sum(axis=-1) <= 0).any():

@@ -28,10 +28,12 @@ def default_min_segment_length(p: int) -> int:
     return p + 2
 
 
-def _check_orders(K: int, p: int, min_len: int) -> None:
-    """ValueError for K < 1, p < 0 or min_len < 1."""
-    if K < 1 or p < 0 or min_len < 1:
-        raise ValueError(f"require K >= 1, p >= 0, min length >= 1; got {K}, {p}, {min_len}")
+def _check_orders(K: int, p: int, min_len: int, q: int = 0) -> None:
+    """The one order check of every fit: ValueError for K < 1, p < 0,
+    min_len < 1 or logistic degree q < 0."""
+    if K < 1 or p < 0 or q < 0 or min_len < 1:
+        raise ValueError(f"require K >= 1, p >= 0, q >= 0, min length >= 1; "
+                         f"got K={K}, p={p}, q={q}, min length={min_len}")
 
 
 def _check_request(n: int, K: int, min_len: int, p: int = 0) -> int:
@@ -140,13 +142,17 @@ def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, Gaussia
     lose no precision. The shifted coefficients are then mapped back to a
     polynomial in t by Horner's (Taylor) shift by t[a], and x[a] is added
     to beta_0. Fewer than p + 1 samples get lstsq's minimum-norm fit.
-    ValueError unless 0 <= a < b <= n and p >= 0."""
+    ValueError unless 0 <= a < b <= n and p >= 0; NumericalError where
+    lstsq fails, as on times whose powers overflow."""
     if not 0 <= a < b <= signal.n:
         raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
     _check_orders(1, p, 1)
     t0, y = signal.t[a], signal.x[a:b] - signal.x[a]
     T = design_matrix(signal.t[a:b] - t0, p)
-    beta = np.linalg.lstsq(T, y, rcond=None)[0]
+    try:
+        beta = np.linalg.lstsq(T, y, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"least squares of segment ({a},{b}] failed: {exc}") from None
     resid = y - T @ beta
     cost, s2 = _floored_cost(float(resid @ resid), b - a, signal)
     # p passes of Horner's scheme turn beta(t - t0) into coefficients in t

@@ -20,10 +20,11 @@ iterative_fisher). Numbers are serialized with full round-trip precision
 and are finite: save_fit_report raises on a NaN or an infinity and
 load_fit_report rejects one. Besides types and shapes, load_fit_report
 checks that labels are integers in 1..K, that a piecewise report's labels
-are its gamma's segment numbers, and that denoised holds one number per
-label for rhlp and is null for the piecewise models. Version 1 had no time
-map, so it cannot say whether its times were rescaled; loading it raises
-SchemaError.
+are its gamma's segment numbers, that denoised holds one number per label
+for rhlp, and that the fields of the other model are null: gamma and
+criterion_j for rhlp; w, q, bic, converged and denoised for the piecewise
+models. Version 1 had no time map, so it cannot say whether its times were
+rescaled; loading it raises SchemaError.
 """
 from __future__ import annotations
 
@@ -289,5 +290,9 @@ def load_fit_report(path) -> ReportDocument:
         )
         _require(labels == Partition(gamma).labels().tolist(),
                  "labels must be the segment numbers of gamma")
-        _require(denoised is None, "piecewise reports have denoised null")
+    # the fields of the other model are absent, and so null
+    null = (("gamma", "criterion_j") if raw["model"] == "rhlp"
+            else ("w", "q", "bic", "converged", "denoised"))
+    given = [name for name in null if raw[name] is not None]
+    _require(not given, f"{raw['model']} reports have {', '.join(null)} null, got {given} set")
     return ReportDocument(**raw)

@@ -27,7 +27,7 @@ from .core import (
     weighted_least_squares,
 )
 from .errors import EmptyComponentError, NumericalError, RankDeficientError
-from .piecewise import segment_cost, uniform_partition
+from .piecewise import _check_orders, segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
 # IRLS limits of every M-step: Newton steps, halvings per Newton step, and
@@ -369,8 +369,6 @@ _STEP_GROWTH = 4.0
 # Numerical failures that reject a speculative (extrapolated) point instead of
 # aborting the fit.
 _SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError)
-# Failures that drop one EM run of em_fit, and one candidate of select_model.
-_FIT_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
 
 def _pack(w: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
@@ -511,7 +509,7 @@ def em_fit(
     logistic coefficients, and each component the segment_cost fit of its
     segment, coefficients and floored variance. n_restarts extra runs start
     the same way from jittered uniform cuts, and the best final likelihood
-    wins. A run that fails with a NumericalError or LinAlgError is dropped;
+    wins. A run that fails with a NumericalError is dropped;
     the first run's error is raised only when every run fails. A DataError
     about the signal propagates. Deterministic given the seed.
 
@@ -532,14 +530,15 @@ def em_fit(
     the fit continues from theta2, so log_likelihood_trace never decreases.
     _EM_MAX_ITER bounds the log-likelihood evaluations after the initial
     one, rejected extrapolations included; em_iterations counts the accepted
-    steps, len(log_likelihood_trace) - 1. ValueError unless n_restarts >= 0.
+    steps, len(log_likelihood_trace) - 1. ValueError for K < 1, p < 0 or
+    q < 0 (piecewise._check_orders, the fitters' one order check) and for
+    n_restarts < 0.
 
     The design matrices of the fit-time signal are built once and shared by
     every E step, M step and IRLS solve of every run. Each iterate carries
     its log-proportions from the IRLS solve that made it to the next E step
     and IRLS solve, and the final one gives labels and denoised."""
-    if K < 1 or p < 0 or q < 0:
-        raise ValueError("require K >= 1, p >= 0, q >= 0")
+    _check_orders(K, p, 1, q)
     if n_restarts < 0:
         raise ValueError(f"require n_restarts >= 0, got n_restarts={n_restarts}")
     problem = FitProblem.of(signal)
@@ -556,7 +555,7 @@ def em_fit(
             init = (np.zeros((K, q + 1)), np.stack([c.beta for c in fits]),
                     np.array([c.sigma2 for c in fits]))
             result = _em_once(problem.signal, init, designs)
-        except _FIT_ERRORS as exc:
+        except NumericalError as exc:
             error = error or exc
             continue
         if best is None or result[1][-1] > best[1][-1]:
@@ -631,25 +630,11 @@ class SelectionEntry:
 
 def _fit_cell(signal: Signal, K: int, p: int, q: int, seed: int | None) -> FitReport | str:
     """One select_model cell: em_fit's report, or the message of its
-    NumericalError or LinAlgError."""
+    NumericalError."""
     try:
         return em_fit(signal, K, p, q, seed=seed)
-    except _FIT_ERRORS as exc:
+    except NumericalError as exc:
         return str(exc)
-
-
-# The signal of a select_model worker process, set once by _start_worker. A
-# forked worker inherits it as it is, so its fits read the caller's arrays.
-_worker_signal: Signal | None = None
-
-
-def _start_worker(signal: Signal) -> None:
-    global _worker_signal
-    _worker_signal = signal
-
-
-def _worker_cell(K: int, p: int, q: int, seed: int | None) -> FitReport | str:
-    return _fit_cell(_worker_signal, K, p, q, seed)
 
 
 def _fit_cells(
@@ -657,8 +642,9 @@ def _fit_cells(
 ) -> list[FitReport | str]:
     """_fit_cell of every (K, p) cell, in the order of cells. The cells run
     in forked worker processes, one per CPU this process may run on and at
-    most one per cell, the largest K (p+1) first; the pool is shut down
-    before this returns or raises. They run in-process instead with one CPU
+    most one per cell, the largest K (p+1) first, each cell sent with its
+    own pickled copy of the signal; the pool is shut down before this
+    returns or raises. They run in-process instead with one CPU
     or one cell, where os.sched_getaffinity is missing (Windows, which has
     no fork, and macOS, where fork is unsafe), and in a daemonic process,
     which may not start children. Either way a non-fit exception
@@ -675,11 +661,10 @@ def _fit_cells(
         return [_fit_cell(signal, K, p, q, seed) for K, p in cells]
     # fork, not spawn: a spawned worker imports numpy and the package afresh,
     # which takes longer than a whole sweep at n = 500
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(signal,)) as pool:
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
         futures = [None] * len(cells)
         for i in sorted(range(len(cells)), key=lambda i: -cells[i][0] * (cells[i][1] + 1)):
-            futures[i] = pool.submit(_worker_cell, *cells[i], q, seed)
+            futures[i] = pool.submit(_fit_cell, signal, *cells[i], q, seed)
         try:
             return [f.result() for f in futures]
         except BaseException:
@@ -696,27 +681,29 @@ def select_model(
 ) -> tuple[FitReport, list[SelectionEntry]]:
     """Fit every (K, p) combination at fixed q by em_fit with the given seed
     and no restarts, and pick the maximum-BIC fit. Numerical fit failures
-    (NumericalError and LinAlgError) become table entries instead of
-    aborting the sweep; any other exception propagates, the first in table
-    order. NumericalError when every candidate fails. Before any fit:
-    ValueError when K_range or p_range is empty or a cell has K < 1 or
-    p < 0, or q < 0, and the DataError of a signal the fitters cannot map
-    (FitProblem.of). Ties break toward smaller (K, then p).
+    (NumericalError) become table entries instead of aborting the sweep;
+    any other exception propagates, the first in table order.
+    NumericalError when every candidate fails. Before any fit: ValueError
+    when K_range or p_range is empty or a cell fails em_fit's order check
+    (K < 1, p < 0 or q < 0), and the DataError of a signal the fitters
+    cannot map (FitProblem.of). Ties break toward smaller (K, then p).
 
     The cells run on the available CPUs: one forked worker process per CPU
     the process may run on (os.sched_getaffinity, which taskset sets), and
     in-process with one CPU or one cell, or where os.sched_getaffinity is
     missing (Windows, macOS). The table, the selected fit and every
     report are identical for any CPU count, since each cell is one em_fit
-    call with the same seed."""
+    call with the same seed. A warning raised inside a worker prints to the
+    inherited stderr, but the caller's warnings.catch_warnings(record=True)
+    does not record it; an "error" filter is inherited, so it still
+    raises."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")
-    if min(K_range) < 1 or min(p_range) < 0 or q < 0:
-        raise ValueError(f"require K >= 1, p >= 0, q >= 0, got K_range={K_range}, "
-                         f"p_range={p_range}, q={q}")
-    FitProblem.of(signal)  # a DataError about the signal, raised before any fit
     cells = [(K, p) for K in K_range for p in p_range]
+    for K, p in cells:
+        _check_orders(K, p, 1, q)
+    FitProblem.of(signal)  # a DataError about the signal, raised before any fit
     table: list[SelectionEntry] = []
     best: FitReport | None = None
     best_key = None

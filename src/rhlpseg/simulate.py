@@ -201,10 +201,9 @@ def run_benchmark(
     and p at q = 1, fixed. Replicate seeds derive
     deterministically from the master seed. Within a cell the methods fit
     each replicate in turn, so their runtimes are paired in time as well as
-    in data. A replicate whose fit raises a
-    package error or LinAlgError is counted in the row's error and skipped;
-    a cell where every replicate failed reports NaN criteria. Any other
-    exception propagates."""
+    in data. A replicate whose fit raises a package error is counted in the
+    row's error and skipped; a cell where every replicate failed reports NaN
+    criteria. Any other exception propagates."""
     rows: list[BenchmarkRow] = []
     for si, scenario in enumerate(scenarios):
         for n in n_grid:
@@ -228,7 +227,7 @@ def run_benchmark(
                         est_labels, est_curve, elapsed = _fit_method(
                             method, signal, scenario, child_seed, measure_time
                         )
-                    except (RhlpSegError, np.linalg.LinAlgError) as exc:
+                    except RhlpSegError as exc:
                         failures[method].append(exc)
                         continue
                     crits[method].append((

@@ -626,10 +626,13 @@ def test_plot_data_on_epoch_times_is_the_paper_grid_fit(tmp_path, command):
     ["fit-dp", "--k", "3", "--p", "-1"],
     ["fit-dp-iter", "--k", "0", "--seed", "0"],
     ["select-model", "--k", "0,2", "--p", "1"],
+    ["select-model", "--k", "2", "--p", "1", "--q", "-1"],
+    ["select-model", "--k", "", "--p", "1"],
+    ["select-model", "--k", "2", "--p", ""],
     ["fit-rhlp", "--k", "2", "--seed", "0", "--restarts", "-2"],
     ["fit-dp-iter", "--k", "2", "--seed", "0", "--restarts", "-2"],
-], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0",
-        "rhlp-restarts-2", "dp-iter-restarts-2"])
+], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0", "select-q-1",
+        "select-no-k", "select-no-p", "rhlp-restarts-2", "dp-iter-restarts-2"])
 def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     out = tmp_path / "out"
     rc = main([*argv, "--input", str(signal_csv), "--output", str(out)])
@@ -729,7 +732,12 @@ def test_simulate_invalid_n_exits_one(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["--n", "1", "--replicates", "1"],
     ["--n", "100", "--replicates", "0"],
-], ids=["n1", "replicates0"])
+    ["--scenarios", "nope"],
+    # an empty list is an argument error, not a table with no rows
+    ["--n", ""],
+    ["--scenarios", ""],
+    ["--methods", "", "--n", "100", "--replicates", "1"],
+], ids=["n1", "replicates0", "unknown-scenario", "no-n", "no-scenarios", "no-methods"])
 def test_benchmark_invalid_n_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
     rc = main(["benchmark", *argv, "--seed", "0", "--output", str(out)])
@@ -771,6 +779,12 @@ def test_benchmark_invalid_n_exits_one(tmp_path, capsys, argv):
     ("fit-dp", "t0", 10**400),
     ("fit-rhlp", "w", [[float("nan"), 0.0], [1.0, 1.0], [0.0, 0.0]]),
     ("fit-rhlp", "bic", -float("inf")),
+    ("fit-dp", "w", "junk"),
+    ("fit-dp", "q", [1]),
+    ("fit-dp", "bic", -10.0),
+    ("fit-dp", "converged", True),
+    ("fit-rhlp", "gamma", {"a": 1}),
+    ("fit-rhlp", "criterion_j", 1.0),
 ], ids=["sigma2-number", "sigma2-string", "sigma2-zero", "gamma-repeat", "gamma-decrease",
         "gamma-start", "schema-v1", "t0-null", "time-factor-zero", "labels-9",
         "labels-string", "labels-not-gamma", "denoised-list", "log-likelihood-string",
@@ -778,7 +792,8 @@ def test_benchmark_invalid_n_exits_one(tmp_path, capsys, argv):
         "rhlp-denoised-string", "rhlp-denoised-short", "rhlp-denoised-null",
         "rhlp-log-likelihood-null", "rhlp-bic-string", "rhlp-converged-1", "beta-nan",
         "sigma2-inf", "log-likelihood-nan", "criterion-j-inf", "runtime-nan", "t0-huge-int",
-        "rhlp-w-nan", "rhlp-bic-inf"])
+        "rhlp-w-nan", "rhlp-bic-inf", "w-set", "q-set", "bic-set", "converged-set",
+        "rhlp-gamma-set", "rhlp-criterion-j-set"])
 def test_malformed_report_exits_one(tmp_path, signal_csv, capsys, command, field, value):
     report_path = tmp_path / "fit.json"
     assert main([*FITS[command][0], "--input", str(signal_csv),

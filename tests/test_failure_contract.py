@@ -1,10 +1,10 @@
 """The failure contract of the library and of the CLI.
 
 Library: on any signal that Signal accepts, each fitter either returns
-finite results with labels in 1..K, or raises a package error or
-LinAlgError, and no warning escapes. The signals are drawn from families of
-hard inputs: epoch times, times scaled far from 1, tiny gaps, times one ulp
-apart, huge, tiny, constant, tied, offset, spiked and stepped values.
+finite results with labels in 1..K, or raises a package error, and no
+warning escapes. The signals are drawn from families of hard inputs: epoch
+times, times scaled far from 1, tiny gaps, times one ulp apart, huge, tiny,
+constant, tied, offset, spiked and stepped values.
 
 CLI: on any CSV bytes, each fit command exits 0, 1 or 2. A non-zero exit
 prints exactly one line, starting error:, and writes no report; no run
@@ -31,8 +31,6 @@ from rhlpseg import errors
 from rhlpseg.errors import RhlpSegError
 from rhlpseg.piecewise import PiecewiseFit, fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit, select_model
-
-FIT_ERRORS = (RhlpSegError, np.linalg.LinAlgError)
 
 TIMES = {
     "linspace": lambda rng, n: np.linspace(0.0, 5.0, n),
@@ -83,7 +81,7 @@ def check_fit(fit, K):
 def holds_the_contract(call, K):
     try:
         fit = call()
-    except FIT_ERRORS:
+    except RhlpSegError:
         return
     check_fit(fit, K)
 
@@ -105,14 +103,14 @@ def test_fits_return_finite_results_or_raise_a_typed_error(times, values, n, K, 
         warnings.simplefilter("error")
         try:
             signal = Signal(t, x)
-        except FIT_ERRORS:
+        except RhlpSegError:
             return
         holds_the_contract(lambda: em_fit(signal, K, p, q, n_restarts=1, seed=seed), K)
         holds_the_contract(lambda: fisher_dp(signal, K, p), K)
         holds_the_contract(lambda: multi_start_iterative(signal, K, p, seed=seed), K)
         try:
             best, table = select_model(signal, range(1, K + 1), [p], q, seed=seed)
-        except FIT_ERRORS:
+        except RhlpSegError:
             return
         check_fit(best, K)
         assert [(e.K, e.p) for e in table] == [(k, p) for k in range(1, K + 1)]

@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 
 from rhlpseg import core, piecewise
 from rhlpseg.core import FitProblem, GaussianComponent, Signal, design_matrix
-from rhlpseg.errors import InfeasibleError, LengthMismatchError
+from rhlpseg.errors import InfeasibleError, LengthMismatchError, NumericalError
 from rhlpseg.piecewise import (
     Partition,
     _backtrack,
@@ -337,6 +337,16 @@ class TestSegmentCost:
             with pytest.raises(ValueError):
                 segment_cost(sig, a, b, p=1)
 
+    def test_lstsq_failure_raises_numerical_error(self, monkeypatch):
+        # LAPACK's SVD fails to converge on powers of times that overflow
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        sig = Signal(np.linspace(0, 5, 6), np.arange(6.0))
+        with pytest.raises(NumericalError, match=r"segment \(1,5\] failed: SVD did not"):
+            segment_cost(sig, 1, 5, p=1)
+
 
 @pytest.mark.parametrize("call", [
     lambda sig: build_cost_matrix(sig, -1),
@@ -344,7 +354,7 @@ class TestSegmentCost:
 ], ids=["matrix-p-1", "segment-p-1"])
 def test_invalid_order_or_min_length_raises_the_entry_checks_error(call):
     sig = Signal(np.linspace(0, 5, 10), np.random.default_rng(3).normal(size=10))
-    with pytest.raises(ValueError, match="require K >= 1, p >= 0, min length >= 1"):
+    with pytest.raises(ValueError, match="require K >= 1, p >= 0, q >= 0, min length >= 1"):
         call(sig)
 
 

@@ -162,6 +162,18 @@ class TestWeightedLeastSquares:
         with pytest.raises(ValueError, match="weights must"):
             weighted_least_squares(T, np.array([1.0, 2.0]), w)
 
+    @pytest.mark.parametrize("where, value", [
+        ("w", np.nan), ("w", np.inf), ("x", np.nan), ("T", -np.inf),
+    ], ids=["nan-weight", "inf-weight", "nan-value", "inf-design"])
+    def test_non_finite_input_rejected(self, where, value):
+        # LAPACK's SVD does not converge on such input, and a NaN value
+        # would give NaN coefficients
+        args = {"T": design_matrix(np.linspace(0, 1, 6), 1), "x": np.arange(6.0),
+                "w": np.ones((2, 6))}
+        args[where][(1,) * args[where].ndim] = value
+        with pytest.raises(ValueError, match="T, x and w must be finite"):
+            weighted_least_squares(**args)
+
 
 class TestGaussianLogDensity:
     def test_standard_normal_at_mode(self):
