@@ -7,6 +7,7 @@ failure. Errors print a single machine-readable line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -118,7 +119,7 @@ def _cmd_fit(args) -> None:
     save_fit_report(doc, args.output)
     if args.series_output:
         write_csv(args.series_output, ["t", "x", "denoised", "label"],
-                  zip(signal.t, signal.x, fit.expectation(signal.t), doc.labels))
+                  [signal.t, signal.x, fit.expectation(signal.t), doc.labels])
 
 
 def _components(beta, sigma2) -> tuple[GaussianComponent, ...]:
@@ -159,7 +160,8 @@ def _cmd_simulate(args) -> None:
 def _cmd_select_model(args) -> None:
     signal, _ = load_signal_csv(args.input)
     best, table = select_model(signal, args.k, args.p, args.q, seed=args.seed)
-    write_csv(args.output, [f.name for f in fields(SelectionEntry)], map(astuple, table))
+    write_csv(args.output, [f.name for f in fields(SelectionEntry)],
+              list(zip(*map(astuple, table))))
     if args.report_output:
         save_fit_report(best, args.report_output)
 
@@ -169,7 +171,7 @@ def _cmd_benchmark(args) -> None:
         [SCENARIOS[name] for name in args.scenarios], args.n, args.replicates, args.methods,
         seed=args.seed, measure_time=not args.no_timing,
     )
-    write_csv(args.output, [f.name for f in fields(BenchmarkRow)], map(astuple, rows))
+    write_csv(args.output, [f.name for f in fields(BenchmarkRow)], list(zip(*map(astuple, rows))))
 
 
 def _cmd_plot_data(args) -> None:
@@ -198,8 +200,9 @@ def _cmd_plot_data(args) -> None:
     series = [("original", signal.x), ("denoised", curve)]
     series += [(f"component_{k}", c.mean(u)) for k, c in enumerate(comps, 1)]
     series += [(f"proportion_{k}", pi) for k, pi in enumerate(proportions, 1)]
+    names, values = zip(*series)
     write_csv(args.output, ["t", "series", "value"],
-              ((ti, name, v) for name, values in series for ti, v in zip(t, values)))
+              [np.tile(t, len(series)), np.repeat(names, len(t)), np.concatenate(values)])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_select_model)
 
     sp = sub.add_parser("benchmark", help="simulation study: criteria per (scenario, n, method)")
-    sp.add_argument("--scenarios", type=_listed(SCENARIOS), default=list(sorted(SCENARIOS)))
-    sp.add_argument("--n", type=_listed(_at_least(2)), default=list(DESK_N_GRID))
+    sp.add_argument("--scenarios", type=_listed(SCENARIOS), default=tuple(sorted(SCENARIOS)))
+    sp.add_argument("--n", type=_listed(_at_least(2)), default=DESK_N_GRID)
     sp.add_argument("--replicates", type=_at_least(1), default=20)
-    sp.add_argument("--methods", type=_listed(METHODS), default=list(METHODS))
+    sp.add_argument("--methods", type=_listed(METHODS), default=METHODS)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--no-timing", action="store_true",
                     help="write 0.0 runtimes for bit-reproducible output")
@@ -275,9 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call of the process parses with, built on the
+    first call, not at import. Parsing leaves it as it was: each call gets a
+    fresh namespace, and the list defaults are tuples, which no command can
+    change."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         args.func(args)
     except (DataError, OSError) as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)

@@ -12,7 +12,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, NonFiniteValueError, NonMonotonicTimeError, RankDeficientError
+from .errors import (
+    DataError,
+    NonFiniteValueError,
+    NonMonotonicTimeError,
+    NumericalError,
+    RankDeficientError,
+)
 
 # Every variance estimate is floored at this fraction of the signal's
 # variance (Signal.variance_floor); exact interpolation would otherwise give
@@ -233,26 +239,37 @@ def weighted_least_squares(T: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.nd
     below the number of coefficients: rank counts the singular values of R
     above lstsq's default cutoff, eps * max(n, p+1) times the largest.
     ValueError unless T, x and w are finite and every weight vector is
-    non-negative with a positive sum.
+    non-negative with a positive sum; NumericalError where finite input
+    overflows, in a sqrt(w)-scaled product or in the triangle.
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not (np.isfinite(T).all() and np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ValueError("T, x and w must be finite")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    if (w.sum(axis=-1) <= 0).any():
-        raise ValueError("weights must have positive sum")
     n, d = T.shape
     # the sqrt(w)-scaled design and x as (..., d+1, n) rows, handed over
-    # transposed: the column-major layout LAPACK factors
-    root_w = np.sqrt(w)
+    # transposed: the column-major layout LAPACK factors. Every entry of T, x
+    # and w reaches them, and a negative weight's square root is NaN, so one
+    # finiteness check covers the input and the products; which one failed
+    # is sorted out only then.
     scaled = np.empty(w.shape[:-1] + (d + 1, n))
-    np.multiply(T.T, root_w[..., None, :], out=scaled[..., :d, :])
-    np.multiply(x, root_w, out=scaled[..., d, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        root_w = np.sqrt(w)
+        np.multiply(T.T, root_w[..., None, :], out=scaled[..., :d, :])
+        np.multiply(x, root_w, out=scaled[..., d, :])
+    if not np.isfinite(scaled).all():
+        if not (np.isfinite(T).all() and np.isfinite(x).all() and np.isfinite(w).all()):
+            raise ValueError("T, x and w must be finite")
+        if (w < 0).any():
+            raise ValueError("weights must be non-negative")
+        raise NumericalError("weighted least squares overflows: a sqrt(w)-scaled "
+                             "product of finite input is not finite")
+    if (w.sum(axis=-1) <= 0).any():
+        raise ValueError("weights must have positive sum")
     R = np.linalg.qr(np.swapaxes(scaled, -1, -2), mode="r")
-    s = np.linalg.svd(R[..., :d, :d], compute_uv=False)
+    try:
+        s = np.linalg.svd(R[..., :d, :d], compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # a triangle that overflowed
+        raise NumericalError(f"weighted least squares overflows: {exc}") from None
     rank = int((s > _FLOAT.eps * max(n, d) * s[..., :1]).sum(axis=-1).min())
     if rank < d:
         raise RankDeficientError(f"weighted design has rank {rank} < {d} coefficients")

@@ -9,6 +9,7 @@ back; the PiecewiseFit names the fitter that made it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,11 +144,21 @@ def segment_cost(signal: Signal, a: int, b: int, p: int) -> tuple[float, Gaussia
     polynomial in t by Horner's (Taylor) shift by t[a], and x[a] is added
     to beta_0. Fewer than p + 1 samples get lstsq's minimum-norm fit.
     ValueError unless 0 <= a < b <= n and p >= 0; NumericalError where
-    lstsq fails, as on times whose powers overflow."""
+    the shifted times or their powers overflow, checked before the design
+    is built, or where lstsq fails."""
     if not 0 <= a < b <= signal.n:
         raise ValueError(f"segment ({a},{b}] is empty or outside 0..{signal.n}")
     _check_orders(1, p, 1)
     t0, y = signal.t[a], signal.x[a:b] - signal.x[a]
+    # the shifted times run from 0 up to span, so no entry of their design
+    # exceeds 1 or span^p, multiplied out here as design_matrix does it: if
+    # that is finite, building the design cannot overflow
+    span = top = float(signal.t[b - 1]) - float(t0)
+    for _ in range(p - 1):
+        top *= span
+    if not math.isfinite(top):
+        raise NumericalError(f"design of segment ({a},{b}] overflows: times "
+                             f"{signal.t[a]:.3g} to {signal.t[b - 1]:.3g} at degree {p}")
     T = design_matrix(signal.t[a:b] - t0, p)
     try:
         beta = np.linalg.lstsq(T, y, rcond=None)[0]
@@ -358,11 +369,19 @@ def _backtrack(H: np.ndarray, K: int, n: int) -> Partition:
 
 
 def _refit(
-    signal: Signal, p: int, partition: Partition
+    signal: Signal, p: int, partition: Partition, segments: dict | None = None
 ) -> tuple[tuple[GaussianComponent, ...], float]:
     """segment_cost on every segment of a partition: the components and the
-    total cost J."""
-    fits = [segment_cost(signal, a, b, p) for a, b in zip(partition.gamma, partition.gamma[1:])]
+    total cost J. segments, when given, maps each segment (a, b) fitted
+    before to its segment_cost result; it is read, and filled with the
+    segments fitted now."""
+    segments = {} if segments is None else segments
+    bounds = partition.gamma.tolist()
+    fits = []
+    for a, b in zip(bounds, bounds[1:]):
+        if (a, b) not in segments:
+            segments[a, b] = segment_cost(signal, a, b, p)
+        fits.append(segments[a, b])
     return tuple(comp for _, comp in fits), sum(cost for cost, _ in fits)
 
 
@@ -442,36 +461,69 @@ def _fixed_param_segmentation(
     return _backtrack(H, K, n), float(D[K, n])
 
 
-def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> PiecewiseFit:
+class _Steps:
+    """The regression and segmentation steps of the iterative fits of one
+    signal at degree p, each taken once per partition. The signal is mapped
+    by FitProblem.of, and the design matrix of its fit times built, once.
+    refit(partition) is _refit on the fit signal: the components and J,
+    with each segment fitted once across all partitions. resegment(partition)
+    is _fixed_param_segmentation at those components: the next partition.
+    Both are pure functions of the partition, so a fit that reaches a
+    partition an earlier one took reads the table and gets the same bits."""
+
+    def __init__(self, signal: Signal, p: int):
+        self.problem = FitProblem.of(signal)
+        self.p = p
+        self.T = design_matrix(self.problem.signal.t, p)
+        self._segments: dict = {}
+        self._refits: dict = {}
+        self._segmentations: dict = {}
+
+    def refit(self, partition: Partition) -> tuple[tuple[GaussianComponent, ...], float]:
+        key = partition.gamma.tobytes()
+        if key not in self._refits:
+            self._refits[key] = _refit(self.problem.signal, self.p, partition, self._segments)
+        return self._refits[key]
+
+    def resegment(self, partition: Partition) -> Partition:
+        key = partition.gamma.tobytes()
+        if key not in self._segmentations:
+            components, _ = self.refit(partition)
+            self._segmentations[key], _ = _fixed_param_segmentation(
+                self.problem.signal, self.T, components, default_min_segment_length(self.p))
+        return self._segmentations[key]
+
+
+def iterative_fisher(signal: Signal, K: int, p: int, init: Partition, *,
+                     _steps: _Steps | None = None) -> PiecewiseFit:
     """Local minimization of J over partitions into K segments of at least
     p + 2 samples: alternate per-segment OLS by segment_cost (regression
     step) with dynamic-programming re-segmentation at fixed parameters on
-    the one design matrix of the fit-time signal built per call
-    (segmentation step), both on the fit values. The fit stops at the first
-    round that leaves J where it was, or after _MAX_ROUNDS = 100 rounds,
-    fixed, with no option; a round that raises J ends it unkept. A
-    segmentation step that returns the current partition skips the
-    regression step, which would return the same components and J, and
-    j_trace ends with J repeated. ValueError for K < 1 or p < 0,
-    InfeasibleError for n < K (p + 2) or an init that is not such a
-    partition."""
+    the design matrix of the fit-time signal (segmentation step), both on
+    the fit values. The fit stops at the first round that leaves J where it
+    was, or after _MAX_ROUNDS = 100 rounds, fixed, with no option; a round
+    that raises J ends it unkept. A segmentation step that returns the
+    current partition skips the regression step, which would return the
+    same components and J, and j_trace ends with J repeated. Both steps come
+    from a table that takes each once per partition (_Steps): a call has
+    its own, and multi_start_iterative shares one across its starts through
+    the private _steps. ValueError for K < 1 or p < 0, InfeasibleError for
+    n < K (p + 2) or an init that is not such a partition."""
     n = signal.n
     min_len = _check_request(n, K, default_min_segment_length(p), p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_len):
         raise InfeasibleError(f"initial partition {init.gamma} is not feasible")
 
-    problem = FitProblem.of(signal)
-    signal = problem.signal
-    T = design_matrix(signal.t, p)
+    steps = _Steps(signal, p) if _steps is None else _steps
     partition = init
-    components, j = _refit(signal, p, partition)
+    components, j = steps.refit(partition)
     trace = [j]
     for _ in range(_MAX_ROUNDS):
-        partition_new, _ = _fixed_param_segmentation(signal, T, components, min_len)
+        partition_new = steps.resegment(partition)
         if np.array_equal(partition_new.gamma, partition.gamma):
             components_new, j_new = components, j
         else:
-            components_new, j_new = _refit(signal, p, partition_new)
+            components_new, j_new = steps.refit(partition_new)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
         partition, components = partition_new, components_new
@@ -480,7 +532,7 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition) -> Piecewi
         trace.append(j)
         if converged:
             break
-    return _piecewise_fit(problem, "piecewise_iterative", partition, components, j, trace)
+    return _piecewise_fit(steps.problem, "piecewise_iterative", partition, components, j, trace)
 
 
 def uniform_partition(n: int, K: int, min_len: int = 1) -> Partition:
@@ -517,9 +569,13 @@ def multi_start_iterative(
     """iterative_fisher from a uniform partition plus n_random_starts
     partitions from random_partition, all with segments of at least p + 2
     samples; returns the fit with smallest J, which keeps the seed.
-    Deterministic given the seed. Every start maps the signal to the same
-    fit times and values, and each stops by iterative_fisher's rule, whose
-    100-round limit is fixed, with no option. ValueError unless
+    Deterministic given the seed. The starts share one table of steps
+    (_Steps): it maps the signal to fit times and values once, and takes
+    the regression and the segmentation step once per partition, so a
+    partition that an earlier start reached is neither refitted nor
+    re-segmented again. Each start is one iterative_fisher call, whose fit
+    is the one a direct call returns, bit for bit, and stops by its rule,
+    whose 100-round limit is fixed, with no option. ValueError unless
     n_random_starts >= 0."""
     min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
     if n_random_starts < 0:
@@ -528,5 +584,6 @@ def multi_start_iterative(
     starts = [uniform_partition(signal.n, K, min_len)]
     for _ in range(n_random_starts):
         starts.append(random_partition(rng, signal.n, K, min_len))
-    fits = [iterative_fisher(signal, K, p, init) for init in starts]
+    steps = _Steps(signal, p)
+    fits = [iterative_fisher(signal, K, p, init, _steps=steps) for init in starts]
     return replace(min(fits, key=lambda f: f.criterion_j), seed=seed)

@@ -96,12 +96,12 @@ def save_signal_csv(path, signal: Signal, labels=None) -> None:
     given, must be finite integers (ValueError) and one per sample
     (LengthMismatchError), both checked before the file is opened."""
     if labels is None:
-        write_csv(path, ["t", "x"], zip(signal.t, signal.x))
+        write_csv(path, ["t", "x"], [signal.t, signal.x])
     else:
         labels = [_label(v) for v in labels]
         if len(labels) != signal.n:
             raise LengthMismatchError(f"{len(labels)} labels for a signal of {signal.n} samples")
-        write_csv(path, ["t", "x", "label"], zip(signal.t, signal.x, labels))
+        write_csv(path, ["t", "x", "label"], [signal.t, signal.x, labels])
 
 
 def _csv_cell(value):
@@ -110,13 +110,27 @@ def _csv_cell(value):
     return "" if value is None else value
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header and rows in the package's one CSV format: floats by
-    repr (round-trip precision), ints such as labels plain, None empty."""
+def _csv_column(column) -> list:
+    """The cells of one column as write_csv writes them: a numpy float array
+    in bulk, as the repr of each value of its tolist, with no Python call
+    per cell; any other column cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.astype(float, copy=False).tolist()))
+    return [_csv_cell(v) for v in column]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header and equal-length columns in the package's one CSV
+    format: floats by repr (round-trip precision), ints such as labels
+    plain, None empty. Every cell is formatted, and the lengths checked
+    (LengthMismatchError), before the file is opened."""
+    cells = [_csv_column(column) for column in columns]
+    if len({len(column) for column in cells}) > 1:
+        raise LengthMismatchError(f"columns of lengths {[len(c) for c in cells]}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        writer.writerows(zip(*cells))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from rhlpseg.cli import main
+from rhlpseg import cli
+from rhlpseg.cli import build_parser, main
 from rhlpseg.core import Signal, TimeMap
 from rhlpseg.errors import LengthMismatchError, ParseError, SchemaError
 from rhlpseg.piecewise import (
@@ -22,9 +23,10 @@ from rhlpseg.reports import (
     report_document,
     save_fit_report,
     save_signal_csv,
+    write_csv,
 )
 from rhlpseg.rhlp import denoise, em_fit, logistic_proportions
-from rhlpseg.simulate import SITUATION_1, simulate_piecewise
+from rhlpseg.simulate import DESK_N_GRID, METHODS, SCENARIOS, SITUATION_1, simulate_piecewise
 
 
 def read_csv(path):
@@ -241,6 +243,95 @@ class TestReportRoundTrip:
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaError):
             load_fit_report(path)
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell writer that write_csv must match byte for byte: floats
+    by repr, None empty, any other cell as csv.writer writes it."""
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return "" if value is None else value
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
+
+
+class TestWriteCsv:
+    EDGE = [-0.0, 5e-324, 1e16, 0.1, 1.7e9 + 0.1, -2.5e-300, 1.0, np.inf, np.nan]
+
+    def test_columns_match_the_per_cell_reference(self, tmp_path):
+        columns = [
+            np.array(self.EDGE),
+            np.array(self.EDGE, dtype=np.float32),
+            np.arange(len(self.EDGE)) - 3,
+            np.arange(len(self.EDGE)) % 2 == 0,
+            list(self.EDGE),
+            [np.float64(v) for v in self.EDGE],
+            [None, True, False, 3, "a,b", 'say "hi"', "two\nlines", "", np.int64(7)],
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(tmp_path / "bulk.csv", header, columns)
+        reference_write_csv(tmp_path / "ref.csv", header, zip(*columns))
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [[np.array([]), []], []], ids=["empty", "none"])
+    def test_no_rows_writes_the_header(self, tmp_path, columns):
+        write_csv(tmp_path / "o.csv", ["a", "b"], columns)
+        assert (tmp_path / "o.csv").read_bytes() == b"a,b\r\n"
+
+    def test_columns_of_different_lengths_write_no_file(self, tmp_path):
+        with pytest.raises(LengthMismatchError):
+            write_csv(tmp_path / "o.csv", ["a", "b"], [np.zeros(2), [1, 2, 3]])
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestParserReuse:
+    """main parses every call with one parser, built on first use."""
+
+    def test_built_once_per_process(self, monkeypatch, tmp_path, signal_csv):
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            for k in ("0", "3", "3"):
+                main(["fit-dp", "--input", str(signal_csv), "--output",
+                      str(tmp_path / "r.json"), "--k", k])
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_failed_argv_then_a_good_one_gives_the_normal_report(
+            self, tmp_path, signal_csv, capsys):
+        out, series = tmp_path / "r.json", tmp_path / "series.csv"
+        argv = ["fit-dp", "--input", str(signal_csv), "--output", str(out), "--k", "3"]
+        assert main(argv + ["--series-output", str(series), "--p", "-1"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(argv) == 0
+        assert not series.exists()
+        library = tmp_path / "library.json"
+        save_fit_report(fisher_dp(load_signal_csv(signal_csv)[0], 3, 2), library)
+        got, want = json.loads(out.read_text()), json.loads(library.read_text())
+        assert got.pop("runtime_seconds") > 0 and want.pop("runtime_seconds") is None
+        assert got == want
+
+    def test_benchmark_default_lists_are_the_same_every_run(self, tmp_path):
+        # --scenarios, --n and --methods left at their defaults, twice
+        argv = ["benchmark", "--replicates", "1", "--seed", "5", "--no-timing"]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--output", str(first)]) == 0
+        assert main(argv + ["--output", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        cells = [(row[0], int(row[1]), row[2]) for row in read_csv(first)[1:]]
+        assert cells == [(s, n, m) for s in sorted(SCENARIOS) for n in DESK_N_GRID
+                         for m in METHODS]
 
 
 class TestSignalCsvErrors:

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -337,8 +338,21 @@ class TestSegmentCost:
             with pytest.raises(ValueError):
                 segment_cost(sig, a, b, p=1)
 
+    @pytest.mark.parametrize("t, p", [
+        (1e200 * np.arange(10.0), 2), (np.array([-1e308, 0.0, 1e308]), 1),
+    ], ids=["powers", "shift"])
+    def test_overflowing_design_raises_before_lstsq(self, capfd, t, p):
+        # checked before the design is built: no overflow warning, and no
+        # LAPACK complaint about an infinite norm on stderr
+        sig = Signal(t, np.arange(len(t), dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                segment_cost(sig, 0, len(t), p)
+        assert capfd.readouterr().err == ""
+
     def test_lstsq_failure_raises_numerical_error(self, monkeypatch):
-        # LAPACK's SVD fails to converge on powers of times that overflow
+        # a LinAlgError from lstsq is a NumericalError
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -983,6 +997,65 @@ class TestMultiStart:
         multi_start_iterative(sig, 3, 1, n_random_starts=4, seed=2)
         assert len(calls) == 5
         np.testing.assert_array_equal(calls[0], uniform_partition(40, 3, 3).gamma)
+
+    @pytest.mark.parametrize("starts", [0, 10, 30])
+    def test_starts_share_steps_bit_for_bit(self, monkeypatch, starts):
+        # the starts share one table of steps, so no partition is refitted
+        # and no segment fitted twice, and every start's fit is the one a
+        # direct call, with a table of its own, returns
+        sig = simulate_piecewise(SITUATION_1, 300, seed=5)[0]
+        refits, segmentations, fits, segments = [], [], [], []
+
+        def counting_refit(*args):
+            refits.append(args[2].gamma.tobytes())
+            return _refit(*args)
+
+        def counting_segment_cost(*args):
+            segments.append(args[1:3])
+            return segment_cost(*args)
+
+        def counting_segmentation(*args):
+            segmentations.append(args)
+            return _fixed_param_segmentation(*args)
+
+        def recording(*args, **kwargs):
+            fits.append(iterative_fisher(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(piecewise, "_refit", counting_refit)
+        monkeypatch.setattr(piecewise, "_fixed_param_segmentation", counting_segmentation)
+        monkeypatch.setattr(piecewise, "iterative_fisher", recording)
+        monkeypatch.setattr(piecewise, "segment_cost", counting_segment_cost)
+        best = multi_start_iterative(sig, 3, 2, n_random_starts=starts, seed=3)
+        assert len(set(refits)) == len(refits)
+        assert len(set(segments)) == len(segments)
+        shared = len(refits), len(segmentations)
+
+        rng = np.random.default_rng(3)
+        inits = [uniform_partition(300, 3, 4)]
+        inits += [random_partition(rng, 300, 3, 4) for _ in range(starts)]
+        refits.clear()
+        segmentations.clear()
+        direct = [iterative_fisher(sig, 3, 2, init) for init in inits]
+        assert len(fits) == len(direct)
+        for got, want in zip(fits, direct):
+            np.testing.assert_array_equal(got.partition.gamma, want.partition.gamma)
+            assert (got.criterion_j, got.j_trace, got.time_map, got.model) == (
+                want.criterion_j, want.j_trace, want.time_map, want.model)
+            for c, ref in zip(got.components, want.components, strict=True):
+                assert np.array_equal(c.beta, ref.beta) and c.sigma2 == ref.sigma2
+        winner = min(direct, key=lambda f: f.criterion_j)
+        assert best.criterion_j == winner.criterion_j and best.seed == 3
+        np.testing.assert_array_equal(best.partition.gamma, winner.partition.gamma)
+        if starts:
+            assert shared[0] < len(refits) and shared[1] < len(segmentations)
+
+        # a direct call keeps no table once it returns
+        refits.clear()
+        iterative_fisher(sig, 3, 2, inits[0])
+        once = len(refits)
+        iterative_fisher(sig, 3, 2, inits[0])
+        assert len(refits) == 2 * once
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_random_starts": -1}, "require n_random_starts >= 0"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,12 @@ from rhlpseg.core import (
     gaussian_log_density,
     weighted_least_squares,
 )
-from rhlpseg.errors import NonFiniteValueError, NonMonotonicTimeError, RankDeficientError
+from rhlpseg.errors import (
+    NonFiniteValueError,
+    NonMonotonicTimeError,
+    NumericalError,
+    RankDeficientError,
+)
 
 
 def normal_equations_wls(T, x, w):
@@ -173,6 +180,19 @@ class TestWeightedLeastSquares:
         args[where][(1,) * args[where].ndim] = value
         with pytest.raises(ValueError, match="T, x and w must be finite"):
             weighted_least_squares(**args)
+
+    @pytest.mark.parametrize("T, w", [
+        (design_matrix(np.linspace(0, 5, 20), 2) * 1e200, np.full(20, 1e300)),
+        (design_matrix(np.linspace(0, 5, 20), 2) * 1e200, np.full((2, 20), 1e300)),
+        (design_matrix(np.linspace(0, 1, 20), 2) * 1.7e308, np.ones(20)),
+    ], ids=["scaled-product", "scaled-product-stack", "triangle"])
+    def test_finite_input_that_overflows_raises_numerical_error(self, T, w):
+        # finite input whose sqrt(w)-scaled products, or whose triangle,
+        # overflow: a package error, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="weighted least squares overflows"):
+                weighted_least_squares(T, np.arange(20.0), w)
 
 
 class TestGaussianLogDensity:
