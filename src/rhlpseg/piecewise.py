@@ -198,7 +198,8 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     (offsets[b // 32] + a, b % 32) for a < top_{b // 32}. Inside a block
     the small triangle a > b - (p + 2) holds +inf, and so do the columns of
     the last block past b = n. That is about 8 ((n+1)^2 / 2 + 16 (n+1)),
-    or 4 (n+1)^2, bytes, half the dense matrix: 16.4 MB at n = 2000.
+    or 4 (n+1)^2, bytes, half the dense matrix: 16.4 MB at n = 2000. Where
+    that one allocation fails, InfeasibleError names n and the bytes.
 
     Built column by column with square-root-free Givens QR updates
     (Gentleman 1973). Every start a keeps the factor of its segment's data
@@ -246,7 +247,11 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     d = p + 1
     offsets = _block_offsets(n, min_len)
     # the DP reads columns, each a contiguous slice of its block
-    out = np.full((offsets[-1], _DP_BLOCK), np.inf, order="F")
+    try:
+        out = np.full((offsets[-1], _DP_BLOCK), np.inf, order="F")
+    except MemoryError:
+        raise InfeasibleError(f"n={n} needs a cost matrix of {8 * _DP_BLOCK * offsets[-1]} "
+                              "bytes, more than this process can allocate") from None
     # R[:, :, a]: the factor of start a, D_i on the diagonal and Rbar_i right
     # of it; D_0 is never read, so it is not stored
     R = np.zeros((d, d + 1, n))
@@ -503,12 +508,13 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition, *,
     the fit values. The fit stops at the first round that leaves J where it
     was, or after _MAX_ROUNDS = 100 rounds, fixed, with no option; a round
     that raises J ends it unkept. A segmentation step that returns the
-    current partition skips the regression step, which would return the
-    same components and J, and j_trace ends with J repeated. Both steps come
-    from a table that takes each once per partition (_Steps): a call has
-    its own, and multi_start_iterative shares one across its starts through
-    the private _steps. ValueError for K < 1 or p < 0, InfeasibleError for
-    n < K (p + 2) or an init that is not such a partition."""
+    current partition gets that partition's components and J back from the
+    table, so J repeats, the fit stops, and j_trace ends with J repeated.
+    Both steps come from a table that takes each once per partition
+    (_Steps): a call has its own, and multi_start_iterative shares one
+    across its starts through the private _steps. ValueError for K < 1 or
+    p < 0, InfeasibleError for n < K (p + 2) or an init that is not such a
+    partition."""
     n = signal.n
     min_len = _check_request(n, K, default_min_segment_length(p), p)
     if init.K != K or init.n != n or np.any(np.diff(init.gamma) < min_len):
@@ -520,15 +526,11 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition, *,
     trace = [j]
     for _ in range(_MAX_ROUNDS):
         partition_new = steps.resegment(partition)
-        if np.array_equal(partition_new.gamma, partition.gamma):
-            components_new, j_new = components, j
-        else:
-            components_new, j_new = steps.refit(partition_new)
+        components_new, j_new = steps.refit(partition_new)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
-        partition, components = partition_new, components_new
         converged = j_new == j
-        j = j_new
+        partition, components, j = partition_new, components_new, j_new
         trace.append(j)
         if converged:
             break

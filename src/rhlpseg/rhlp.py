@@ -30,10 +30,9 @@ from .errors import EmptyComponentError, NumericalError, RankDeficientError
 from .piecewise import _check_orders, segment_cost, uniform_partition
 
 _STARVATION_TOL = 1e-10
-# IRLS limits of every M-step: Newton steps, halvings per Newton step, and
-# the Q1 increment below which the solve stops.
+# IRLS limits of every M-step: Newton steps, and the Q1 increment below
+# which the solve stops and a line search gives up.
 _IRLS_MAX_ITER = 50
-_IRLS_MAX_HALVINGS = 30
 _IRLS_TOL = 1e-6
 # EM limits of every run: the plain-step log-likelihood increment below which
 # it stops, and the log-likelihood evaluations after the initial one.
@@ -297,27 +296,30 @@ def _irls_solve(
     matrix V = design_matrix(t, q) and its row outer products VV =
     _outer_rows(V), from w_init with logpi = _log_proportions(w_init, V).
     Returns the final w and its log-proportions, the ones the line search
-    evaluated when it accepted that w."""
+    evaluated when it accepted that w. A line search tries at most
+    ceil(log2(gain / _IRLS_TOL)) step lengths for a finite gain, about 1 045
+    at most, and one where the gain is negative or not finite."""
     K, q1 = w_init.shape
     if K == 1:
         return w_init.copy(), logpi
     w = w_init.copy()
     tau_free = tau[:-1]
     q_old = float((tau * logpi).sum())
-    # a step from a near-singular Hessian can overflow; the non-finite Q1 it
-    # gives sends it to halving, so numpy's warning would be noise
+    # a step from a near-singular Hessian can overflow; the non-finite gain
+    # or Q1 it gives rejects it, so numpy's warning would be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_IRLS_MAX_ITER):
             pi = np.exp(logpi)
-            H = _hessian_v(pi, VV)
+            g = _gradient_v(pi, tau_free, V)
             try:
-                step = np.linalg.solve(H, _gradient_v(pi, tau_free, V)).reshape(K - 1, q1)
+                step = np.linalg.solve(_hessian_v(pi, VV), g)
             except np.linalg.LinAlgError:
                 return w, logpi
-            alpha = 1.0
-            w_new = w
-            q_new = q_old
-            for _ in range(_IRLS_MAX_HALVINGS + 1):
+            # Q1 is concave, so the trial w - alpha step raises it by at most
+            # alpha gain, gain = -g.step = -g'H^-1 g >= 0 (Newton decrement)
+            gain, step = -float(g @ step), step.reshape(K - 1, q1)
+            alpha, w_new, q_new = 1.0, w, q_old
+            while True:
                 cand = np.zeros((K, q1))
                 np.subtract(w[:-1], alpha * step, out=cand[:-1])
                 logpi_cand = _log_proportions(cand, V)
@@ -326,6 +328,8 @@ def _irls_solve(
                     w_new, q_new, logpi = cand, q_cand, logpi_cand
                     break
                 alpha *= 0.5
+                if not _IRLS_TOL < alpha * gain < math.inf:
+                    break
             if q_new - q_old <= _IRLS_TOL:
                 return w_new, logpi
             w, q_old = w_new, q_new
@@ -335,11 +339,14 @@ def _irls_solve(
 def irls_solve(w_init: np.ndarray, tau: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Maximize Q1 for n x K responsibilities tau by at most _IRLS_MAX_ITER
     Newton steps with the exact Hessian, until a step raises Q1 by at most
-    _IRLS_TOL. A full step that decreases Q1 is halved (up to
-    _IRLS_MAX_HALVINGS times). An exactly singular Hessian ends the solve at
-    the current w: on separated responsibilities the maximum lies at |w| ->
-    infinity, where the proportions are already hard. Q1 never decreases
-    across accepted iterations."""
+    _IRLS_TOL. Each Newton step d = -H^-1 g first tries the full step and
+    halves a step that does not raise Q1 as long as the halved step could
+    still gain more than _IRLS_TOL: Q1 is concave, so w + alpha d raises it
+    by at most alpha g'd, the Newton decrement times alpha. A line search
+    that ends without raising Q1 ends the solve at the current w, and so
+    does an exactly singular Hessian: on separated responsibilities the
+    maximum lies at |w| -> infinity, where the proportions are already hard.
+    Q1 never decreases across accepted iterations."""
     V = design_matrix(np.asarray(t, dtype=float), w_init.shape[1] - 1)
     # tau is read as (K, n), like the proportions
     tau = np.ascontiguousarray(tau.T)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -11,6 +14,7 @@ from rhlpseg.cli import build_parser, main
 from rhlpseg.core import Signal, TimeMap
 from rhlpseg.errors import LengthMismatchError, ParseError, SchemaError
 from rhlpseg.piecewise import (
+    _block_offsets,
     fisher_dp,
     iterative_fisher,
     multi_start_iterative,
@@ -161,6 +165,37 @@ class TestFitCommands:
                        "--output", str(tmp_path / "o.json"), "--k", "1"])
         assert rc == 2
         assert_one_error_line(capsys, "InfeasibleError")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/status; RLIMIT_AS binds on Linux")
+    def test_a_cost_matrix_past_the_memory_limit_exits_two(self, tmp_path):
+        # fit-dp at n = 12 000 needs a 576 MB cost matrix. The child caps its
+        # own address space at what it maps after importing the CLI plus
+        # 256 MB, so that one allocation fails; the limit binds in the child
+        # only
+        n = 12_000
+        path = tmp_path / "long.csv"
+        x = np.random.default_rng(0).standard_normal(n)
+        path.write_text("t,x\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(x.tolist())))
+        child = (
+            "import resource, sys\n"
+            "from rhlpseg.cli import main\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    vm = next(int(l.split()[1]) * 1024 for l in fh if l.startswith('VmSize:'))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (vm + 2**28, vm + 2**28))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / "o.json"
+        run = subprocess.run(
+            [sys.executable, "-c", child, "fit-dp", "--input", str(path), "--output", str(out),
+             "--k", "3", "--p", "2"], capture_output=True, text=True, env=env, timeout=120)
+        lines = run.stderr.splitlines()
+        assert run.returncode == 2, run.stderr
+        assert len(lines) == 1 and lines[0].startswith("error:InfeasibleError:n=12000 "), lines
+        assert f" {8 * 32 * _block_offsets(n, 4)[-1]} bytes" in lines[0]
+        assert not out.exists()
 
 
 class TestReportRoundTrip:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -527,7 +528,8 @@ def _irls_solve_reference(w_init, tau, V, VV, logpi):
         w_new = w
         q_new = q_old
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(rhlp._IRLS_MAX_HALVINGS + 1):
+            gain = -float(g @ step)
+            while True:
                 cand = _unstack_reference(flat - alpha * step, K, q1 - 1)
                 logpi_cand = rhlp._log_proportions(cand, V)
                 q_cand = float(np.sum(tau * logpi_cand))
@@ -535,6 +537,8 @@ def _irls_solve_reference(w_init, tau, V, VV, logpi):
                     w_new, q_new, logpi = cand, q_cand, logpi_cand
                     break
                 alpha *= 0.5
+                if not rhlp._IRLS_TOL < alpha * gain < np.inf:
+                    break
         if q_new - q_old <= rhlp._IRLS_TOL:
             return w_new, logpi
         w, q_old = w_new, q_new
@@ -613,19 +617,31 @@ class TestCoresEqualTheirReferences:
         w, tau, *_, sig = self.instance(K, q, scale)
         self.assert_irls_equal(w, tau, sig.t)
 
+    @staticmethod
+    def bound_trials(w, tau, V):
+        """The step lengths the first line search of _irls_solve may try:
+        ceil(log2(gain / _IRLS_TOL)), at least 1, for the Newton decrement
+        gain = -g'H^-1 g at w, computed as the solve computes it."""
+        pi = np.exp(rhlp._log_proportions(w, V))
+        g = rhlp._gradient_v(pi, tau[:-1], V)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = -float(g @ np.linalg.solve(rhlp._hessian_v(pi, rhlp._outer_rows(V)), g))
+        return max(1, math.ceil(math.log2(gain / rhlp._IRLS_TOL))) if 0 < gain < math.inf else 1
+
     def test_the_draws_reach_both_early_irls_stops(self, monkeypatch):
-        # at |w| ~ 1e3 some first Newton steps try all 31 step lengths, none
-        # raises Q1, and the solve returns its start; at |w| ~ 1e19 every
-        # proportion is 0 or 1, and the Hessian is exactly singular before
-        # any step is tried
+        # at |w| ~ 1e3 some first Newton steps have a negative gain, from a
+        # Hessian that roundoff leaves indefinite: the full step does not
+        # raise Q1, the bound stops the search there, and the solve returns
+        # its start; at |w| ~ 1e19 every proportion is 0 or 1, and the
+        # Hessian is exactly singular before any step is tried
         tried, log_proportions = [0], rhlp._log_proportions
 
         def counting(w, V):
             tried[0] += 1
             return log_proportions(w, V)
 
-        exhausted, singular = 0, 0
-        for K, q, scale in itertools.product([2, 3, 5], [0, 1, 2], [1e3, 1e19]):
+        bounded, singular = 0, 0
+        for K, q, scale in itertools.product([2, 3, 5], [0, 1, 2], [3e2, 1e3, 3e3, 1e19]):
             w, tau, *_, sig = self.instance(K, q, scale)
             V = design_matrix(sig.t, q)
             logpi = log_proportions(w, V)
@@ -634,9 +650,55 @@ class TestCoresEqualTheirReferences:
                 patch.setattr(rhlp, "_log_proportions", counting)
                 got_w, _ = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V), logpi)
             unmoved = got_w.tobytes() == w.tobytes()
-            exhausted += tried[0] == rhlp._IRLS_MAX_HALVINGS + 1 and unmoved
+            if tried[0] > 0 and unmoved:
+                bounded += tried[0] == self.bound_trials(w, tau, V)
             singular += tried[0] == 0 and unmoved
-        assert exhausted >= 3 and singular >= 9
+        assert bounded >= 3 and singular >= 9
+
+    @pytest.mark.parametrize("K, q", list(itertools.product([2, 3, 5], [0, 1, 2])))
+    @pytest.mark.parametrize("scale", [0.5, 10.0])
+    def test_a_search_that_raises_nothing_stops_at_the_bound(self, monkeypatch, K, q, scale):
+        # under a _log_proportions whose every trial gives Q1 = -inf, no step
+        # length raises Q1: the first search tries the full step and its
+        # halvings down to where alpha gain <= _IRLS_TOL, no further, and
+        # the solve returns its start
+        w, tau, *_, sig = self.instance(K, q, scale)
+        V = design_matrix(sig.t, q)
+        logpi = rhlp._log_proportions(w, V)
+        want = self.bound_trials(w, tau, V)
+        tried, log_proportions = [0], rhlp._log_proportions
+
+        def rejected(w, V):
+            tried[0] += 1
+            return log_proportions(w, V) - np.inf
+
+        monkeypatch.setattr(rhlp, "_log_proportions", rejected)
+        got_w, got_logpi = rhlp._irls_solve(w, tau, V, rhlp._outer_rows(V), logpi)
+        assert tried[0] == want > 1
+        assert got_w.tobytes() == w.tobytes() and got_logpi is logpi
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_a_non_finite_gain_gets_the_full_step_only(self, monkeypatch, K):
+        # times up to 1e160: the squared times in the Hessian overflow, the
+        # Newton step and its gain are NaN, and after the full step fails
+        # the solve returns its start
+        t = np.linspace(0.0, 1e160, 50)
+        V = design_matrix(t, 1)
+        with np.errstate(over="ignore"):
+            VV = rhlp._outer_rows(V)
+        w = np.zeros((K, 2))
+        tau = np.ascontiguousarray(np.random.default_rng(K).dirichlet(np.ones(K), 50).T)
+        logpi = rhlp._log_proportions(w, V)
+        tried, log_proportions = [0], rhlp._log_proportions
+
+        def counting(w, V):
+            tried[0] += 1
+            return log_proportions(w, V)
+
+        monkeypatch.setattr(rhlp, "_log_proportions", counting)
+        got_w, got_logpi = rhlp._irls_solve(w, tau, V, VV, logpi)
+        assert tried[0] == 1
+        assert got_w.tobytes() == w.tobytes() and got_logpi is logpi
 
     @pytest.mark.parametrize("K, q", list(itertools.product([2, 3, 5], [1, 2])))
     @pytest.mark.parametrize("c", [30.0, 1e5])
