@@ -118,7 +118,7 @@ class PiecewiseFit:
     @property
     def log_likelihood(self) -> float:
         """Gaussian log-likelihood of the fit, -(J + n log 2 pi) / 2."""
-        return -0.5 * (self.criterion_j + self.partition.n * np.log(2.0 * np.pi))
+        return float(-0.5 * (self.criterion_j + self.partition.n * np.log(2.0 * np.pi)))
 
     def expectation(self, t) -> np.ndarray:
         """Fitted mean curve at the signal times t: the active segment's
@@ -232,12 +232,21 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     the span itself overflows. fisher_dp's fit time u has span 5 and gets
     factor 1.
 
-    A start with m rows has weights D_0..D_{m-1} and no others: rotation
-    m - 1 meets D_{m-1} = 0, so cbar = 0 and w = 0, and rotation i > m - 1
-    is then the identity on that start, so it runs only on the starts with
-    more than i rows. The exception is a start whose rotation m - 1 met
-    e = 0 with w != 0: from then on that start and every older one run
-    every rotation.
+    Column j runs in blocks of 32, columns j in [32k, 32k + 32), and every
+    rotation of a column runs on all starts a < L = min(32k + 32, n), with
+    no per-start bounds: padding makes each rotation the identity on a
+    start that has no row for it. A start with m rows has weights
+    D_0..D_{m-1}; its D_i for i >= m hold 1, and rotation m - 1, which
+    meets D_{m-1} = 0 (set just before it), leaves w = 0. Rotation i > m - 1
+    then takes e = 1, cbar = 1 and sbar = 0 and leaves that start as it
+    was. The starts a > j, which have no row yet, read the m-indexed
+    vectors past m = 0, padded with 1/m = 0 and w = 0, and stay at their
+    zero factor. The exception is a start whose rotation m - 1 meets e = 0
+    with w != 0: its w stays nonzero, so its D_i for i >= m are set to 0
+    there, once, and each later rotation updates them. Where the rotations
+    overflow, as where a gap's square is subnormal and a pivot nearly zero,
+    a start's residual sum of squares, which only accumulates, ends
+    non-finite: NumericalError names p and the times.
     """
     _check_orders(1, p, 1)
     min_len = default_min_segment_length(p)
@@ -253,75 +262,87 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
         raise InfeasibleError(f"n={n} needs a cost matrix of {8 * _DP_BLOCK * offsets[-1]} "
                               "bytes, more than this process can allocate") from None
     # R[:, :, a]: the factor of start a, D_i on the diagonal and Rbar_i right
-    # of it; D_0 is never read, so it is not stored
+    # of it; D_0 is never read, so it is not stored, and D_i holds 1 until
+    # the start's (i+1)-th row arrives
     R = np.zeros((d, d + 1, n))
+    for i in range(1, d):
+        R[i, i] = 1.0
     sse = np.zeros(n)
     # start a of column j holds m = j + 1 - a rows; the vectors indexed by m
-    # run from m = n down to 1, so column j reads their last j + 1 entries
-    m = np.arange(n, 0, -1, dtype=float)
-    inv_m = 1.0 / m
-    w_m = (m - 1) / m  # the weight after rotation 0
+    # run from m = n down to 1 - _DP_BLOCK, so column j reads them from
+    # n - 1 - j on, and 1/m and w are 0 for m <= 0
+    m = np.arange(n, -_DP_BLOCK, -1, dtype=float)
+    inv_m, w_m = np.zeros((2, n + _DP_BLOCK))
+    inv_m[:n] = 1.0 / m[:n]
+    w_m[:n] = (m[:n] - 1) / m[:n]  # the weight after rotation 0
     # the incoming row of every start; row 0, the all-ones column, is never
     # read, since rotation 0 against it is in closed form
     v_all = np.empty((d + 1, n))
-    w_all = np.empty(n)  # and its weight
-    wv_all, e_all, c_all, s_all = np.empty((4, n))
+    w_all, wv_all, e_all, c_all, s_all = np.empty((5, n))
     sv_all = np.empty((d, n))
     vR_all = np.empty((d, n))
-    deficient = -1  # the newest start whose rotation m - 1 met e = 0, w != 0
-    # x/0 where e = 0, replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n):
-            k0 = n - 1 - j  # column j's offset into the vectors indexed by m
-            Rj = R[:, :, : j + 1]
-            v = v_all[:, : j + 1]
-            w = w_all[: j + 1]
-            if d > 1:
-                dt = np.subtract(t[j], t[: j + 1], out=v[1])
-                for k in range(2, d):
-                    np.multiply(v[k - 1], dt, out=v[k])
-            np.subtract(x[j], x[: j + 1], out=v[d])
-            # rotation 0: the running mean of every column right of the ones
-            R0, v0 = Rj[0, 1:], v[1:]
-            v0 -= R0
-            R0 += np.multiply(v0, inv_m[k0:], out=sv_all[:d, : j + 1])
-            w[...] = w_m[k0:]
-            for i in range(1, d):
-                # rotation i changes only the starts a < starts
-                starts = max(j + 1 - i, deficient + 1)
-                if starts <= 0:
-                    break
-                Dii, vii, wi = Rj[i, i, :starts], v[i, :starts], w[:starts]
-                wv = np.multiply(wi, vii, out=wv_all[:starts])
-                e = np.multiply(wv, vii, out=e_all[:starts])
-                e += Dii
-                c = np.divide(Dii, e, out=c_all[:starts])
-                s = np.divide(wv, e, out=s_all[:starts])
-                if np.count_nonzero(e) != starts:
-                    zero = e == 0
-                    c[zero] = 1.0
-                    s[zero] = 0.0
-                    # start j - i has m = i + 1 rows
-                    if j >= i and zero[j - i] and wi[j - i] != 0:
-                        deficient = max(deficient, j - i)
-                Dii[...] = e
-                wi *= c
-                # Miller's order: both updates read the old Rbar_ik and v_k
-                Ri, vi = Rj[i, i + 1 :, :starts], v[i + 1 :, :starts]
-                sv = np.multiply(vi, s, out=sv_all[: d - i, :starts])
-                vR = np.multiply(Ri, vii, out=vR_all[: d - i, :starts])
-                vi -= vR
-                Ri *= c
-                Ri += sv
-            vd2 = np.multiply(v[d], v[d], out=wv_all[: j + 1])
-            vd2 *= w
-            sse[: j + 1] += vd2
-            feasible = j + 2 - min_len  # starts a with j + 1 - a >= min_len
-            if feasible > 0:
-                block, col = divmod(j + 1, _DP_BLOCK)
-                r0 = offsets[block]
-                _floored_cost(sse[:feasible], m[k0 : k0 + feasible], signal,
-                              out=out[r0 : r0 + feasible, col])
+    zeroed = set()  # the starts whose rotation m - 1 met e = 0 with w != 0
+    # x/0 where e = 0, replaced below; overflow is checked on sse at the end
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j0 in range(0, n, _DP_BLOCK):
+            L = min(j0 + _DP_BLOCK, n)
+            tL, xL, sseL = t[:L], x[:L], sse[:L]
+            v, w, wv, e, c, s = v_all[:, :L], w_all[:L], wv_all[:L], e_all[:L], c_all[:L], s_all[:L]
+            R0, v0, sv0 = R[0, 1:, :L], v[1:], sv_all[:, :L]
+            rotations = [(R[i, i, :L], v[i], R[i, i + 1 :, :L], v[i + 1 :],
+                          sv_all[: d - i, :L], vR_all[: d - i, :L]) for i in range(1, d)]
+            for j in range(j0, L):
+                k0 = n - 1 - j  # column j's offset into the vectors indexed by m
+                if d > 1:
+                    np.subtract(t[j], tL, out=v[1])
+                    for k in range(2, d):
+                        np.multiply(v[k - 1], v[1], out=v[k])
+                np.subtract(x[j], xL, out=v[d])
+                # rotation 0: the running mean of every column right of the ones
+                v0 -= R0
+                R0 += np.multiply(v0, inv_m[k0 : k0 + L], out=sv0)
+                wj = w_m[k0 : k0 + L]
+                for i, (Dii, vii, Ri, vi, sv, vR) in enumerate(rotations, 1):
+                    a = j - i  # the start that gets its (i+1)-th row
+                    if a >= 0 and a not in zeroed:
+                        Dii[a] = 0.0
+                    np.multiply(wj, vii, out=wv)
+                    np.multiply(wv, vii, out=e)
+                    e += Dii
+                    np.divide(Dii, e, out=c)
+                    np.divide(wv, e, out=s)
+                    if np.count_nonzero(e) != L:
+                        zero = e == 0
+                        c[zero] = 1.0
+                        s[zero] = 0.0
+                        if a >= 0 and zero[a] and wj[a] != 0 and a not in zeroed:
+                            zeroed.add(a)
+                            for later in rotations[i:]:
+                                later[0][a] = 0.0
+                    Dii[...] = e
+                    wj = np.multiply(wj, c, out=w)
+                    # Miller's order: both updates read the old Rbar_ik and v_k
+                    np.multiply(vi, s, out=sv)
+                    np.multiply(Ri, vii, out=vR)
+                    vi -= vR
+                    Ri *= c
+                    Ri += sv
+                vd2 = np.multiply(v[d], v[d], out=wv)
+                vd2 *= wj
+                sseL += vd2
+                feasible = j + 2 - min_len  # starts a with j + 1 - a >= min_len
+                if feasible > 0:
+                    block, col = divmod(j + 1, _DP_BLOCK)
+                    r0 = offsets[block]
+                    _floored_cost(sse[:feasible], m[k0 : k0 + feasible], signal,
+                                  out=out[r0 : r0 + feasible, col])
+    # the starts a <= n - min_len, which hold a feasible cost
+    bad = np.flatnonzero(~np.isfinite(sse[: max(n + 1 - min_len, 0)]))
+    if len(bad):
+        a = bad[0]
+        raise NumericalError(f"segment costs overflow at degree {p}: the rotations from sample "
+                             f"{a}, time {signal.t[a]:.3g} of {signal.t[0]:.3g} to "
+                             f"{signal.t[-1]:.3g}, are not finite")
     return out
 
 
@@ -399,7 +420,8 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     dense matrix. Ties in the split argmin go to the smallest index.
     _dp_tables fills levels 1..K-1 for every sample count b and level K at
     b = n only, where J is C[K, n] and the backtrack starts. ValueError for
-    K < 1 or p < 0, InfeasibleError for n < K (p + 2).
+    K < 1 or p < 0, InfeasibleError for n < K (p + 2), NumericalError where
+    the cost matrix's rotations overflow; its message gives fit times u.
 
     J is the paper's criterion, with no penalty. Past the true number of
     segments, the optimum spends the extra ones on segments of the minimum
@@ -416,10 +438,12 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
 
 def _piecewise_fit(problem: FitProblem, model: str, partition: Partition, components,
                    j: float, trace=None) -> PiecewiseFit:
-    """The PiecewiseFit of a fit on problem.signal, mapped back by problem."""
+    """The PiecewiseFit of a fit on problem.signal, mapped back by problem;
+    J and its trace as Python floats."""
     comps = problem.components_to_x([c.beta for c in components], [c.sigma2 for c in components])
-    j_trace = None if trace is None else tuple(map(problem.j_to_x, trace))
-    return PiecewiseFit(partition, comps, problem.j_to_x(j), problem.time_map, model, j_trace)
+    j_trace = None if trace is None else tuple(float(problem.j_to_x(tj)) for tj in trace)
+    return PiecewiseFit(partition, comps, float(problem.j_to_x(j)), problem.time_map, model,
+                        j_trace)
 
 
 def _fixed_param_segmentation(

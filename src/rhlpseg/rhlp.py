@@ -619,7 +619,7 @@ def n_free_parameters(K: int, p: int, q: int) -> int:
 def bic(params: RhlpParams, log_likelihood: float, n: int) -> float:
     """Penalized log-likelihood L - nu log(n)/2."""
     nu = n_free_parameters(params.K, params.p, params.q)
-    return log_likelihood - nu * np.log(n) / 2.0
+    return float(log_likelihood - nu * np.log(n) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,20 @@ class TestFitCommands:
         assert rc == 2
         assert_one_error_line(capsys, "InfeasibleError")
 
+    def test_overflowing_cost_rotations_exit_two_with_one_error_line(self, tmp_path, capsys):
+        # 49 times 1e-156 apart: the squared gaps are subnormal, and the
+        # nearly zero pivots overflow the cost matrix's rotations
+        t = np.concatenate((np.arange(49) * 1e-156, np.linspace(1.5, 4.7, 8)))
+        path, out = tmp_path / "subnormal-gaps.csv", tmp_path / "o.json"
+        save_signal_csv(path, Signal(t, np.random.default_rng(1).normal(size=57)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+            rc = main(["fit-dp", "--input", str(path), "--output", str(out),
+                       "--k", "3", "--p", "2"])
+        assert rc == 2
+        assert_one_error_line(capsys, "NumericalError")
+        assert not out.exists()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads /proc/self/status; RLIMIT_AS binds on Linux")
     def test_a_cost_matrix_past_the_memory_limit_exits_two(self, tmp_path):

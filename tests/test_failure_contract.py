@@ -31,6 +31,7 @@ from rhlpseg import errors
 from rhlpseg.errors import RhlpSegError
 from rhlpseg.piecewise import PiecewiseFit, fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit, select_model
+from rhlpseg.simulate import SITUATION_1, simulate_piecewise
 
 TIMES = {
     "linspace": lambda rng, n: np.linspace(0.0, 5.0, n),
@@ -117,6 +118,19 @@ def test_fits_return_finite_results_or_raise_a_typed_error(times, values, n, K, 
         for entry in table:
             if entry.error is None:
                 assert_finite(entry.bic, entry.log_likelihood)
+
+
+def test_fit_scalars_are_python_floats():
+    # J, its trace, the log-likelihoods and the BICs of every fitter and of
+    # select_model's table, as fisher_dp's J already was
+    signal, _ = simulate_piecewise(SITUATION_1, 120, seed=0)
+    dp, it = fisher_dp(signal, 3, 2), multi_start_iterative(signal, 3, 2, seed=0)
+    report = em_fit(signal, 3, 2, 1, seed=0)
+    best, table = select_model(signal, range(1, 4), [2], 1, seed=0)
+    scalars = [dp.criterion_j, dp.log_likelihood, it.criterion_j, it.log_likelihood, *it.j_trace,
+               report.log_likelihood, report.bic, *report.log_likelihood_trace, best.bic,
+               *(value for entry in table for value in (entry.bic, entry.log_likelihood))]
+    assert [type(value) for value in scalars] == [float] * len(scalars)
 
 
 # constructor arguments of the errors that take more than a message

@@ -118,9 +118,9 @@ def scalar_givens_costs(signal, p):
     scalar square-root-free Givens rotations, all p + 1 of them on every
     row, in the kernel's operand order, with the kernel's closed-form
     rotation 0 and its _floored_cost per column; e = 0 is the identity, and
-    ranges shorter than p + 2 are +inf. Also returns the (rows, i) of every
-    rotation i >= 1 that met e = 0 with w != 0 on a start with more than i
-    rows."""
+    ranges shorter than p + 2 are +inf. Also returns the (rows, i, j) of
+    every rotation i >= 1 that met e = 0 with w != 0 on a start with more
+    than i rows, j the column (the start's newest sample)."""
     n, d, min_len = signal.n, p + 1, default_min_segment_length(p)
     t, x = signal.t, signal.x
     m = np.arange(n, 0, -1, dtype=float)
@@ -148,7 +148,7 @@ def scalar_givens_costs(signal, p):
                 if e == 0:
                     c, s = np.float64(1.0), np.float64(0.0)
                     if rows > i and w != 0:
-                        zero_pivots.append((rows, i))
+                        zero_pivots.append((rows, i, j))
                 else:
                     c, s = R[i, i] / e, wv / e
                 R[i, i] = e
@@ -176,6 +176,17 @@ def tiny_gap_signal():
     return Signal(t, np.random.default_rng(0).normal(size=40))
 
 
+def zero_cluster_signal():
+    """26 times before 0, then 44 times 1e-200 apart from 0, then 30 from 1
+    on: the squared gaps inside the cluster underflow, so each of its starts
+    meets a zero pivot with rows = 2, and keeps rotating, on the columns 27
+    to 69, across the block edges at 32 and 64."""
+    rng = np.random.default_rng(0)
+    t = np.concatenate((-np.cumsum(rng.uniform(0.5, 2, 26))[::-1], np.arange(44) * 1e-200,
+                        1 + np.cumsum(rng.uniform(0.5, 2, 30))))
+    return Signal(t, rng.normal(size=100))
+
+
 def near_duplicate_signal(seed=37):
     """Eight uneven times, every third followed by the next larger double:
     on some starts a row's entry cancels to exactly zero (with seed 37, at
@@ -184,6 +195,18 @@ def near_duplicate_signal(seed=37):
     base = np.cumsum(rng.uniform(0.5, 2, 8))
     t = np.sort(np.concatenate((base, np.nextafter(base[::3], np.inf))))
     return Signal(t, rng.normal(size=len(t)))
+
+
+def embedded_near_duplicate_signal():
+    """near_duplicate_signal() with 60 samples before it and 29 after, 100
+    in all. Its times and values keep their bits, and the pass's scale
+    changes by a power of two, so its start that meets e = 0 with w != 0 at
+    rotation 3, with 4 rows, does so here at column 65."""
+    core = near_duplicate_signal()
+    rng = np.random.default_rng(1)
+    t = np.concatenate((-np.cumsum(rng.uniform(0.5, 2, 60))[::-1], core.t,
+                        core.t[-1] + np.cumsum(rng.uniform(0.5, 2, 29))))
+    return Signal(t, np.concatenate((rng.normal(size=60), core.x, rng.normal(size=29))))
 
 
 def exact_sse(columns, y):
@@ -460,7 +483,23 @@ class TestCostMatrix:
     def test_zero_pivots_match_scalar_givens(self, make, p, rows_at_zero):
         sig = make()
         ref, zero_pivots = scalar_givens_costs(sig, p)
-        assert any(rows_at_zero(rows, i) for rows, i in zero_pivots)
+        assert any(rows_at_zero(rows, i) for rows, i, _ in zero_pivots)
+        assert np.array_equal(dense_cost_matrix(sig, p), ref)
+
+    @pytest.mark.parametrize("make, p", [
+        (make, p) for make in (zero_cluster_signal, embedded_near_duplicate_signal)
+        for p in range(5)])
+    def test_zero_pivots_past_the_first_block_match_scalar_givens(self, make, p):
+        # the pass binds its views once per 32-column block and runs every
+        # rotation on all of the block's starts. A start that meets a zero
+        # pivot with rows = i + 1 and w != 0 keeps rotating: on the zero
+        # cluster at p >= 1 across the block edges at 32 and 64, and on the
+        # embedded near duplicates at p >= 3 from column 65 on, where at
+        # p = 4 its rotation 4 moves D_4
+        sig = make()
+        ref, zero_pivots = scalar_givens_costs(sig, p)
+        if p >= (1 if make is zero_cluster_signal else 3):
+            assert max(j for rows, i, j in zero_pivots if rows == i + 1) >= 64
         assert np.array_equal(dense_cost_matrix(sig, p), ref)
 
     @pytest.mark.parametrize("seed", [22, 37])
@@ -729,6 +768,21 @@ class TestFisherDp:
         g = fit.partition.gamma
         j = sum(segment_cost(sig, a, b, 1)[0] for a, b in zip(g, g[1:]))
         assert j == pytest.approx(fit.criterion_j, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_overflowing_rotations_raise_numerical_error(self, seed, p):
+        # 49 times 1e-156 apart: their squared gaps are subnormal, not zero,
+        # so a pivot that is nearly zero overflows the rotations. J would be
+        # NaN, or the backtrack would fail on NaN costs; the iterative fit,
+        # whose segment fits are lstsq's, fits the same signal
+        t = np.concatenate((np.arange(49) * 1e-156, np.linspace(1.5, 4.7, 8)))
+        sig = Signal(t, np.random.default_rng(seed).normal(size=57))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"at degree {p}: "):
+                fisher_dp(sig, 3, p)
+            assert np.isfinite(multi_start_iterative(sig, 3, p, seed=0).criterion_j)
 
     def test_infeasible_raises(self):
         sig = Signal(np.arange(5.0), np.zeros(5))
