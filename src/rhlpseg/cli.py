@@ -249,7 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("select-model", help="BIC sweep over (K, p) at fixed q; the cells run "
                         "on every CPU the process may run on (taskset limits them), "
-                        "with the same results for any CPU count")
+                        "with the same results for any CPU count",
+                        description="BIC sweep over (K, p) at fixed q. The cells run in "
+                        "worker processes, one per CPU the process may run on (taskset "
+                        "limits them), with the same table and report for any CPU count. "
+                        "The library keeps its workers for later sweeps; this command "
+                        "runs one sweep, so they end when it exits.")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True, help="BIC table CSV")
     sp.add_argument("--report-output", default=None, help="best fit report JSON")

@@ -183,7 +183,7 @@ def _block_offsets(n: int, min_len: int) -> list[int]:
     return [0, *np.cumsum(np.maximum(top, 0)).tolist()]
 
 
-def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
+def build_cost_matrix(signal: Signal, p: int, *, _times=None) -> np.ndarray:
     """One-segment costs, packed in the 32-column blocks that _dp_tables
     reads; the dense entry (a, b) is the cost of fitting samples (a, b].
     Ranges shorter than the p + 2 samples a piecewise fit needs
@@ -246,7 +246,8 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     there, once, and each later rotation updates them. Where the rotations
     overflow, as where a gap's square is subnormal and a pivot nearly zero,
     a start's residual sum of squares, which only accumulates, ends
-    non-finite: NumericalError names p and the times.
+    non-finite: NumericalError names p, the start and the times, those of
+    signal or, for a fit signal, the private _times its samples came from.
     """
     _check_orders(1, p, 1)
     min_len = default_min_segment_length(p)
@@ -339,10 +340,9 @@ def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     # the starts a <= n - min_len, which hold a feasible cost
     bad = np.flatnonzero(~np.isfinite(sse[: max(n + 1 - min_len, 0)]))
     if len(bad):
-        a = bad[0]
+        a, t = bad[0], signal.t if _times is None else _times
         raise NumericalError(f"segment costs overflow at degree {p}: the rotations from sample "
-                             f"{a}, time {signal.t[a]:.3g} of {signal.t[0]:.3g} to "
-                             f"{signal.t[-1]:.3g}, are not finite")
+                             f"{a}, time {t[a]:.3g} of {t[0]:.3g} to {t[-1]:.3g}, are not finite")
     return out
 
 
@@ -421,7 +421,8 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     _dp_tables fills levels 1..K-1 for every sample count b and level K at
     b = n only, where J is C[K, n] and the backtrack starts. ValueError for
     K < 1 or p < 0, InfeasibleError for n < K (p + 2), NumericalError where
-    the cost matrix's rotations overflow; its message gives fit times u.
+    the cost matrix's rotations overflow; its message gives the times of
+    signal, not fit times u.
 
     J is the paper's criterion, with no penalty. Past the true number of
     segments, the optimum spends the extra ones on segments of the minimum
@@ -430,7 +431,8 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     some nearly interpolate, which lowers J."""
     min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
     problem = FitProblem.of(signal)
-    C, H = _dp_tables(build_cost_matrix(problem.signal, p), signal.n, K, min_len)
+    C, H = _dp_tables(build_cost_matrix(problem.signal, p, _times=signal.t), signal.n, K,
+                      min_len)
     partition = _backtrack(H, K, signal.n)
     components, _ = _refit(problem.signal, p, partition)
     return _piecewise_fit(problem, "piecewise_dp", partition, components, float(C[K, signal.n]))

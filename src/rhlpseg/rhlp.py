@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -644,39 +646,180 @@ def _fit_cell(signal: Signal, K: int, p: int, q: int, seed: int | None) -> FitRe
         return str(exc)
 
 
+class _RemoteTraceback(Exception):
+    """The traceback of an exception raised in a worker, set as its
+    __cause__."""
+
+
+def _watch_parent(parent: int) -> None:
+    """End this worker within 0.5 s of its parent's death, also mid-cell."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _serve(conn, parent: int) -> None:
+    """A select_model worker: fit each cell that conn brings and send back
+    (True, report or message) or (False, exception, traceback). Ctrl-C
+    interrupts the caller only, which then ends its workers."""
+    import signal as signals
+    import traceback
+
+    signals.signal(signals.SIGINT, signals.SIG_IGN)
+    threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
+    try:
+        while True:
+            signal, K, p, q, seed = conn.recv()
+            try:
+                reply = True, _fit_cell(signal, K, p, q, seed)
+            except BaseException as exc:
+                reply = False, exc, traceback.format_exc()
+            try:
+                conn.send(reply)
+            except Exception as exc:  # a result or exception that does not pickle
+                conn.send((False, exc, traceback.format_exc()))
+    except (EOFError, OSError):  # the parent is gone
+        pass
+
+
+def _stop_workers(procs, conns) -> None:
+    """The finalizer of _Workers: end its processes and close its pipes."""
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.join()
+    for conn in conns:
+        conn.close()
+
+
+class _Workers:
+    """One forked worker process per CPU, kept for every later multi-CPU
+    sweep of the process that forked them."""
+
+    def __init__(self, cpus: int):
+        import multiprocessing
+        import multiprocessing.util
+
+        context = multiprocessing.get_context("fork")
+        self.cpus, self.procs, self.conns = cpus, [], []
+        # it runs when this object is dropped, and at exit before the join of
+        # a multiprocessing child's children, which would wait on the workers
+        self.stop = multiprocessing.util.Finalize(self, _stop_workers,
+                                                  (self.procs, self.conns), exitpriority=0)
+        for _ in range(cpus):
+            conn, child_conn = context.Pipe()
+            self.conns.append(conn)
+            proc = context.Process(target=_serve, args=(child_conn, os.getpid()))
+            proc.start()
+            self.procs.append(proc)
+            child_conn.close()
+
+    def run(self, signal: Signal, cells: list[tuple[int, int]], q: int,
+            seed: int | None) -> tuple[list, BaseException | None]:
+        """_fit_cell of every cell, started largest K (p+1) first, and the
+        exception of the first raising cell in the order of cells, or None.
+        No cell after a raising one in that order starts, and every started
+        cell has ended on return. EOFError or OSError where a worker is
+        lost."""
+        from multiprocessing.connection import wait
+
+        pending = iter(sorted(range(len(cells)), key=lambda i: -cells[i][0] * (cells[i][1] + 1)))
+        results, first, error = [None] * len(cells), len(cells), None
+        idle, busy = list(self.conns), {}
+        while True:
+            while idle:
+                i = next((i for i in pending if i < first), None)
+                if i is None:
+                    break
+                conn = idle.pop()
+                conn.send((signal, *cells[i], q, seed))
+                busy[conn] = i
+            if not busy:
+                return results, error
+            for conn in wait(list(busy)):
+                i = busy.pop(conn)
+                ok, value, *remote = conn.recv()
+                idle.append(conn)
+                if ok:
+                    results[i] = value
+                elif i < first:
+                    first, error = i, value
+                    error.__cause__ = _RemoteTraceback(remote[0])
+
+
+_workers: _Workers | None = None  # made at this process's first multi-CPU sweep
+_workers_lock = threading.Lock()  # one sweep at a time uses them
+
+
+def _reset_workers() -> None:
+    """End this process's workers; the next multi-CPU sweep forks fresh ones,
+    which run the package as it is then."""
+    global _workers
+    if _workers is not None:
+        _workers.stop()
+        _workers = None
+
+
+def _forget_workers() -> None:
+    """In a forked child: the parent's workers and lock are not its own."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
 def _fit_cells(
     signal: Signal, cells: list[tuple[int, int]], q: int, seed: int | None
 ) -> list[FitReport | str]:
     """_fit_cell of every (K, p) cell, in the order of cells. The cells run
-    in forked worker processes, one per CPU this process may run on and at
-    most one per cell, the largest K (p+1) first, each cell sent with its
-    own pickled copy of the signal; the pool is shut down before this
-    returns or raises. They run in-process instead with one CPU
-    or one cell, where os.sched_getaffinity is missing (Windows, which has
-    no fork, and macOS, where fork is unsafe), and in a daemonic process,
-    which may not start children. Either way a non-fit exception
-    is raised for the first failing cell in cell order, as a serial loop
-    raises it."""
-    # imported here: they add about 13 ms and 1 MB to the package import,
+    in forked worker processes, one per CPU this process may run on, the
+    largest K (p+1) first, each cell sent with its own pickled copy of the
+    signal. The workers are forked at the first such sweep and kept for the
+    later ones; they run the package code, warnings filters and numpy error
+    state of their start. Workers sized for another CPU count, or one of
+    which was lost, are replaced by fresh ones. They end with the
+    interpreter (multiprocessing's exit handler), or within a second of
+    its death. The cells run in-process instead with one CPU or one cell, where
+    os.sched_getaffinity is missing (Windows, which has no fork, and macOS,
+    where fork is unsafe), and in a daemonic process, which may not start
+    children. Either way a non-fit exception is raised for the first
+    failing cell in cell order, as a serial loop raises it, once no cell
+    still runs."""
+    # imported here: it adds about 13 ms and 1 MB to the package import,
     # which every other fit would pay
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
+    global _workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(cells))
-    if workers < 2 or multiprocessing.current_process().daemon:
+    if min(cpus, len(cells)) < 2 or multiprocessing.current_process().daemon:
         return [_fit_cell(signal, K, p, q, seed) for K, p in cells]
-    # fork, not spawn: a spawned worker imports numpy and the package afresh,
-    # which takes longer than a whole sweep at n = 500
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        futures = [None] * len(cells)
-        for i in sorted(range(len(cells)), key=lambda i: -cells[i][0] * (cells[i][1] + 1)):
-            futures[i] = pool.submit(_fit_cell, signal, *cells[i], q, seed)
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    with _workers_lock:
+        while True:
+            if _workers is not None and _workers.cpus != cpus:
+                _reset_workers()
+            fresh = _workers is None
+            if fresh:
+                # fork, not spawn: a spawned worker imports numpy and the
+                # package afresh, which takes longer than a sweep at n = 500
+                _workers = _Workers(cpus)
+            try:
+                results, error = _workers.run(signal, cells, q, seed)
+                break
+            except (EOFError, OSError) as exc:  # a worker lost
+                _reset_workers()
+                if fresh:
+                    from concurrent.futures.process import BrokenProcessPool
+
+                    raise BrokenProcessPool("a select_model worker was lost") from exc
+                # lost before this sweep: once more on fresh workers
+            except BaseException:  # such as KeyboardInterrupt: cells may still run
+                _reset_workers()
+                raise
+    if error is not None:
+        raise error
+    return results
 
 
 def select_model(
@@ -700,10 +843,14 @@ def select_model(
     in-process with one CPU or one cell, or where os.sched_getaffinity is
     missing (Windows, macOS). The table, the selected fit and every
     report are identical for any CPU count, since each cell is one em_fit
-    call with the same seed. A warning raised inside a worker prints to the
-    inherited stderr, but the caller's warnings.catch_warnings(record=True)
-    does not record it; an "error" filter is inherited, so it still
-    raises."""
+    call with the same seed. The workers are forked at the first sweep that
+    uses them and kept for the later sweeps of the process, so they run the
+    package code, the warnings filters and numpy's error state as of that
+    first sweep; a changed CPU count or a lost worker starts fresh ones, and
+    they end with the interpreter, or within a second of its death. A
+    warning raised inside a worker prints to the inherited stderr, but the
+    caller's warnings.catch_warnings(record=True) does not record it; an
+    "error" filter set before the workers started still raises there."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -177,7 +178,11 @@ class TestFitCommands:
             rc = main(["fit-dp", "--input", str(path), "--output", str(out),
                        "--k", "3", "--p", "2"])
         assert rc == 2
-        assert_one_error_line(capsys, "NumericalError")
+        err = capsys.readouterr().err
+        assert err.startswith("error:NumericalError:") and err.count("\n") == 1, err
+        # the CSV's own times, which run from 0 to 4.7, not fit times u
+        a = int(re.search(r"the rotations from sample (\d+), ", err).group(1))
+        assert f"sample {a}, time {t[a]:.3g} of 0 to 4.7, are not finite" in err, err
         assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),

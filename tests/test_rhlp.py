@@ -3,7 +3,13 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1079,7 +1085,70 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def worker_pids():
+    """The pids of select_model's workers in this process; none before the
+    first multi-CPU sweep."""
+    return [] if rhlp._workers is None else [proc.pid for proc in rhlp._workers.procs]
+
+
+def assert_only_the_shared_workers(cpus):
+    """This process's only children are select_model's workers, one per CPU
+    and all alive, or none with one CPU."""
+    pids = worker_pids()
+    assert len(pids) == (cpus if cpus > 1 else 0)
+    assert sorted(proc.pid for proc in multiprocessing.active_children()) == sorted(pids)
+
+
+def logging_stub(log, fail=(), sleep=None):
+    """An em_fit stand-in that appends "start K pid" and "end K pid" lines
+    to the file log, raises LookupError(K) for K in fail, and sleeps
+    sleep.get(K, 0) seconds first."""
+    def stub(signal, K, p, q, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"start {K} {os.getpid()}\n")
+        try:
+            time.sleep((sleep or {}).get(K, 0))
+            if K in fail:
+                raise LookupError(K)
+            return SimpleNamespace(K=K, p=p, bic=float(K), log_likelihood=0.0, converged=True)
+        finally:
+            with open(log, "a") as fh:
+                fh.write(f"end {K} {os.getpid()}\n")
+
+    return stub
+
+
+def read_log(log):
+    """(event, K, pid) of every line of a logging_stub log."""
+    with open(log) as fh:
+        return [(event, int(K), int(pid)) for event, K, pid in map(str.split, fh)]
+
+
+# a fresh interpreter that runs two select_model sweeps on two CPUs, prints
+# its workers' pids and then exits, or SIGKILLs itself with argv[1] == "kill"
+SWEEPS_THEN_EXIT = """
+import os, signal, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from rhlpseg import rhlp
+from rhlpseg.simulate import SITUATION_1, simulate_piecewise
+sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+for _ in range(2):
+    rhlp.select_model(sig, [1, 2, 3], [2], 1, seed=0)
+print(*(proc.pid for proc in rhlp._workers.procs), flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
 class TestSelectModel:
+    @pytest.fixture(autouse=True)
+    def fresh_workers(self):
+        # workers run the package as it was when they were forked, and these
+        # tests patch it, so each test forks its own and ends them after
+        rhlp._reset_workers()
+        yield
+        rhlp._reset_workers()
+
     def test_contract_on_single_component_data(self):
         rng = np.random.default_rng(17)
         t = np.linspace(0, 5, 120)
@@ -1150,7 +1219,7 @@ class TestSelectModel:
         use_cpus(monkeypatch, cpus)
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
         best, table = select_model(sig, K_range=[1, 2, 3, 6], p_range=[2, 8], q=1, seed=0)
-        assert multiprocessing.active_children() == []
+        assert_only_the_shared_workers(cpus)
         expected, reports = [], {}
         for K, p in itertools.product([1, 2, 3, 6], [2, 8]):
             try:
@@ -1176,7 +1245,7 @@ class TestSelectModel:
         best, _ = select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
         assert best.K == 3
         assert (best.pid == os.getpid()) == (cpus == 1)
-        assert multiprocessing.active_children() == []
+        assert_only_the_shared_workers(cpus)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("error", [LookupError, NonMonotonicTimeError])
@@ -1196,7 +1265,7 @@ class TestSelectModel:
         with pytest.raises(error) as info:
             select_model(sig, K_range=range(1, 6), p_range=[2], q=1)
         assert type(info.value) is error and str(info.value) == str(error(2))
-        assert multiprocessing.active_children() == []
+        assert_only_the_shared_workers(cpus)
 
     @pytest.mark.parametrize("K_range, p_range, q", [([3, 4, 0], [2], 1), ([1], [2, -1], 1),
                                                      ([1, 2], [2], -1)],
@@ -1239,3 +1308,174 @@ class TestSelectModel:
         proc.join(10)
         assert proc.exitcode == 0
         assert got == bits(select_model(sig, [1, 2], [2], 1, seed=0)[1])
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_sweeps_reuse_one_worker_per_cpu(self, monkeypatch, tmp_path, cpus):
+        log = tmp_path / "cells.log"
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(rhlp, "em_fit", logging_stub(log, sleep={6: 0.2}))
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        select_model(sig, K_range=range(1, 7), p_range=[2], q=1)
+        pids = worker_pids()
+        assert_only_the_shared_workers(cpus)
+        best, table = select_model(sig, K_range=range(1, 7), p_range=[2], q=1)
+        assert best.K == 6 and [e.K for e in table] == list(range(1, 7))
+        assert worker_pids() == pids
+        assert_only_the_shared_workers(cpus)
+        ran = read_log(log)
+        assert len(ran) == 2 * 2 * 6
+        # K = 6 holds one worker for 0.2 s, so another fits the rest
+        assert 1 < len({pid for _, _, pid in ran}) <= cpus
+        assert {pid for _, _, pid in ran} <= set(pids)
+
+    def test_a_worker_lost_between_sweeps_is_replaced(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        first = select_model(sig, K_range=range(1, 5), p_range=[2], q=1, seed=0)
+        lost = rhlp._workers.procs[0]
+        os.kill(lost.pid, signal.SIGKILL)
+        lost.join(10)
+        assert lost.exitcode == -signal.SIGKILL
+        again = select_model(sig, K_range=range(1, 5), p_range=[2], q=1, seed=0)
+        assert bits(again) == bits(first)
+        assert lost.pid not in worker_pids()
+        assert_only_the_shared_workers(2)
+
+    def test_a_changed_cpu_count_starts_fresh_workers(self, monkeypatch):
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        tables, pids = [], []
+        for cpus in (2, 3, 1, 2):
+            use_cpus(monkeypatch, cpus)
+            tables.append(bits(select_model(sig, K_range=range(1, 5), p_range=[2], q=1, seed=0)))
+            pids.append(set(worker_pids()))
+        assert tables[1:] == tables[:-1]
+        # one CPU fits in-process and keeps the three workers
+        assert [len(p) for p in pids] == [2, 3, 3, 2] and pids[2] == pids[1]
+        assert not pids[0] & pids[1] and not pids[1] & pids[3]
+        assert_only_the_shared_workers(2)
+
+    def test_threads_take_turns_with_the_workers(self, monkeypatch):
+        # four threads sweep at once on three workers, more than this
+        # machine's cores may be; each must get its own signal's table
+        use_cpus(monkeypatch, 3)
+        signals = [simulate_piecewise(SITUATION_1, 60, seed=seed)[0] for seed in range(4)]
+        expected = [bits(select_model(sig, range(1, 5), [2], 1, seed=0)) for sig in signals]
+        got = [[] for _ in signals]
+
+        def sweep(i):
+            for _ in range(2):
+                got[i].append(bits(select_model(signals[i], range(1, 5), [2], 1, seed=0)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(signals))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[e, e] for e in expected]
+        assert_only_the_shared_workers(3)
+
+    @pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
+    def test_a_cell_that_ends_its_worker_raises_broken_process_pool(self, monkeypatch,
+                                                                     reused):
+        # fresh workers that lose one raise at once; reused ones are replaced
+        # first, as if the worker had been lost before the sweep
+        def stub(sig, K, p, q, **kwargs):
+            if K == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return SimpleNamespace(K=K, p=p, bic=0.0, log_likelihood=0.0, converged=True)
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        if reused:
+            select_model(sig, K_range=[1, 2], p_range=[2], q=1)
+        with pytest.raises(BrokenProcessPool):
+            select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
+        assert rhlp._workers is None
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_sweep_raises_once_no_cell_runs(self, monkeypatch, tmp_path):
+        # K = 5 starts first and runs on after K = 4 fails; K = 3 and the
+        # cells before it may still fail first, so they run too
+        log = tmp_path / "cells.log"
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(rhlp, "em_fit", logging_stub(log, fail={4}, sleep={5: 0.4, 3: 0.2}))
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(LookupError, match="^4$"):
+            select_model(sig, K_range=range(1, 6), p_range=[2], q=1)
+        ran = read_log(log)
+        started = sorted(K for event, K, _ in ran if event == "start")
+        assert started == [1, 2, 3, 4, 5]
+        assert sorted(K for event, K, _ in ran if event == "end") == started
+        assert_only_the_shared_workers(3)
+
+    def test_cells_after_a_known_failure_do_not_start(self, monkeypatch, tmp_path):
+        # the table runs from K = 7 down, in the order the cells start; K = 6
+        # fails while K = 7 still runs, so no later cell starts
+        log = tmp_path / "cells.log"
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(rhlp, "em_fit", logging_stub(log, fail={6}, sleep={7: 0.3}))
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with pytest.raises(LookupError, match="^6$"):
+            select_model(sig, K_range=range(7, 0, -1), p_range=[2], q=1)
+        ran = read_log(log)
+        assert sorted(K for event, K, _ in ran if event == "start") == [6, 7]
+        assert sorted(K for event, K, _ in ran if event == "end") == [6, 7]
+
+    def test_a_multiprocessing_child_sweeps_on_its_own_workers(self, monkeypatch):
+        # the child inherits the parent's workers, which are not its own; it
+        # forks its own, and its exit ends them instead of waiting on them
+        use_cpus(monkeypatch, 2)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        expected = bits(select_model(sig, [1, 2, 3], [2], 1, seed=0))
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            send.send(bits(select_model(sig, [1, 2, 3], [2], 1, seed=0)) + (worker_pids(),))
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(10), "the child's sweep hangs"
+            *got, child_workers = receive.recv()
+            proc.join(10)
+            assert proc.exitcode == 0, "the child's exit hangs"
+        finally:
+            proc.kill()
+            proc.join()
+        assert tuple(got) == expected
+        assert len(child_workers) == 2 and not set(child_workers) & set(worker_pids())
+        assert_only_the_shared_workers(2)
+
+    @pytest.mark.parametrize("end", ["exit", "kill"])
+    def test_no_worker_outlives_its_interpreter(self, end):
+        # the interpreter leads a session of its own, so any worker left
+        # behind keeps its process group alive
+        src = Path(rhlp.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen([sys.executable, "-c", SWEEPS_THEN_EXIT, end], env=env,
+                                stdout=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == (-signal.SIGKILL if end == "kill" else 0)
+            assert len(out.split()) == 2
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert end == "kill" and time.monotonic() < deadline, "workers outlived it"
+                time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
