@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "with the same results for any CPU count",
                         description="BIC sweep over (K, p) at fixed q. The cells run in "
                         "worker processes, one per CPU the process may run on (taskset "
-                        "limits them), with the same table and report for any CPU count. "
+                        "limits them) and at most one per cell, with the same table and "
+                        "report for any CPU count. "
                         "The library keeps its workers for later sweeps; this command "
                         "runs one sweep, so they end when it exits.")
     sp.add_argument("--input", required=True)

@@ -183,7 +183,7 @@ def _block_offsets(n: int, min_len: int) -> list[int]:
     return [0, *np.cumsum(np.maximum(top, 0)).tolist()]
 
 
-def build_cost_matrix(signal: Signal, p: int, *, _times=None) -> np.ndarray:
+def build_cost_matrix(signal: Signal, p: int) -> np.ndarray:
     """One-segment costs, packed in the 32-column blocks that _dp_tables
     reads; the dense entry (a, b) is the cost of fitting samples (a, b].
     Ranges shorter than the p + 2 samples a piecewise fit needs
@@ -246,8 +246,8 @@ def build_cost_matrix(signal: Signal, p: int, *, _times=None) -> np.ndarray:
     there, once, and each later rotation updates them. Where the rotations
     overflow, as where a gap's square is subnormal and a pivot nearly zero,
     a start's residual sum of squares, which only accumulates, ends
-    non-finite: NumericalError names p, the start and the times, those of
-    signal or, for a fit signal, the private _times its samples came from.
+    non-finite: NumericalError names p, the start and the times; its
+    sample attribute is the start.
     """
     _check_orders(1, p, 1)
     min_len = default_min_segment_length(p)
@@ -340,10 +340,17 @@ def build_cost_matrix(signal: Signal, p: int, *, _times=None) -> np.ndarray:
     # the starts a <= n - min_len, which hold a feasible cost
     bad = np.flatnonzero(~np.isfinite(sse[: max(n + 1 - min_len, 0)]))
     if len(bad):
-        a, t = bad[0], signal.t if _times is None else _times
-        raise NumericalError(f"segment costs overflow at degree {p}: the rotations from sample "
-                             f"{a}, time {t[a]:.3g} of {t[0]:.3g} to {t[-1]:.3g}, are not finite")
+        raise _overflow_error(p, int(bad[0]), signal.t)
     return out
+
+
+def _overflow_error(p: int, a: int, t) -> NumericalError:
+    """build_cost_matrix's NumericalError for rotations from sample a that
+    overflow, naming the times t."""
+    exc = NumericalError(f"segment costs overflow at degree {p}: the rotations from sample "
+                         f"{a}, time {t[a]:.3g} of {t[0]:.3g} to {t[-1]:.3g}, are not finite")
+    exc.sample = a
+    return exc
 
 
 def _dp_tables(cost: np.ndarray, n: int, K: int,
@@ -431,8 +438,14 @@ def fisher_dp(signal: Signal, K: int, p: int) -> PiecewiseFit:
     some nearly interpolate, which lowers J."""
     min_len = _check_request(signal.n, K, default_min_segment_length(p), p)
     problem = FitProblem.of(signal)
-    C, H = _dp_tables(build_cost_matrix(problem.signal, p, _times=signal.t), signal.n, K,
-                      min_len)
+    try:
+        cost = build_cost_matrix(problem.signal, p)
+    except NumericalError as exc:
+        if not hasattr(exc, "sample"):
+            raise
+        # its message gives fit times u: give the signal's own
+        raise _overflow_error(p, exc.sample, signal.t) from None
+    C, H = _dp_tables(cost, signal.n, K, min_len)
     partition = _backtrack(H, K, signal.n)
     components, _ = _refit(problem.signal, p, partition)
     return _piecewise_fit(problem, "piecewise_dp", partition, components, float(C[K, signal.n]))

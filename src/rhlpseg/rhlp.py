@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -659,7 +661,8 @@ def _watch_parent(parent: int) -> None:
 
 
 def _serve(conn, parent: int) -> None:
-    """A select_model worker: fit each cell that conn brings and send back
+    """A select_model worker: fit each cell that conn brings under the
+    warnings filters and numpy error state sent with it, and send back
     (True, report or message) or (False, exception, traceback). Ctrl-C
     interrupts the caller only, which then ends its workers."""
     import signal as signals
@@ -669,9 +672,12 @@ def _serve(conn, parent: int) -> None:
     threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
     try:
         while True:
-            signal, K, p, q, seed = conn.recv()
+            signal, K, p, q, seed, state = conn.recv()
             try:
-                reply = True, _fit_cell(signal, K, p, q, seed)
+                filters, err, call = pickle.loads(state)
+                with warnings.catch_warnings(), np.errstate(call=call, **err):
+                    warnings.filters[:] = filters
+                    reply = True, _fit_cell(signal, K, p, q, seed)
             except BaseException as exc:
                 reply = False, exc, traceback.format_exc()
             try:
@@ -680,6 +686,16 @@ def _serve(conn, parent: int) -> None:
                 conn.send((False, exc, traceback.format_exc()))
     except (EOFError, OSError):  # the parent is gone
         pass
+
+
+def _caller_state() -> bytes | None:
+    """The caller's warnings filters, numpy error state and error callback,
+    pickled for the workers, or None where they do not pickle (a filter for
+    a warning class defined in a function, say)."""
+    try:
+        return pickle.dumps((warnings.filters, np.geterr(), np.geterrcall()))
+    except Exception:
+        return None
 
 
 def _stop_workers(procs, conns) -> None:
@@ -693,20 +709,25 @@ def _stop_workers(procs, conns) -> None:
 
 
 class _Workers:
-    """One forked worker process per CPU, kept for every later multi-CPU
-    sweep of the process that forked them."""
+    """Forked worker processes for a process that may run on cpus CPUs, at
+    most one per CPU, kept for every later multi-CPU sweep of the process
+    that forked them."""
 
     def __init__(self, cpus: int):
-        import multiprocessing
         import multiprocessing.util
 
-        context = multiprocessing.get_context("fork")
         self.cpus, self.procs, self.conns = cpus, [], []
         # it runs when this object is dropped, and at exit before the join of
         # a multiprocessing child's children, which would wait on the workers
         self.stop = multiprocessing.util.Finalize(self, _stop_workers,
                                                   (self.procs, self.conns), exitpriority=0)
-        for _ in range(cpus):
+
+    def grow(self, count: int) -> None:
+        """Fork workers until there are at least count."""
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        while len(self.procs) < count:
             conn, child_conn = context.Pipe()
             self.conns.append(conn)
             proc = context.Process(target=_serve, args=(child_conn, os.getpid()))
@@ -715,12 +736,12 @@ class _Workers:
             child_conn.close()
 
     def run(self, signal: Signal, cells: list[tuple[int, int]], q: int,
-            seed: int | None) -> tuple[list, BaseException | None]:
-        """_fit_cell of every cell, started largest K (p+1) first, and the
-        exception of the first raising cell in the order of cells, or None.
-        No cell after a raising one in that order starts, and every started
-        cell has ended on return. EOFError or OSError where a worker is
-        lost."""
+            seed: int | None, state: bytes) -> tuple[list, BaseException | None]:
+        """_fit_cell of every cell under the pickled _caller_state, started
+        largest K (p+1) first, and the exception of the first raising cell in
+        the order of cells, or None. No cell after a raising one in that
+        order starts, and every started cell has ended on return. EOFError
+        or OSError where a worker is lost."""
         from multiprocessing.connection import wait
 
         pending = iter(sorted(range(len(cells)), key=lambda i: -cells[i][0] * (cells[i][1] + 1)))
@@ -732,7 +753,7 @@ class _Workers:
                 if i is None:
                     break
                 conn = idle.pop()
-                conn.send((signal, *cells[i], q, seed))
+                conn.send((signal, *cells[i], q, seed, state))
                 busy[conn] = i
             if not busy:
                 return results, error
@@ -774,26 +795,31 @@ def _fit_cells(
     signal: Signal, cells: list[tuple[int, int]], q: int, seed: int | None
 ) -> list[FitReport | str]:
     """_fit_cell of every (K, p) cell, in the order of cells. The cells run
-    in forked worker processes, one per CPU this process may run on, the
-    largest K (p+1) first, each cell sent with its own pickled copy of the
-    signal. The workers are forked at the first such sweep and kept for the
-    later ones; they run the package code, warnings filters and numpy error
-    state of their start. Workers sized for another CPU count, or one of
-    which was lost, are replaced by fresh ones. They end with the
-    interpreter (multiprocessing's exit handler), or within a second of
-    its death. The cells run in-process instead with one CPU or one cell, where
+    in forked worker processes, one per CPU this process may run on and at
+    most one per cell, the largest K (p+1) first, each cell sent with its
+    own pickled copy of the signal and of the caller's warnings filters and
+    numpy error state, which it runs under. The workers are forked at the
+    first such sweep and kept for the later ones, which fork more up to
+    one per CPU where they have more cells; they run the package code as of
+    their start. Workers sized for another CPU count, or one of which was
+    lost, are replaced by fresh ones. They end with the interpreter
+    (multiprocessing's exit handler), or within a second of its death. The
+    cells run in-process instead with one CPU or one cell, where
     os.sched_getaffinity is missing (Windows, which has no fork, and macOS,
-    where fork is unsafe), and in a daemonic process, which may not start
-    children. Either way a non-fit exception is raised for the first
-    failing cell in cell order, as a serial loop raises it, once no cell
-    still runs."""
+    where fork is unsafe), in a daemonic process, which may not start
+    children, and where the filters or error state do not pickle. Either
+    way a non-fit exception is raised for the first failing cell in cell
+    order, as a serial loop raises it, once no cell still runs."""
     # imported here: it adds about 13 ms and 1 MB to the package import,
     # which every other fit would pay
     import multiprocessing
 
     global _workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(cpus, len(cells)) < 2 or multiprocessing.current_process().daemon:
+    state = None
+    if min(cpus, len(cells)) > 1 and not multiprocessing.current_process().daemon:
+        state = _caller_state()
+    if state is None:
         return [_fit_cell(signal, K, p, q, seed) for K, p in cells]
     with _workers_lock:
         while True:
@@ -801,11 +827,12 @@ def _fit_cells(
                 _reset_workers()
             fresh = _workers is None
             if fresh:
-                # fork, not spawn: a spawned worker imports numpy and the
-                # package afresh, which takes longer than a sweep at n = 500
                 _workers = _Workers(cpus)
+            # fork, not spawn: a spawned worker imports numpy and the package
+            # afresh, which takes longer than a sweep at n = 500
+            _workers.grow(min(cpus, len(cells)))
             try:
-                results, error = _workers.run(signal, cells, q, seed)
+                results, error = _workers.run(signal, cells, q, seed, state)
                 break
             except (EOFError, OSError) as exc:  # a worker lost
                 _reset_workers()
@@ -844,13 +871,14 @@ def select_model(
     missing (Windows, macOS). The table, the selected fit and every
     report are identical for any CPU count, since each cell is one em_fit
     call with the same seed. The workers are forked at the first sweep that
-    uses them and kept for the later sweeps of the process, so they run the
-    package code, the warnings filters and numpy's error state as of that
-    first sweep; a changed CPU count or a lost worker starts fresh ones, and
-    they end with the interpreter, or within a second of its death. A
-    warning raised inside a worker prints to the inherited stderr, but the
-    caller's warnings.catch_warnings(record=True) does not record it; an
-    "error" filter set before the workers started still raises there."""
+    uses them, at most one per cell, and kept for the later sweeps of the
+    process, so they run the package code as of their start; a changed CPU
+    count or a lost worker starts fresh ones, and they end with the
+    interpreter, or within a second of its death. Each cell runs under the
+    caller's warnings filters and numpy error state of the call, so an
+    "error" filter or np.errstate(all="raise") raises there too. A warning
+    raised inside a worker prints to the inherited stderr, but the caller's
+    warnings.catch_warnings(record=True) does not record it."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")

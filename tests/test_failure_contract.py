@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from rhlpseg.cli import main
 from rhlpseg.core import Signal
-from rhlpseg import errors, rhlp
+from rhlpseg import errors
 from rhlpseg.errors import RhlpSegError
 from rhlpseg.piecewise import PiecewiseFit, fisher_dp, multi_start_iterative
 from rhlpseg.rhlp import FitReport, em_fit, select_model
@@ -109,8 +109,6 @@ def test_fits_return_finite_results_or_raise_a_typed_error(times, values, n, K, 
         holds_the_contract(lambda: em_fit(signal, K, p, q, n_restarts=1, seed=seed), K)
         holds_the_contract(lambda: fisher_dp(signal, K, p), K)
         holds_the_contract(lambda: multi_start_iterative(signal, K, p, seed=seed), K)
-        # workers keep the warnings filters of their start: fork them here
-        rhlp._reset_workers()
         try:
             best, table = select_model(signal, range(1, K + 1), [p], q, seed=seed)
         except RhlpSegError:

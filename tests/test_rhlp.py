@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from types import SimpleNamespace
@@ -1091,11 +1092,13 @@ def worker_pids():
     return [] if rhlp._workers is None else [proc.pid for proc in rhlp._workers.procs]
 
 
-def assert_only_the_shared_workers(cpus):
-    """This process's only children are select_model's workers, one per CPU
-    and all alive, or none with one CPU."""
+def assert_only_the_shared_workers(cpus, cells):
+    """This process's only children are select_model's workers, all alive,
+    one per CPU and at most one per cell of the largest sweep so far, or
+    none where those sweeps ran in-process."""
     pids = worker_pids()
-    assert len(pids) == (cpus if cpus > 1 else 0)
+    workers = min(cpus, cells)
+    assert len(pids) == (workers if workers > 1 else 0)
     assert sorted(proc.pid for proc in multiprocessing.active_children()) == sorted(pids)
 
 
@@ -1219,7 +1222,7 @@ class TestSelectModel:
         use_cpus(monkeypatch, cpus)
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
         best, table = select_model(sig, K_range=[1, 2, 3, 6], p_range=[2, 8], q=1, seed=0)
-        assert_only_the_shared_workers(cpus)
+        assert_only_the_shared_workers(cpus, 8)
         expected, reports = [], {}
         for K, p in itertools.product([1, 2, 3, 6], [2, 8]):
             try:
@@ -1245,7 +1248,7 @@ class TestSelectModel:
         best, _ = select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
         assert best.K == 3
         assert (best.pid == os.getpid()) == (cpus == 1)
-        assert_only_the_shared_workers(cpus)
+        assert_only_the_shared_workers(cpus, 3)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("error", [LookupError, NonMonotonicTimeError])
@@ -1265,7 +1268,7 @@ class TestSelectModel:
         with pytest.raises(error) as info:
             select_model(sig, K_range=range(1, 6), p_range=[2], q=1)
         assert type(info.value) is error and str(info.value) == str(error(2))
-        assert_only_the_shared_workers(cpus)
+        assert_only_the_shared_workers(cpus, 5)
 
     @pytest.mark.parametrize("K_range, p_range, q", [([3, 4, 0], [2], 1), ([1], [2, -1], 1),
                                                      ([1, 2], [2], -1)],
@@ -1317,11 +1320,11 @@ class TestSelectModel:
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
         select_model(sig, K_range=range(1, 7), p_range=[2], q=1)
         pids = worker_pids()
-        assert_only_the_shared_workers(cpus)
+        assert_only_the_shared_workers(cpus, 6)
         best, table = select_model(sig, K_range=range(1, 7), p_range=[2], q=1)
         assert best.K == 6 and [e.K for e in table] == list(range(1, 7))
         assert worker_pids() == pids
-        assert_only_the_shared_workers(cpus)
+        assert_only_the_shared_workers(cpus, 6)
         ran = read_log(log)
         assert len(ran) == 2 * 2 * 6
         # K = 6 holds one worker for 0.2 s, so another fits the rest
@@ -1339,7 +1342,7 @@ class TestSelectModel:
         again = select_model(sig, K_range=range(1, 5), p_range=[2], q=1, seed=0)
         assert bits(again) == bits(first)
         assert lost.pid not in worker_pids()
-        assert_only_the_shared_workers(2)
+        assert_only_the_shared_workers(2, 4)
 
     def test_a_changed_cpu_count_starts_fresh_workers(self, monkeypatch):
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
@@ -1352,7 +1355,66 @@ class TestSelectModel:
         # one CPU fits in-process and keeps the three workers
         assert [len(p) for p in pids] == [2, 3, 3, 2] and pids[2] == pids[1]
         assert not pids[0] & pids[1] and not pids[1] & pids[3]
-        assert_only_the_shared_workers(2)
+        assert_only_the_shared_workers(2, 4)
+
+    def test_workers_grow_with_the_cells_up_to_one_per_cpu(self, monkeypatch):
+        # eight CPUs and three cells fork three workers; a later sweep with
+        # more cells forks more and keeps the first, and one with fewer keeps all
+        use_cpus(monkeypatch, 8)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        pids, tables = [], []
+        for K_range in (range(1, 4), range(1, 6), range(1, 3)):
+            tables.append(bits(select_model(sig, K_range, [2], 1, seed=0)))
+            pids.append(worker_pids())
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert tables[-1] == bits(select_model(sig, K_range, [2], 1, seed=0))
+            use_cpus(monkeypatch, 8)
+        assert [len(p) for p in pids] == [3, 5, 5]
+        assert pids[1][:3] == pids[0] and pids[2] == pids[1]
+        assert_only_the_shared_workers(8, 5)
+
+    def test_each_sweep_runs_under_the_callers_warnings_and_errstate(self, monkeypatch):
+        # the workers start under lenient settings; later, stricter sweeps
+        # raise in them as they would in-process, and lenient ones fit again
+        def stub(signal, K, p, q, **kwargs):
+            warnings.warn(f"cell {K}", UserWarning)
+            np.log(np.zeros(1))
+            return SimpleNamespace(K=K, p=p, bic=float(K), log_likelihood=0.0, converged=True)
+
+        def sweep(warning, divide):
+            with warnings.catch_warnings(), np.errstate(divide=divide):
+                warnings.simplefilter(warning, UserWarning)
+                return select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)[0].K
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        assert sweep("ignore", "ignore") == 3
+        pids = worker_pids()
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            sweep("ignore", "raise")
+        with pytest.raises(UserWarning, match="^cell 1$"):
+            sweep("error", "ignore")
+        assert sweep("ignore", "ignore") == 3
+        assert worker_pids() == pids
+        assert_only_the_shared_workers(2, 3)
+
+    def test_filters_that_do_not_pickle_fit_in_process(self, monkeypatch):
+        class LocalWarning(UserWarning):
+            pass
+
+        def stub(signal, K, p, q, **kwargs):
+            return SimpleNamespace(K=K, bic=float(K), log_likelihood=0.0, converged=True,
+                                   pid=os.getpid())
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LocalWarning)
+            best, _ = select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
+        assert best.K == 3 and best.pid == os.getpid()
+        assert_only_the_shared_workers(1, 3)
 
     def test_threads_take_turns_with_the_workers(self, monkeypatch):
         # four threads sweep at once on three workers, more than this
@@ -1378,7 +1440,7 @@ class TestSelectModel:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [[e, e] for e in expected]
-        assert_only_the_shared_workers(3)
+        assert_only_the_shared_workers(3, 4)
 
     @pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
     def test_a_cell_that_ends_its_worker_raises_broken_process_pool(self, monkeypatch,
@@ -1413,7 +1475,7 @@ class TestSelectModel:
         started = sorted(K for event, K, _ in ran if event == "start")
         assert started == [1, 2, 3, 4, 5]
         assert sorted(K for event, K, _ in ran if event == "end") == started
-        assert_only_the_shared_workers(3)
+        assert_only_the_shared_workers(3, 5)
 
     def test_cells_after_a_known_failure_do_not_start(self, monkeypatch, tmp_path):
         # the table runs from K = 7 down, in the order the cells start; K = 6
@@ -1451,7 +1513,7 @@ class TestSelectModel:
             proc.join()
         assert tuple(got) == expected
         assert len(child_workers) == 2 and not set(child_workers) & set(worker_pids())
-        assert_only_the_shared_workers(2)
+        assert_only_the_shared_workers(2, 3)
 
     @pytest.mark.parametrize("end", ["exit", "kill"])
     def test_no_worker_outlives_its_interpreter(self, end):
