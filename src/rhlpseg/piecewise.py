@@ -507,32 +507,28 @@ def _fixed_param_segmentation(
 
 class _Steps:
     """The regression and segmentation steps of the iterative fits of one
-    signal at degree p, each taken once per partition. The signal is mapped
-    by FitProblem.of, and the design matrix of its fit times built, once.
-    refit(partition) is _refit on the fit signal: the components and J,
-    with each segment fitted once across all partitions. resegment(partition)
-    is _fixed_param_segmentation at those components: the next partition.
-    Both are pure functions of the partition, so a fit that reaches a
-    partition an earlier one took reads the table and gets the same bits."""
+    signal at degree p. The signal is mapped by FitProblem.of, and the
+    design matrix of its fit times built, once. refit(partition) is _refit
+    on the fit signal: the components and J, with each segment fitted once
+    across all partitions. resegment(partition, components) is
+    _fixed_param_segmentation at the partition's refit components: the next
+    partition, taken once per partition. Both are pure functions of the
+    partition, so a fit that reaches a partition an earlier one took reads
+    the tables and gets the same bits."""
 
     def __init__(self, signal: Signal, p: int):
         self.problem = FitProblem.of(signal)
         self.p = p
         self.T = design_matrix(self.problem.signal.t, p)
         self._segments: dict = {}
-        self._refits: dict = {}
         self._segmentations: dict = {}
 
     def refit(self, partition: Partition) -> tuple[tuple[GaussianComponent, ...], float]:
-        key = partition.gamma.tobytes()
-        if key not in self._refits:
-            self._refits[key] = _refit(self.problem.signal, self.p, partition, self._segments)
-        return self._refits[key]
+        return _refit(self.problem.signal, self.p, partition, self._segments)
 
-    def resegment(self, partition: Partition) -> Partition:
+    def resegment(self, partition: Partition, components) -> Partition:
         key = partition.gamma.tobytes()
         if key not in self._segmentations:
-            components, _ = self.refit(partition)
             self._segmentations[key], _ = _fixed_param_segmentation(
                 self.problem.signal, self.T, components, default_min_segment_length(self.p))
         return self._segmentations[key]
@@ -547,11 +543,12 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition, *,
     the fit values. The fit stops at the first round that leaves J where it
     was, or after _MAX_ROUNDS = 100 rounds, fixed, with no option; a round
     that raises J ends it unkept. A segmentation step that returns the
-    current partition gets that partition's components and J back from the
-    table, so J repeats, the fit stops, and j_trace ends with J repeated.
-    Both steps come from a table that takes each once per partition
-    (_Steps): a call has its own, and multi_start_iterative shares one
-    across its starts through the private _steps. ValueError for K < 1 or
+    current partition gets that partition's components and J back from
+    segments fitted before, so J repeats, the fit stops, and j_trace ends
+    with J repeated. Both steps come from tables (_Steps) that fit each
+    segment once and re-segment each partition once: a call has its own,
+    and multi_start_iterative shares them across its starts through the
+    private _steps. ValueError for K < 1 or
     p < 0, InfeasibleError for n < K (p + 2) or an init that is not such a
     partition."""
     n = signal.n
@@ -564,7 +561,7 @@ def iterative_fisher(signal: Signal, K: int, p: int, init: Partition, *,
     components, j = steps.refit(partition)
     trace = [j]
     for _ in range(_MAX_ROUNDS):
-        partition_new = steps.resegment(partition)
+        partition_new = steps.resegment(partition, components)
         components_new, j_new = steps.refit(partition_new)
         if j_new > j:  # numerically impossible up to roundoff; keep the better state
             break
@@ -610,11 +607,11 @@ def multi_start_iterative(
     """iterative_fisher from a uniform partition plus n_random_starts
     partitions from random_partition, all with segments of at least p + 2
     samples; returns the fit with smallest J, which keeps the seed.
-    Deterministic given the seed. The starts share one table of steps
-    (_Steps): it maps the signal to fit times and values once, and takes
-    the regression and the segmentation step once per partition, so a
-    partition that an earlier start reached is neither refitted nor
-    re-segmented again. Each start is one iterative_fisher call, whose fit
+    Deterministic given the seed. The starts share one set of steps
+    (_Steps): it maps the signal to fit times and values once, fits each
+    segment once and re-segments each partition once, so a partition that
+    an earlier start reached is refitted from segments already fitted and
+    not re-segmented again. Each start is one iterative_fisher call, whose fit
     is the one a direct call returns, bit for bit, and stops by its rule,
     whose 100-round limit is fixed, with no option. ValueError unless
     n_random_starts >= 0."""

@@ -159,8 +159,6 @@ class ReportDocument:
 
 
 def _listify(arr):
-    if arr is None:
-        return None
     return np.asarray(arr).tolist()
 
 

@@ -16,7 +16,6 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -234,16 +233,6 @@ def m_step_regression(
 # vector of length (K-1)(q+1); the K-th vector stays zero.
 
 
-def _stack(w: np.ndarray) -> np.ndarray:
-    return w[:-1].ravel()
-
-
-def _unstack(flat: np.ndarray, K: int, q: int) -> np.ndarray:
-    w = np.zeros((K, q + 1))
-    w[:-1] = flat.reshape(K - 1, q + 1)
-    return w
-
-
 def _gradient_v(pi: np.ndarray, tau_free: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Stacked gradient from the (K, n) proportions and the first K-1 rows of
     the (K, n) responsibilities."""
@@ -383,8 +372,9 @@ _SPECULATIVE_ERRORS = (EmptyComponentError, RankDeficientError)
 
 
 def _pack(w: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
-    """Free parameters as one vector: logistic coefficients, betas, log sigma2."""
-    return np.concatenate([_stack(w), betas.ravel(), np.log(sigma2s)])
+    """Free parameters as one vector: the first K-1 logistic coefficient
+    vectors, betas, log sigma2."""
+    return np.concatenate([w[:-1].ravel(), betas.ravel(), np.log(sigma2s)])
 
 
 def _unpack(
@@ -393,9 +383,11 @@ def _unpack(
     """Inverse of _pack as (w, betas, sigma2s), with the variances floored at
     floor."""
     nw, nb = (K - 1) * (q + 1), K * (p + 1)
+    w = np.zeros((K, q + 1))
+    w[:-1] = theta[:nw].reshape(K - 1, q + 1)
     betas = theta[nw:nw + nb].reshape(K, p + 1)
     sigma2s = np.maximum(np.exp(theta[nw + nb:]), floor)
-    return _unstack(theta[:nw], K, q), betas, sigma2s
+    return w, betas, sigma2s
 
 
 @dataclass(eq=False)
@@ -403,19 +395,14 @@ class _Iterate:
     """One EM iterate as arrays: logistic coefficients w, (K, p+1) betas, K
     variances, logpi = _log_proportions(w, V), which the E step and the IRLS
     solve of the next M step share, and the (K, n) component means betas @
-    T.T, which the E step reads."""
+    T.T, which the E step reads. SQUAREM packs an iterate (_pack) at each
+    extrapolation that reads it."""
 
     w: np.ndarray
     betas: np.ndarray
     sigma2s: np.ndarray
     logpi: np.ndarray
     means: np.ndarray
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        """_pack of the iterate, packed on first use: SQUAREM reads each
-        iterate in up to three consecutive steps."""
-        return _pack(self.w, self.betas, self.sigma2s)
 
 
 def _squarem_point(
@@ -495,7 +482,8 @@ def _em_once(
         evals += 1
         # a wild extrapolation is rejected, so its overflow warnings are noise
         with np.errstate(all="ignore"):
-            theta, s = _squarem_point(prev.theta, point.theta, nxt.theta, step_max)
+            thetas = [_pack(it.w, it.betas, it.sigma2s) for it in (prev, point, nxt)]
+            theta, s = _squarem_point(*thetas, step_max)
             accepted = speculate(theta, ll, len(trace))
         if accepted is not None:
             if s == step_max:
@@ -801,8 +789,10 @@ def _fit_cells(
     numpy error state, which it runs under. The workers are forked at the
     first such sweep and kept for the later ones, which fork more up to
     one per CPU where they have more cells; they run the package code as of
-    their start. Workers sized for another CPU count, or one of which was
-    lost, are replaced by fresh ones. They end with the interpreter
+    their start. Before a sweep, workers sized for another CPU count, or one
+    of which is no longer alive, are replaced by fresh ones; a worker lost
+    during a sweep ends the others and raises BrokenProcessPool, on fresh
+    and reused workers alike. They end with the interpreter
     (multiprocessing's exit handler), or within a second of its death. The
     cells run in-process instead with one CPU or one cell, where
     os.sched_getaffinity is missing (Windows, which has no fork, and macOS,
@@ -822,28 +812,24 @@ def _fit_cells(
     if state is None:
         return [_fit_cell(signal, K, p, q, seed) for K, p in cells]
     with _workers_lock:
-        while True:
-            if _workers is not None and _workers.cpus != cpus:
-                _reset_workers()
-            fresh = _workers is None
-            if fresh:
-                _workers = _Workers(cpus)
-            # fork, not spawn: a spawned worker imports numpy and the package
-            # afresh, which takes longer than a sweep at n = 500
-            _workers.grow(min(cpus, len(cells)))
-            try:
-                results, error = _workers.run(signal, cells, q, seed, state)
-                break
-            except (EOFError, OSError) as exc:  # a worker lost
-                _reset_workers()
-                if fresh:
-                    from concurrent.futures.process import BrokenProcessPool
+        if _workers is not None and (
+                _workers.cpus != cpus or not all(proc.is_alive() for proc in _workers.procs)):
+            _reset_workers()
+        if _workers is None:
+            _workers = _Workers(cpus)
+        # fork, not spawn: a spawned worker imports numpy and the package
+        # afresh, which takes longer than a sweep at n = 500
+        _workers.grow(min(cpus, len(cells)))
+        try:
+            results, error = _workers.run(signal, cells, q, seed, state)
+        except (EOFError, OSError) as exc:  # a worker lost during the sweep
+            _reset_workers()
+            from concurrent.futures.process import BrokenProcessPool
 
-                    raise BrokenProcessPool("a select_model worker was lost") from exc
-                # lost before this sweep: once more on fresh workers
-            except BaseException:  # such as KeyboardInterrupt: cells may still run
-                _reset_workers()
-                raise
+            raise BrokenProcessPool("a select_model worker was lost") from exc
+        except BaseException:  # such as KeyboardInterrupt: cells may still run
+            _reset_workers()
+            raise
     if error is not None:
         raise error
     return results
@@ -872,9 +858,12 @@ def select_model(
     report are identical for any CPU count, since each cell is one em_fit
     call with the same seed. The workers are forked at the first sweep that
     uses them, at most one per cell, and kept for the later sweeps of the
-    process, so they run the package code as of their start; a changed CPU
-    count or a lost worker starts fresh ones, and they end with the
-    interpreter, or within a second of its death. Each cell runs under the
+    process, so they run the package code as of their start. A changed CPU
+    count, or a worker found dead before a sweep, starts fresh ones; a
+    worker lost during a sweep raises
+    concurrent.futures.process.BrokenProcessPool, and the next sweep starts
+    fresh ones. They end with the interpreter, or within a second of its
+    death. Each cell runs under the
     caller's warnings filters and numpy error state of the call, so an
     "error" filter or np.errstate(all="raise") raises there too. A warning
     raised inside a worker prints to the inherited stderr, but the caller's

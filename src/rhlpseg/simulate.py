@@ -38,7 +38,10 @@ class PiecewiseScenario:
 
     def boundary_indices(self, n: int) -> np.ndarray:
         """Transition indices gamma_k = round(time / dt) on a uniform n-point
-        grid over the span."""
+        grid over the span. InfeasibleError where a segment is left empty,
+        and for n < 2, whose grid has no step dt."""
+        if n < 2:
+            raise InfeasibleError(f"n={n}: {self.name} needs n >= 2 samples for its time grid")
         dt = (self.time_span[1] - self.time_span[0]) / (n - 1)
         gamma = np.rint(np.asarray(self.transition_times) / dt).astype(int)
         gamma[-1] = n

@@ -809,18 +809,19 @@ class TestIterativeFisher:
 
     def test_dp_optimum_takes_one_regression_step(self, monkeypatch):
         # the first segmentation step returns the optimum, so the only
-        # regression step is the one of the initial partition
+        # segments fitted are the initial partition's K
         sig = simulate_piecewise(SITUATION_1, 200, seed=4)[0]
         dp = fisher_dp(sig, K=3, p=2)
         calls = []
 
         def counting(*args):
-            calls.append(args[2].gamma)
-            return _refit(*args)
+            calls.append(args[1:3])
+            return segment_cost(*args)
 
-        monkeypatch.setattr(piecewise, "_refit", counting)
+        monkeypatch.setattr(piecewise, "segment_cost", counting)
         it = iterative_fisher(sig, 3, 2, init=dp.partition)
-        assert len(calls) == 1 and len(it.j_trace) == 2
+        gamma = dp.partition.gamma.tolist()
+        assert calls == list(zip(gamma, gamma[1:])) and len(it.j_trace) == 2
         assert it.j_trace[0] == it.j_trace[1] == it.criterion_j
         np.testing.assert_array_equal(it.partition.gamma, dp.partition.gamma)
 
@@ -1054,15 +1055,11 @@ class TestMultiStart:
 
     @pytest.mark.parametrize("starts", [0, 10, 30])
     def test_starts_share_steps_bit_for_bit(self, monkeypatch, starts):
-        # the starts share one table of steps, so no partition is refitted
-        # and no segment fitted twice, and every start's fit is the one a
-        # direct call, with a table of its own, returns
+        # the starts share one set of steps, so no segment is fitted twice,
+        # and every start's fit is the one a direct call, with steps of its
+        # own, returns
         sig = simulate_piecewise(SITUATION_1, 300, seed=5)[0]
-        refits, segmentations, fits, segments = [], [], [], []
-
-        def counting_refit(*args):
-            refits.append(args[2].gamma.tobytes())
-            return _refit(*args)
+        segmentations, fits, segments = [], [], []
 
         def counting_segment_cost(*args):
             segments.append(args[1:3])
@@ -1076,19 +1073,17 @@ class TestMultiStart:
             fits.append(iterative_fisher(*args, **kwargs))
             return fits[-1]
 
-        monkeypatch.setattr(piecewise, "_refit", counting_refit)
         monkeypatch.setattr(piecewise, "_fixed_param_segmentation", counting_segmentation)
         monkeypatch.setattr(piecewise, "iterative_fisher", recording)
         monkeypatch.setattr(piecewise, "segment_cost", counting_segment_cost)
         best = multi_start_iterative(sig, 3, 2, n_random_starts=starts, seed=3)
-        assert len(set(refits)) == len(refits)
         assert len(set(segments)) == len(segments)
-        shared = len(refits), len(segmentations)
+        shared = len(segments), len(segmentations)
 
         rng = np.random.default_rng(3)
         inits = [uniform_partition(300, 3, 4)]
         inits += [random_partition(rng, 300, 3, 4) for _ in range(starts)]
-        refits.clear()
+        segments.clear()
         segmentations.clear()
         direct = [iterative_fisher(sig, 3, 2, init) for init in inits]
         assert len(fits) == len(direct)
@@ -1102,14 +1097,14 @@ class TestMultiStart:
         assert best.criterion_j == winner.criterion_j and best.seed == 3
         np.testing.assert_array_equal(best.partition.gamma, winner.partition.gamma)
         if starts:
-            assert shared[0] < len(refits) and shared[1] < len(segmentations)
+            assert shared[0] < len(segments) and shared[1] < len(segmentations)
 
         # a direct call keeps no table once it returns
-        refits.clear()
+        segments.clear()
         iterative_fisher(sig, 3, 2, inits[0])
-        once = len(refits)
+        once = len(segments)
         iterative_fisher(sig, 3, 2, inits[0])
-        assert len(refits) == 2 * once
+        assert len(segments) == 2 * once
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_random_starts": -1}, "require n_random_starts >= 0"),

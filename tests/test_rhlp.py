@@ -1442,25 +1442,36 @@ class TestSelectModel:
         assert got == [[e, e] for e in expected]
         assert_only_the_shared_workers(3, 4)
 
-    @pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
+    @pytest.mark.parametrize("workers", ["fresh", "reused", "reused-once"])
     def test_a_cell_that_ends_its_worker_raises_broken_process_pool(self, monkeypatch,
-                                                                     reused):
-        # fresh workers that lose one raise at once; reused ones are replaced
-        # first, as if the worker had been lost before the sweep
+                                                                     tmp_path, workers):
+        # a worker lost during a sweep raises on fresh and reused workers
+        # alike, and ends the others; with "once", the K = 3 cell ends its
+        # worker the first time only, so the next sweep fits on fresh ones
+        flag = tmp_path / "killed"
+
         def stub(sig, K, p, q, **kwargs):
-            if K == 3:
+            if K == 3 and not flag.exists():
+                if workers == "reused-once":
+                    flag.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return SimpleNamespace(K=K, p=p, bic=0.0, log_likelihood=0.0, converged=True)
+            return em_fit(sig, K, p, q, **kwargs)
 
         use_cpus(monkeypatch, 2)
         monkeypatch.setattr(rhlp, "em_fit", stub)
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
-        if reused:
-            select_model(sig, K_range=[1, 2], p_range=[2], q=1)
+        if workers != "fresh":
+            select_model(sig, K_range=[1, 2], p_range=[2], q=1, seed=0)
         with pytest.raises(BrokenProcessPool):
-            select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
+            select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1, seed=0)
         assert rhlp._workers is None
         assert multiprocessing.active_children() == []
+        if workers == "reused-once":
+            again = select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1, seed=0)
+            use_cpus(monkeypatch, 1)
+            assert bits(again) == bits(select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1,
+                                                    seed=0))
+            assert_only_the_shared_workers(2, 3)
 
     def test_a_failing_sweep_raises_once_no_cell_runs(self, monkeypatch, tmp_path):
         # K = 5 starts first and runs on after K = 4 fails; K = 3 and the

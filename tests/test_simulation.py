@@ -95,6 +95,18 @@ class TestSimulatePiecewise:
             est = resid_sq[labels == k].mean()
             assert est == pytest.approx(s2, rel=0.25)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_raise_infeasible_error(self, n):
+        # one sample has no grid step: dt divided the span by n - 1 = 0,
+        # also for a scenario of one segment, which two samples can draw
+        flat = PiecewiseScenario("flat", (0.0, 1.0), (GaussianComponent([1.0], 1.0),), p=0)
+        for scenario in (SITUATION_1, SITUATION_2, flat):
+            with pytest.raises(InfeasibleError, match=f"^n={n}: {scenario.name} needs n >= 2"):
+                simulate_piecewise(scenario, n, seed=0)
+        with pytest.raises(InfeasibleError, match=f"^n={n}: situation1 needs n >= 2"):
+            run_benchmark([SITUATION_1], [n], 1)
+        assert len(simulate_piecewise(flat, 2, seed=0)[1]) == 2
+
     def test_near_zero_noise_recovered_by_dp(self):
         quiet = PiecewiseScenario(
             name="quiet",
