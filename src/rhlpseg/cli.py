@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -19,6 +20,7 @@ from .core import GaussianComponent, Signal, TimeMap
 from .errors import DataError, NumericalError, SchemaError
 from .piecewise import Partition, fisher_dp, multi_start_iterative, piecewise_mean
 from .reports import (
+    _is_finite,
     load_fit_report,
     load_signal_csv,
     report_document,
@@ -77,7 +79,7 @@ def _listed(item):
 def _add_em_flags(sp) -> None:
     """EM settings shared by fit-rhlp and select-model."""
     sp.add_argument("--q", type=_at_least(0), default=1, help="logistic degree (default 1)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
 
 
 def _add_fit_parser(sub, command: str, help_text: str, fitter):
@@ -130,14 +132,19 @@ def _components(beta, sigma2) -> tuple[GaussianComponent, ...]:
 
 
 def _params_from_json(path) -> RhlpParams:
+    """The model of a params JSON file: w and beta rows and a sigma2 list of
+    finite JSON numbers, as load_fit_report requires of a report, that make
+    an RhlpParams; else SchemaError."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid params JSON: {exc}") from None
     try:
-        comps = _components(raw["beta"], raw["sigma2"])
-        return RhlpParams(LogisticProcess(np.asarray(raw["w"], float)), comps)
+        w, beta, sigma2 = raw["w"], raw["beta"], raw["sigma2"]
+        if not all(map(_is_finite, [*itertools.chain(*w, *beta), *sigma2])):
+            raise ValueError("w, beta and sigma2 must hold finite numbers")
+        return RhlpParams(LogisticProcess(np.asarray(w, float)), _components(beta, sigma2))
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"invalid params JSON: {exc}") from None
 
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                          _fit_dp_iter)
     sp.add_argument("--restarts", type=_at_least(0), default=10,
                     help="random initial partitions besides the uniform one")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_at_least(0), required=True)
 
     sp = sub.add_parser("simulate", help="generate a benchmark signal CSV")
     source = sp.add_mutually_exclusive_group(required=True)
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--params-json",
                         help="JSON with w/beta/sigma2 for model-based generation")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_at_least(0), required=True)
     sp.add_argument("--output", required=True, help="signal CSV (t,x,label)")
     sp.set_defaults(func=_cmd_simulate)
 
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_listed(_at_least(2)), default=DESK_N_GRID)
     sp.add_argument("--replicates", type=_at_least(1), default=20)
     sp.add_argument("--methods", type=_listed(METHODS), default=METHODS)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_at_least(0), required=True)
     sp.add_argument("--no-timing", action="store_true",
                     help="write 0.0 runtimes for bit-reproducible output")
     sp.add_argument("--output", required=True, help="criteria table CSV")

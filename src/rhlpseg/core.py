@@ -206,8 +206,8 @@ class GaussianComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:  # also False for NaN
+            raise ValueError(f"sigma2 must be a finite positive number, got {self.sigma2!r}")
 
     def mean(self, t) -> np.ndarray:
         """Polynomial mean curve evaluated at times t."""

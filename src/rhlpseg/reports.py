@@ -20,11 +20,12 @@ iterative_fisher). Numbers are serialized with full round-trip precision
 and are finite: save_fit_report raises on a NaN or an infinity and
 load_fit_report rejects one. Besides types and shapes, load_fit_report
 checks that labels are integers in 1..K, that a piecewise report's labels
-are its gamma's segment numbers, that denoised holds one number per label
-for rhlp, and that the fields of the other model are null: gamma and
-criterion_j for rhlp; w, q, bic, converged and denoised for the piecewise
-models. Version 1 had no time map, so it cannot say whether its times were
-rescaled; loading it raises SchemaError.
+are its gamma's segment numbers, that an rhlp report's reference row
+w[K-1] is zero and its denoised holds one number per label, and that the
+fields of the other model are null: gamma and criterion_j for rhlp; w, q,
+bic, converged and denoised for the piecewise models. Version 1 had no
+time map, so it cannot say whether its times were rescaled; loading it
+raises SchemaError.
 """
 from __future__ import annotations
 
@@ -286,6 +287,7 @@ def load_fit_report(path) -> ReportDocument:
     if raw["model"] == "rhlp":
         _require(_is_int(q) and q >= 0, "rhlp reports require an integer q >= 0")
         _require(_is_rows(raw["w"], K, q + 1), f"w must be {K} rows of {q + 1} finite numbers")
+        _require(not any(raw["w"][-1]), "w's reference row w[K-1] must be zero")
         _require(
             isinstance(denoised, list) and len(denoised) == len(labels)
             and all(map(_is_finite, denoised)),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import threading
 import time
 import warnings
@@ -650,8 +649,8 @@ def _watch_parent(parent: int) -> None:
 
 def _serve(conn, parent: int) -> None:
     """A select_model worker: fit each cell that conn brings under the
-    warnings filters and numpy error state sent with it, and send back
-    (True, report or message) or (False, exception, traceback). Ctrl-C
+    warnings filters and numpy error state it was forked with, and send
+    back (True, report or message) or (False, exception, traceback). Ctrl-C
     interrupts the caller only, which then ends its workers."""
     import signal as signals
     import traceback
@@ -660,12 +659,9 @@ def _serve(conn, parent: int) -> None:
     threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
     try:
         while True:
-            signal, K, p, q, seed, state = conn.recv()
+            signal, K, p, q, seed = conn.recv()
             try:
-                filters, err, call = pickle.loads(state)
-                with warnings.catch_warnings(), np.errstate(call=call, **err):
-                    warnings.filters[:] = filters
-                    reply = True, _fit_cell(signal, K, p, q, seed)
+                reply = True, _fit_cell(signal, K, p, q, seed)
             except BaseException as exc:
                 reply = False, exc, traceback.format_exc()
             try:
@@ -676,14 +672,10 @@ def _serve(conn, parent: int) -> None:
         pass
 
 
-def _caller_state() -> bytes | None:
+def _caller_state() -> tuple:
     """The caller's warnings filters, numpy error state and error callback,
-    pickled for the workers, or None where they do not pickle (a filter for
-    a warning class defined in a function, say)."""
-    try:
-        return pickle.dumps((warnings.filters, np.geterr(), np.geterrcall()))
-    except Exception:
-        return None
+    which workers forked now inherit and keep."""
+    return tuple(warnings.filters), np.geterr(), np.geterrcall()
 
 
 def _stop_workers(procs, conns) -> None:
@@ -699,12 +691,12 @@ def _stop_workers(procs, conns) -> None:
 class _Workers:
     """Forked worker processes for a process that may run on cpus CPUs, at
     most one per CPU, kept for every later multi-CPU sweep of the process
-    that forked them."""
+    that forked them under the same _caller_state, which they run under."""
 
     def __init__(self, cpus: int):
         import multiprocessing.util
 
-        self.cpus, self.procs, self.conns = cpus, [], []
+        self.cpus, self.state, self.procs, self.conns = cpus, _caller_state(), [], []
         # it runs when this object is dropped, and at exit before the join of
         # a multiprocessing child's children, which would wait on the workers
         self.stop = multiprocessing.util.Finalize(self, _stop_workers,
@@ -724,12 +716,12 @@ class _Workers:
             child_conn.close()
 
     def run(self, signal: Signal, cells: list[tuple[int, int]], q: int,
-            seed: int | None, state: bytes) -> tuple[list, BaseException | None]:
-        """_fit_cell of every cell under the pickled _caller_state, started
-        largest K (p+1) first, and the exception of the first raising cell in
-        the order of cells, or None. No cell after a raising one in that
-        order starts, and every started cell has ended on return. EOFError
-        or OSError where a worker is lost."""
+            seed: int | None) -> tuple[list, BaseException | None]:
+        """_fit_cell of every cell, started largest K (p+1) first, and the
+        exception of the first raising cell in the order of cells, or None.
+        No cell after a raising one in that order starts, and every started
+        cell has ended on return. EOFError or OSError where a worker is
+        lost."""
         from multiprocessing.connection import wait
 
         pending = iter(sorted(range(len(cells)), key=lambda i: -cells[i][0] * (cells[i][1] + 1)))
@@ -741,7 +733,7 @@ class _Workers:
                 if i is None:
                     break
                 conn = idle.pop()
-                conn.send((signal, *cells[i], q, seed, state))
+                conn.send((signal, *cells[i], q, seed))
                 busy[conn] = i
             if not busy:
                 return results, error
@@ -785,35 +777,33 @@ def _fit_cells(
     """_fit_cell of every (K, p) cell, in the order of cells. The cells run
     in forked worker processes, one per CPU this process may run on and at
     most one per cell, the largest K (p+1) first, each cell sent with its
-    own pickled copy of the signal and of the caller's warnings filters and
-    numpy error state, which it runs under. The workers are forked at the
-    first such sweep and kept for the later ones, which fork more up to
-    one per CPU where they have more cells; they run the package code as of
-    their start. Before a sweep, workers sized for another CPU count, or one
-    of which is no longer alive, are replaced by fresh ones; a worker lost
-    during a sweep ends the others and raises BrokenProcessPool, on fresh
-    and reused workers alike. They end with the interpreter
-    (multiprocessing's exit handler), or within a second of its death. The
-    cells run in-process instead with one CPU or one cell, where
+    own pickled copy of the signal. The workers are forked at the first
+    such sweep and kept for the later ones, which fork more up to one per
+    CPU where they have more cells; they run the package code as of their
+    start, under the caller's warnings filters and numpy error state as of
+    their fork. Before a sweep, workers forked for another CPU count or
+    another such state, or one of which is no longer alive, are replaced by
+    fresh ones; a worker lost during a sweep ends the others and raises
+    BrokenProcessPool, on fresh and reused workers alike. They end with the
+    interpreter (multiprocessing's exit handler), or within a second of its
+    death. The cells run in-process instead with one CPU or one cell, where
     os.sched_getaffinity is missing (Windows, which has no fork, and macOS,
-    where fork is unsafe), in a daemonic process, which may not start
-    children, and where the filters or error state do not pickle. Either
-    way a non-fit exception is raised for the first failing cell in cell
-    order, as a serial loop raises it, once no cell still runs."""
+    where fork is unsafe), and in a daemonic process, which may not start
+    children. Either way a non-fit exception is raised for the first
+    failing cell in cell order, as a serial loop raises it, once no cell
+    still runs."""
     # imported here: it adds about 13 ms and 1 MB to the package import,
     # which every other fit would pay
     import multiprocessing
 
     global _workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    state = None
-    if min(cpus, len(cells)) > 1 and not multiprocessing.current_process().daemon:
-        state = _caller_state()
-    if state is None:
+    if min(cpus, len(cells)) < 2 or multiprocessing.current_process().daemon:
         return [_fit_cell(signal, K, p, q, seed) for K, p in cells]
     with _workers_lock:
         if _workers is not None and (
-                _workers.cpus != cpus or not all(proc.is_alive() for proc in _workers.procs)):
+                (_workers.cpus, _workers.state) != (cpus, _caller_state())
+                or not all(proc.is_alive() for proc in _workers.procs)):
             _reset_workers()
         if _workers is None:
             _workers = _Workers(cpus)
@@ -821,7 +811,7 @@ def _fit_cells(
         # afresh, which takes longer than a sweep at n = 500
         _workers.grow(min(cpus, len(cells)))
         try:
-            results, error = _workers.run(signal, cells, q, seed, state)
+            results, error = _workers.run(signal, cells, q, seed)
         except (EOFError, OSError) as exc:  # a worker lost during the sweep
             _reset_workers()
             from concurrent.futures.process import BrokenProcessPool
@@ -858,16 +848,20 @@ def select_model(
     report are identical for any CPU count, since each cell is one em_fit
     call with the same seed. The workers are forked at the first sweep that
     uses them, at most one per cell, and kept for the later sweeps of the
-    process, so they run the package code as of their start. A changed CPU
-    count, or a worker found dead before a sweep, starts fresh ones; a
-    worker lost during a sweep raises
+    process, so they run the package code as of their start. Each cell
+    runs under the caller's warnings filters and numpy error state of the
+    call, so an "error" filter or np.errstate(all="raise") raises there too:
+    the workers inherit them when forked, and a sweep under other filters
+    or another error state than theirs starts fresh ones, as do a changed
+    CPU count and a worker found dead before a sweep; the same state reuses
+    them. A worker lost during a sweep raises
     concurrent.futures.process.BrokenProcessPool, and the next sweep starts
     fresh ones. They end with the interpreter, or within a second of its
-    death. Each cell runs under the
-    caller's warnings filters and numpy error state of the call, so an
-    "error" filter or np.errstate(all="raise") raises there too. A warning
-    raised inside a worker prints to the inherited stderr, but the caller's
-    warnings.catch_warnings(record=True) does not record it."""
+    death. A warning raised inside a worker is shown there, on the
+    inherited stderr; the caller's warnings.catch_warnings(record=True)
+    does not record it. An exception that does not pickle, such as a
+    warning class defined in a function and raised by an "error" filter,
+    comes back as the pickling error."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")

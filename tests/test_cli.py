@@ -776,8 +776,12 @@ def test_plot_data_on_epoch_times_is_the_paper_grid_fit(tmp_path, command):
     ["select-model", "--k", "2", "--p", ""],
     ["fit-rhlp", "--k", "2", "--seed", "0", "--restarts", "-2"],
     ["fit-dp-iter", "--k", "2", "--seed", "0", "--restarts", "-2"],
+    ["fit-rhlp", "--k", "2", "--seed", "-1"],
+    ["fit-dp-iter", "--k", "2", "--seed", "-1"],
+    ["select-model", "--k", "2", "--p", "1", "--seed", "-1"],
 ], ids=["rhlp-k0", "rhlp-q-1", "dp-k0", "dp-p-1", "dp-iter-k0", "select-k0", "select-q-1",
-        "select-no-k", "select-no-p", "rhlp-restarts-2", "dp-iter-restarts-2"])
+        "select-no-k", "select-no-p", "rhlp-restarts-2", "dp-iter-restarts-2", "rhlp-seed-1",
+        "dp-iter-seed-1", "select-seed-1"])
 def test_invalid_model_order_exits_one(tmp_path, signal_csv, capsys, argv):
     out = tmp_path / "out"
     rc = main([*argv, "--input", str(signal_csv), "--output", str(out)])
@@ -875,6 +879,20 @@ def test_simulate_invalid_n_exits_one(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "situation1", "--n", "50"],
+    ["simulate", "--params-json", "unused.json", "--n", "50"],
+    ["benchmark", "--n", "100", "--replicates", "1", "--no-timing"],
+], ids=["simulate-scenario", "simulate-params", "benchmark"])
+def test_negative_seed_exits_one(tmp_path, capsys, argv):
+    # numpy's generators take seeds >= 0 only
+    out = tmp_path / "out.csv"
+    rc = main([*argv, "--seed", "-1", "--output", str(out)])
+    assert rc == 1
+    assert_one_error_line(capsys, "DataError")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["--n", "1", "--replicates", "1"],
     ["--n", "100", "--replicates", "0"],
     ["--scenarios", "nope"],
@@ -962,6 +980,8 @@ def test_report_that_builds_no_model_exits_one(tmp_path, signal_csv, capsys):
     raw = json.loads(report_path.read_text())
     raw["w"][-1] = [1.0, 0.0]
     report_path.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError, match=r"reference row w\[K-1\] must be zero"):
+        load_fit_report(report_path)
     rc = main(["plot-data", "--input", str(report_path), "--signal", str(signal_csv),
                "--output", str(tmp_path / "plot.csv")])
     assert rc == 1
@@ -1029,9 +1049,19 @@ def test_report_that_is_not_utf8_exits_one(tmp_path, signal_csv, capsys):
     assert not plot_path.exists()
 
 
-@pytest.mark.parametrize("text", [b'{"w": [[0.0]], "beta": [[1.0]], "sigma2": [1.0' + NOT_UTF8,
-                                  b'{"w": [[0.0]], "beta": [[1.0]], "sigma2": [1.0]'],
-                         ids=["not-utf8", "truncated"])
+@pytest.mark.parametrize("text", [
+    b'{"w": [[0.0]], "beta": [[1.0]], "sigma2": [1.0' + NOT_UTF8,
+    b'{"w": [[0.0]], "beta": [[1.0]], "sigma2": [1.0]',
+    # the numbers of a report are finite JSON numbers, not strings or booleans
+    b'{"w": [[1.0], [0.0]], "beta": [[1.0], [2.0]], "sigma2": ["1", true]}',
+    b'{"w": [["0"], [0]], "beta": [[1.0], [2.0]], "sigma2": [1.0, 1.0]}',
+    b'{"w": [[1.0], [0.0]], "beta": [[1.0], [false]], "sigma2": [1.0, 1.0]}',
+    b'{"w": [[1.0], [0.0]], "beta": [[1.0], [2.0]], "sigma2": [NaN, 1.0]}',
+    b'{"w": [[1.0], [0.0]], "beta": [[1e400], [2.0]], "sigma2": [1.0, 1.0]}',
+    b'{"w": [[Infinity], [0.0]], "beta": [[1.0], [2.0]], "sigma2": [1.0, 1.0]}',
+    b'{"w": [[1.0], [0.0]], "beta": [[1.0], [2.0]], "sigma2": [1.0, 1e400]}',
+], ids=["not-utf8", "truncated", "sigma2-string-and-bool", "w-string", "beta-bool",
+        "sigma2-nan", "beta-overflows", "w-inf", "sigma2-overflows"])
 def test_params_json_that_does_not_parse_exits_one(tmp_path, capsys, text):
     params = tmp_path / "params.json"
     params.write_bytes(text)

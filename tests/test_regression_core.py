@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rhlpseg.core import (
+    GaussianComponent,
     Signal,
     design_matrix,
     gaussian_log_density,
@@ -222,3 +223,10 @@ class TestGaussianLogDensity:
     def test_non_positive_variance_rejected(self):
         with pytest.raises(ValueError):
             gaussian_log_density(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf"), np.float64("nan")],
+                         ids=["zero", "negative", "nan", "inf", "numpy-nan"])
+def test_gaussian_component_rejects_a_variance_that_is_not_finite_and_positive(sigma2):
+    with pytest.raises(ValueError, match="sigma2 must be a finite positive number"):
+        GaussianComponent([0.0, 1.0], sigma2)

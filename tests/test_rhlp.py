@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -1375,7 +1376,8 @@ class TestSelectModel:
 
     def test_each_sweep_runs_under_the_callers_warnings_and_errstate(self, monkeypatch):
         # the workers start under lenient settings; later, stricter sweeps
-        # raise in them as they would in-process, and lenient ones fit again
+        # raise in them as they would in-process, and lenient ones fit again.
+        # Each changed state forks fresh workers, and the same state reuses them
         def stub(signal, K, p, q, **kwargs):
             warnings.warn(f"cell {K}", UserWarning)
             np.log(np.zeros(1))
@@ -1390,31 +1392,47 @@ class TestSelectModel:
         monkeypatch.setattr(rhlp, "em_fit", stub)
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
         assert sweep("ignore", "ignore") == 3
-        pids = worker_pids()
+        pids = [worker_pids()]
         with pytest.raises(FloatingPointError, match="divide by zero"):
             sweep("ignore", "raise")
+        pids.append(worker_pids())
         with pytest.raises(UserWarning, match="^cell 1$"):
             sweep("error", "ignore")
+        pids.append(worker_pids())
         assert sweep("ignore", "ignore") == 3
-        assert worker_pids() == pids
+        pids.append(worker_pids())
+        assert sweep("ignore", "ignore") == 3
+        assert worker_pids() == pids[-1]
+        assert all(len(p) == 2 for p in pids)
+        assert all(not set(a) & set(b) for a, b in zip(pids, pids[1:]))
         assert_only_the_shared_workers(2, 3)
 
-    def test_filters_that_do_not_pickle_fit_in_process(self, monkeypatch):
+    def test_filters_that_do_not_pickle_fit_in_the_workers(self, monkeypatch):
+        # the workers inherit a filter for a warning class defined here and
+        # fit the one-CPU table; where it turns the warning into an error,
+        # each cell's LocalWarning comes back as the error of pickling it
         class LocalWarning(UserWarning):
             pass
 
         def stub(signal, K, p, q, **kwargs):
-            return SimpleNamespace(K=K, bic=float(K), log_likelihood=0.0, converged=True,
-                                   pid=os.getpid())
+            warnings.warn("local", LocalWarning)
+            return em_fit(signal, K, p, q, **kwargs)
 
-        use_cpus(monkeypatch, 2)
         monkeypatch.setattr(rhlp, "em_fit", stub)
         sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
         with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LocalWarning)
+            use_cpus(monkeypatch, 1)
+            expected = bits(select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1, seed=0))
+            use_cpus(monkeypatch, 2)
+            got = bits(select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1, seed=0))
+            assert_only_the_shared_workers(2, 3)
+        assert got == expected
+        with warnings.catch_warnings():
             warnings.simplefilter("error", LocalWarning)
-            best, _ = select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1)
-        assert best.K == 3 and best.pid == os.getpid()
-        assert_only_the_shared_workers(1, 3)
+            with pytest.raises((AttributeError, pickle.PicklingError), match="LocalWarning"):
+                select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1, seed=0)
+        assert_only_the_shared_workers(2, 3)
 
     def test_threads_take_turns_with_the_workers(self, monkeypatch):
         # four threads sweep at once on three workers, more than this
