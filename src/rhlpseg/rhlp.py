@@ -161,13 +161,14 @@ def logistic_proportions(logistic: LogisticProcess, t) -> np.ndarray:
 
 
 def _posterior(
-    logpi: np.ndarray, means: np.ndarray, sigma2s: np.ndarray, x: np.ndarray
+    logpi: np.ndarray, betas: np.ndarray, sigma2s: np.ndarray, x: np.ndarray,
+    T: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """(K, n) responsibilities tau_ki and the observed-data log-likelihood,
     from the log-joint log [pi_ki * N(x_i; beta_k^T r_i, sigma2_k)] of the
-    log-proportions logpi = _log_proportions(w, V), the (K, n) component
-    means betas @ T.T with T = design_matrix(t, p), and the K variances."""
-    lj = logpi + _gaussian_log_density(x, means, sigma2s[:, None])
+    log-proportions logpi = _log_proportions(w, V), the (K, p+1) betas
+    against the design matrix T = design_matrix(t, p), and the K variances."""
+    lj = logpi + _gaussian_log_density(x, betas @ T.T, sigma2s[:, None])
     per_sample = _logsumexp_rows(lj)
     return np.exp(lj - per_sample), float(per_sample.sum())
 
@@ -176,7 +177,7 @@ def _params_posterior(params: RhlpParams, signal: Signal) -> tuple[np.ndarray, f
     """_posterior of params at the samples of signal, designs built here."""
     T, V = design_matrix(signal.t, params.p), design_matrix(signal.t, params.q)
     logpi = _log_proportions(params.logistic.w, V)
-    return _posterior(logpi, params.betas @ T.T, params.sigma2s, signal.x)
+    return _posterior(logpi, params.betas, params.sigma2s, signal.x, T)
 
 
 def mixture_log_likelihood(params: RhlpParams, signal: Signal) -> float:
@@ -192,12 +193,12 @@ def e_step(params: RhlpParams, signal: Signal) -> np.ndarray:
 
 def _m_step_regression(
     tau: np.ndarray, signal: Signal, T: np.ndarray, iteration: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """m_step_regression for (K, n) responsibilities tau against a design
     matrix T = design_matrix(t, p) of the samples' times, as a (K, p+1)
-    betas array, K variances and the (K, n) component means betas @ T.T:
-    all K weighted least squares in one weighted_least_squares call, and the
-    K residual variances from one (K, n) residual array. Only signal.x and
+    betas array and K variances: all K weighted least squares in one
+    weighted_least_squares call, and the K residual variances from one
+    (K, n) residual array. Only signal.x and
     signal.variance_floor are read: its callers give it a FitProblem's
     signal, whose fit values y lose no precision to an offset or a constant
     x."""
@@ -205,9 +206,8 @@ def _m_step_regression(
     if mass.min() < _STARVATION_TOL:
         raise EmptyComponentError(int(np.argmax(mass < _STARVATION_TOL)) + 1, iteration)
     betas = weighted_least_squares(T, signal.x, tau)
-    means = betas @ T.T
-    sse = (tau * (signal.x - means) ** 2).sum(axis=1)
-    return betas, np.maximum(sse / mass, signal.variance_floor), means
+    sse = (tau * (signal.x - betas @ T.T) ** 2).sum(axis=1)
+    return betas, np.maximum(sse / mass, signal.variance_floor)
 
 
 def m_step_regression(
@@ -222,7 +222,7 @@ def m_step_regression(
     to the units of x; the times stay as given."""
     tau = np.ascontiguousarray(tau.T)
     problem = FitProblem.of(signal)
-    betas, sigma2s, _ = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), -1)
+    betas, sigma2s = _m_step_regression(tau, problem.signal, design_matrix(signal.t, p), -1)
     return problem.components_to_x(betas, sigma2s)
 
 
@@ -292,8 +292,6 @@ def _irls_solve(
     ceil(log2(gain / _IRLS_TOL)) step lengths for a finite gain, about 1 045
     at most, and one where the gain is negative or not finite."""
     K, q1 = w_init.shape
-    if K == 1:
-        return w_init.copy(), logpi
     w = w_init.copy()
     tau_free = tau[:-1]
     q_old = float((tau * logpi).sum())
@@ -392,16 +390,15 @@ def _unpack(
 @dataclass(eq=False)
 class _Iterate:
     """One EM iterate as arrays: logistic coefficients w, (K, p+1) betas, K
-    variances, logpi = _log_proportions(w, V), which the E step and the IRLS
-    solve of the next M step share, and the (K, n) component means betas @
-    T.T, which the E step reads. SQUAREM packs an iterate (_pack) at each
-    extrapolation that reads it."""
+    variances, and logpi = _log_proportions(w, V), which the E step and the
+    IRLS solve of the next M step share. The E step forms the (K, n)
+    component means from betas itself. SQUAREM packs an iterate (_pack) at
+    each extrapolation that reads it."""
 
     w: np.ndarray
     betas: np.ndarray
     sigma2s: np.ndarray
     logpi: np.ndarray
-    means: np.ndarray
 
 
 def _squarem_point(
@@ -428,23 +425,20 @@ def _em_once(
     log-likelihood trace and whether the run converged. Log-proportions are
     computed here only for the start and for each extrapolated point; every
     other iterate takes them from its IRLS solve. Numerical errors at an
-    extrapolated point reject it; on plain EM steps they propagate. The
-    component means go the same way: the start and each extrapolated point
-    compute their own, and every other iterate takes the ones its M step's
-    residuals used."""
+    extrapolated point reject it; on plain EM steps they propagate."""
     T, V, VV = designs
     K, p, q = len(init[2]), T.shape[1] - 1, V.shape[1] - 1
 
     def start(w, betas, sigma2s):
-        return _Iterate(w, betas, sigma2s, _log_proportions(w, V), betas @ T.T)
+        return _Iterate(w, betas, sigma2s, _log_proportions(w, V))
 
     def posterior(it):
-        return _posterior(it.logpi, it.means, it.sigma2s, signal.x)
+        return _posterior(it.logpi, it.betas, it.sigma2s, signal.x, T)
 
     def m_step(it, tau, iteration):
-        betas, sigma2s, means = _m_step_regression(tau, signal, T, iteration)
+        betas, sigma2s = _m_step_regression(tau, signal, T, iteration)
         w, logpi = _irls_solve(it.w, tau, V, VV, it.logpi)
-        return _Iterate(w, betas, sigma2s, logpi, means)
+        return _Iterate(w, betas, sigma2s, logpi)
 
     def speculate(theta, ll_floor, iteration):
         """(iterate, log-likelihood, EM step) at theta, or None if rejected."""
@@ -563,7 +557,7 @@ def em_fit(
     final, trace, converged = best
     params = RhlpParams(LogisticProcess(final.w),
                         problem.components_to_x(final.betas, final.sigma2s))
-    ll = _posterior(final.logpi, params.betas @ T.T, params.sigma2s, signal.x)[1]
+    ll = _posterior(final.logpi, params.betas, params.sigma2s, signal.x, T)[1]
     pi = np.exp(final.logpi)
     return FitReport(
         params=params,
