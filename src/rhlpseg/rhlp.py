@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -644,8 +645,10 @@ def _watch_parent(parent: int) -> None:
 def _serve(conn, parent: int) -> None:
     """A select_model worker: fit each cell that conn brings under the
     warnings filters and numpy error state it was forked with, and send
-    back (True, report or message) or (False, exception, traceback). Ctrl-C
-    interrupts the caller only, which then ends its workers."""
+    back the (message, filename, lineno) of each warning the cell recorded
+    with True and the report or message, or with False, the exception and
+    its traceback. Ctrl-C interrupts the caller only, which then ends its
+    workers."""
     import signal as signals
     import traceback
 
@@ -654,14 +657,15 @@ def _serve(conn, parent: int) -> None:
     try:
         while True:
             signal, K, p, q, seed = conn.recv()
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    reply = True, _fit_cell(signal, K, p, q, seed)
+                except BaseException as exc:
+                    reply = False, exc, traceback.format_exc()
             try:
-                reply = True, _fit_cell(signal, K, p, q, seed)
-            except BaseException as exc:
-                reply = False, exc, traceback.format_exc()
-            try:
-                conn.send(reply)
-            except Exception as exc:  # a result or exception that does not pickle
-                conn.send((False, exc, traceback.format_exc()))
+                conn.send(([(w.message, w.filename, w.lineno) for w in caught], *reply))
+            except Exception as exc:  # a result, exception or warning that does not pickle
+                conn.send(([], False, exc, traceback.format_exc()))
     except (EOFError, OSError):  # the parent is gone
         pass
 
@@ -710,16 +714,17 @@ class _Workers:
             child_conn.close()
 
     def run(self, signal: Signal, cells: list[tuple[int, int]], q: int,
-            seed: int | None) -> tuple[list, BaseException | None]:
-        """_fit_cell of every cell, started largest K (p+1) first, and the
-        exception of the first raising cell in the order of cells, or None.
-        No cell after a raising one in that order starts, and every started
-        cell has ended on return. EOFError or OSError where a worker is
-        lost."""
+            seed: int | None) -> tuple[list, list, BaseException | None]:
+        """_fit_cell of every cell, started largest K (p+1) first, the
+        warnings the cells recorded, in the order of cells up to the first
+        raising one, and that cell's exception, or None. No cell after a
+        raising one in that order starts, and every started cell has ended
+        on return. EOFError or OSError where a worker is lost."""
         from multiprocessing.connection import wait
 
         pending = iter(sorted(range(len(cells)), key=lambda i: -cells[i][0] * (cells[i][1] + 1)))
         results, first, error = [None] * len(cells), len(cells), None
+        caught = [[] for _ in cells]
         idle, busy = list(self.conns), {}
         while True:
             while idle:
@@ -730,16 +735,27 @@ class _Workers:
                 conn.send((signal, *cells[i], q, seed))
                 busy[conn] = i
             if not busy:
-                return results, error
+                return results, [w for ws in caught[:first + 1] for w in ws], error
             for conn in wait(list(busy)):
                 i = busy.pop(conn)
-                ok, value, *remote = conn.recv()
+                caught[i], ok, value, *remote = conn.recv()
                 idle.append(conn)
                 if ok:
                     results[i] = value
                 elif i < first:
                     first, error = i, value
                     error.__cause__ = _RemoteTraceback(remote[0])
+
+
+def _warn_again(message: Warning, filename: str, lineno: int) -> None:
+    """Issue a warning that a worker recorded as warnings.warn issued it
+    there: from the module loaded from filename, whose name the filters
+    match and whose registry the "default" and "module" actions read."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    env = {"__name__": None} if module is None else vars(module)
+    warnings.warn_explicit(message, type(message), filename, lineno, env["__name__"],
+                           env.setdefault("__warningregistry__", {}))
 
 
 _workers: _Workers | None = None  # made at this process's first multi-CPU sweep
@@ -785,7 +801,8 @@ def _fit_cells(
     where fork is unsafe), and in a daemonic process, which may not start
     children. Either way a non-fit exception is raised for the first
     failing cell in cell order, as a serial loop raises it, once no cell
-    still runs."""
+    still runs. The warnings that the cells in workers record are issued
+    again here first, in cell order up to that cell (_warn_again)."""
     # imported here: it adds about 13 ms and 1 MB to the package import,
     # which every other fit would pay
     import multiprocessing
@@ -805,7 +822,7 @@ def _fit_cells(
         # afresh, which takes longer than a sweep at n = 500
         _workers.grow(min(cpus, len(cells)))
         try:
-            results, error = _workers.run(signal, cells, q, seed)
+            results, caught, error = _workers.run(signal, cells, q, seed)
         except (EOFError, OSError) as exc:  # a worker lost during the sweep
             _reset_workers()
             from concurrent.futures.process import BrokenProcessPool
@@ -814,6 +831,8 @@ def _fit_cells(
         except BaseException:  # such as KeyboardInterrupt: cells may still run
             _reset_workers()
             raise
+    for warning in caught:
+        _warn_again(*warning)
     if error is not None:
         raise error
     return results
@@ -851,11 +870,12 @@ def select_model(
     them. A worker lost during a sweep raises
     concurrent.futures.process.BrokenProcessPool, and the next sweep starts
     fresh ones. They end with the interpreter, or within a second of its
-    death. A warning raised inside a worker is shown there, on the
-    inherited stderr; the caller's warnings.catch_warnings(record=True)
-    does not record it. An exception that does not pickle, such as a
-    warning class defined in a function and raised by an "error" filter,
-    comes back as the pickling error."""
+    death. A warning that a cell raises in a worker, and the filters there
+    let through, is issued again in the caller, cell by cell in table order
+    up to the first cell that raises, so the caller's filters, registries
+    and warnings.catch_warnings(record=True) act on it as on a serial
+    loop's. An exception or warning that does not pickle, such as a warning
+    class defined in a function, comes back as the pickling error."""
     K_range, p_range = list(K_range), list(p_range)
     if not K_range or not p_range:
         raise ValueError(f"empty model range: K_range={K_range}, p_range={p_range}")

@@ -1430,6 +1430,43 @@ class TestSelectModel:
                 select_model(sig, K_range=[1, 2, 3], p_range=[2], q=1, seed=0)
         assert_only_the_shared_workers(2, 3)
 
+    def test_warnings_from_the_cells_reach_the_caller(self, monkeypatch):
+        # the first sweep forks the workers inside a recording context and
+        # the later ones reuse them; each records every cell's warning from
+        # the stub's own line, in table order, up to and with the failing
+        # K = 4, whatever order the cells end in, as the one-CPU sweeps do
+        def stub(signal, K, p, q, **kwargs):
+            time.sleep(0.02 * (5 - K))
+            warnings.warn(f"cell {K}", UserWarning)
+            if K == 4:
+                raise LookupError(K)
+            return SimpleNamespace(K=K, p=p, bic=float(K), log_likelihood=0.0, converged=True)
+
+        def sweep(K_range):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    select_model(sig, K_range=K_range, p_range=[2], q=1)
+                except LookupError:
+                    pass
+            return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+        monkeypatch.setattr(rhlp, "em_fit", stub)
+        sig, _ = simulate_piecewise(SITUATION_1, 60, seed=0)
+        sweeps = [[1, 2, 3], range(1, 6), [1, 2, 3]]
+        use_cpus(monkeypatch, 1)
+        expected = [sweep(K_range) for K_range in sweeps]
+        assert [[w[0] for w in ws] for ws in expected] == [
+            ["cell 1", "cell 2", "cell 3"], ["cell 1", "cell 2", "cell 3", "cell 4"],
+            ["cell 1", "cell 2", "cell 3"]]
+        use_cpus(monkeypatch, 2)
+        got, pids = [], []
+        for K_range in sweeps:
+            got.append(sweep(K_range))
+            pids.append(worker_pids())
+        assert got == expected
+        assert pids[0] == pids[1] == pids[2] and len(pids[0]) == 2
+
     def test_threads_take_turns_with_the_workers(self, monkeypatch):
         # four threads sweep at once on three workers, more than this
         # machine's cores may be; each must get its own signal's table
