@@ -194,16 +194,14 @@ def _cmd_plot_data(args) -> None:
             f"report has {len(doc.labels)} samples but signal has {len(t)}"
         )
     u = TimeMap(doc.t0, doc.time_factor)(t)
-    try:
-        comps = _components(doc.beta, doc.sigma2)
-        if doc.model == "rhlp":
-            params = RhlpParams(LogisticProcess(np.asarray(doc.w, float)), comps)
-            curve = denoise(params, u)
-            proportions = logistic_proportions(params.logistic, u).T
-        else:
-            curve, proportions = piecewise_mean(Partition(doc.gamma), comps, u), []
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"invalid report: {exc}") from None
+    # load_fit_report has checked every field these constructors check
+    comps = _components(doc.beta, doc.sigma2)
+    if doc.model == "rhlp":
+        params = RhlpParams(LogisticProcess(np.asarray(doc.w, float)), comps)
+        curve = denoise(params, u)
+        proportions = logistic_proportions(params.logistic, u).T
+    else:
+        curve, proportions = piecewise_mean(Partition(doc.gamma), comps, u), []
     series = [("original", signal.x), ("denoised", curve)]
     series += [(f"component_{k}", c.mean(u)) for k, c in enumerate(comps, 1)]
     series += [(f"proportion_{k}", pi) for k, pi in enumerate(proportions, 1)]
