@@ -477,6 +477,17 @@ class TestSignalCsvErrors:
         assert "line 3" in err and repr(label) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit-rhlp", "fit-dp", "fit-dp-iter", "select-model"])
+    def test_empty_file_exits_one(self, tmp_path, capsys, command):
+        # no header line: one ParseError line and no report from any fit
+        path, out = tmp_path / "empty.csv", tmp_path / "o.out"
+        path.write_bytes(b"")
+        argv = FITS[command][0] if command in FITS else ["select-model", "--k", "1,2", "--p", "2"]
+        rc = main([*argv, "--input", str(path), "--output", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, "ParseError")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_integral_labels_parse(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("t,x,label\n0.0,1.0,2\n1.0,2.0,2.0\n2.0,1.5, 1 \n")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -661,6 +662,24 @@ class TestCoresEqualTheirReferences:
         assert bounded >= 3 and singular >= 9
 
     @pytest.mark.parametrize("K, q", list(itertools.product([2, 3, 5], [0, 1, 2])))
+    def test_irls_solve_stops_at_its_step_limit(self, monkeypatch, K, q):
+        # with one Newton step allowed, the solve leaves its loop after a
+        # step that raised Q1 by more than _IRLS_TOL, and returns that step's
+        # w with its own log-proportions, short of the unlimited solve's w
+        w, tau, *_, sig = self.instance(K, q, 0.5)
+        V = design_matrix(sig.t, q)
+        VV, logpi = rhlp._outer_rows(V), rhlp._log_proportions(w, V)
+        unlimited_w, _ = rhlp._irls_solve(w, tau, V, VV, logpi)
+        monkeypatch.setattr(rhlp, "_IRLS_MAX_ITER", 1)
+        got_w, got_logpi = rhlp._irls_solve(w, tau, V, VV, logpi)
+        ref_w, ref_logpi = _irls_solve_reference(w, tau, V, VV, logpi)
+        assert got_w.tobytes() == ref_w.tobytes()
+        assert got_logpi.tobytes() == ref_logpi.tobytes()
+        assert got_logpi.tobytes() == rhlp._log_proportions(got_w, V).tobytes()
+        assert float((tau * got_logpi).sum()) - float((tau * logpi).sum()) > rhlp._IRLS_TOL
+        assert got_w.tobytes() != unlimited_w.tobytes()
+
+    @pytest.mark.parametrize("K, q", list(itertools.product([2, 3, 5], [0, 1, 2])))
     @pytest.mark.parametrize("scale", [0.5, 10.0])
     def test_a_search_that_raises_nothing_stops_at_the_bound(self, monkeypatch, K, q, scale):
         # under a _log_proportions whose every trial gives Q1 = -inf, no step
@@ -764,6 +783,25 @@ class TestCoresEqualTheirReferences:
 
 
 class TestEmFit:
+    def test_peak_memory_per_sample(self):
+        # EM's largest arrays are (K, n) and (n, q+1, q+1); at K = 3, p = 2,
+        # q = 1 one fit peaks at about 449 bytes per sample above the memory
+        # already in use, and at 545 while each iterate carried its (K, n)
+        # component means
+        sig, _ = simulate_piecewise(SITUATION_1, 20_000, seed=0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            em_fit(sig, 3, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / sig.n < 500
+
     def test_k1_equals_ols(self):
         # the start is the segment_cost fit of the whole signal, the OLS
         # optimum, so one EM step confirms it
