@@ -199,10 +199,9 @@ def _m_step_regression(
     matrix T = design_matrix(t, p) of the samples' times, as a (K, p+1)
     betas array and K variances: all K weighted least squares in one
     weighted_least_squares call, and the K residual variances from one
-    (K, n) residual array. Only signal.x and
-    signal.variance_floor are read: its callers give it a FitProblem's
-    signal, whose fit values y lose no precision to an offset or a constant
-    x."""
+    (K, n) residual array. Only signal.x and signal.variance_floor are
+    read: its callers give it a FitProblem's signal, whose fit values y lose
+    no precision to an offset or a constant x."""
     mass = tau.sum(axis=1)
     if mass.min() < _STARVATION_TOL:
         raise EmptyComponentError(int(np.argmax(mass < _STARVATION_TOL)) + 1, iteration)
@@ -645,10 +644,10 @@ def _watch_parent(parent: int) -> None:
 def _serve(conn, parent: int) -> None:
     """A select_model worker: fit each cell that conn brings under the
     warnings filters and numpy error state it was forked with, and send
-    back the (message, filename, lineno) of each warning the cell recorded
-    with True and the report or message, or with False, the exception and
-    its traceback. Ctrl-C interrupts the caller only, which then ends its
-    workers."""
+    back (caught, True, report or message) or (caught, False, exception,
+    traceback), where caught holds the (message, filename, lineno) of each
+    warning that the cell recorded. Ctrl-C interrupts the caller only,
+    which then ends its workers."""
     import signal as signals
     import traceback
 

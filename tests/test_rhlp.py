@@ -786,8 +786,8 @@ class TestEmFit:
     def test_peak_memory_per_sample(self):
         # EM's largest arrays are (K, n) and (n, q+1, q+1); at K = 3, p = 2,
         # q = 1 one fit peaks at about 449 bytes per sample above the memory
-        # already in use, and at 545 while each iterate carried its (K, n)
-        # component means
+        # already in use; one more (K, n) array in each of the up to four
+        # live iterates would cross the bound
         sig, _ = simulate_piecewise(SITUATION_1, 20_000, seed=0)
         started = not tracemalloc.is_tracing()
         if started:
